@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .exact import (
     IntMatrix,
+    hnf_coordinates,
     kernel_lattice,
     lattice_contains,
     prime_factors,
@@ -248,9 +249,7 @@ class AModJ:
 
     def coordinates(self, marks_vec: Sequence[int]) -> Vector | None:
         """Coefficients over the canonical basis, or None if not in the lattice."""
-        from .exact import express_in_rows
-
-        return express_in_rows(self.basis, marks_vec)
+        return hnf_coordinates(self.basis, marks_vec)
 
 
 def marks_json(group: AbelianGroup) -> dict:

@@ -25,7 +25,7 @@ import sys
 import time
 
 from .burnside import BurnsideRing, marks_json, marks_text
-from .exact import IntMatrix, smallest_primitive_root, smith_normal_form
+from .exact import IntMatrix, prime_factors, smith_normal_form
 from .fiber import (
     default_ell,
     determinant_mod_ell_check,
@@ -225,13 +225,11 @@ def cmd_norms(group: AbelianGroup | None) -> tuple[bool, dict, str]:
         if len(group.factors) != 1:
             raise ValueError("norms need a cyclic prime-power group, e.g. C27")
         n = group.factors[0]
-        q = min(p for p in range(2, n + 1) if n % p == 0)
-        k = 0
-        m = n
-        while m > 1:
-            if m % q:
-                raise ValueError("norms need a cyclic prime-power group")
-            m //= q
+        primes = prime_factors(n)
+        if len(primes) != 1:
+            raise ValueError("norms need a cyclic prime-power group")
+        q, k = primes[0], 1
+        while q ** k < n:
             k += 1
         towers.append((q, k))
     else:

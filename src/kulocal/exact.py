@@ -86,6 +86,7 @@ def smallest_primitive_root(m: int) -> int:
 
 
 def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending (none for n = 0, +-1)."""
     out, d = [], 2
     n = abs(n)
     while d * d <= n:
@@ -97,6 +98,32 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == [n]
+
+
+def smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n; 1 for n = 1."""
+    return (prime_factors(n) or [1])[0]
+
+
+def prime_power_part(n: int, q: int) -> int:
+    """q^{v_q(n)}, the largest power of q dividing n; 1 when q = 1."""
+    if n == 0 or q < 1:
+        raise ValueError(f"no {q}-part of {n}")
+    out = 1
+    while q > 1 and n % q == 0:
+        out *= q
+        n //= q
+    return out
+
+
+def primary_part(factors: Iterable[int], q: int) -> tuple[int, ...]:
+    """The q-primary part of a finite group given by invariant factors: the
+    nontrivial q^{v_q(d)}, in order."""
+    return tuple(x for x in (prime_power_part(d, q) for d in factors) if x > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -724,20 +751,27 @@ def row_hnf(rows: Iterable[Sequence[int]], ncols: int) -> tuple[tuple[int, ...],
     return tuple(tuple(row) for row in mat[:r])
 
 
+def hnf_coordinates(hnf_rows: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...] | None:
+    """Coefficients c with sum(c_i * hnf_rows[i]) = v, or None if v is not in
+    the lattice; back-substitution along the pivots of a row Hermite form,
+    whose rows are independent, so the coefficients are unique."""
+    w = list(v)
+    coeffs = []
+    for row in hnf_rows:
+        c = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(w[c], row[c])
+        if r:
+            return None
+        coeffs.append(q)
+        if q:
+            for t in range(c, len(w)):
+                w[t] -= q * row[t]
+    return None if any(w) else tuple(coeffs)
+
+
 def lattice_contains(hnf_rows: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
     """Membership of v in the lattice given by its row Hermite form."""
-    w = list(v)
-    for row in hnf_rows:
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is None:
-            continue
-        if w[c] % row[c]:
-            return False
-        q = w[c] // row[c]
-        if q:
-            for t in range(len(w)):
-                w[t] -= q * row[t]
-    return not any(w)
+    return hnf_coordinates(hnf_rows, v) is not None
 
 
 def lattice_equal(rows_a, rows_b, ncols: int) -> bool:
@@ -748,12 +782,6 @@ def lattice_spans(rows_big, rows_small, ncols: int) -> bool:
     """True if every row of rows_small lies in the lattice of rows_big."""
     hnf = row_hnf(rows_big, ncols)
     return all(lattice_contains(hnf, v) for v in rows_small)
-
-
-def express_in_rows(rows: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...] | None:
-    """Integer coefficients c with sum(c_i * rows_i) = v, or None."""
-    mat = IntMatrix.from_columns(rows, nrows=len(v)) if rows else IntMatrix.zeros(len(v), 0)
-    return solve_integer(mat, v)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .burnside import BurnsideRing
 from .exact import (
@@ -26,12 +25,14 @@ from .exact import (
     is_primitive_root,
     kernel_lattice,
     lattice_spans,
+    primary_part,
     row_hnf,
+    smallest_prime_factor,
     smith_normal_form,
     smallest_primitive_root,
 )
 from .groups import AbelianGroup, DualLevel, Subgroup
-from .reprings import RURing, rational_rep_lattices
+from .reprings import RURing, adams_minus_one_on, dual_permutation, permute, rational_rep_lattices
 
 Vector = tuple
 
@@ -53,24 +54,10 @@ def _require_primitive(group: AbelianGroup, ell: int) -> None:
         )
 
 
-def dual_permutation(dual: DualLevel, ell: int) -> list[int]:
-    return [dual.index_of(dual.scale(ell, a)) for a in dual.reps]
-
-
-def adams_minus_one_on(dual: DualLevel, ell: int, degree: int) -> IntMatrix:
-    """Matrix of psi^ell - 1 on the given dual level, degree 0 or 2."""
-    if degree not in (0, 2):
-        raise ValueError("degree must be 0 or 2")
-    n = dual.size
-    perm = dual_permutation(dual, ell)
-    scale = ell if degree == 2 else 1
-    return IntMatrix(
-        [
-            [scale * (1 if perm[j] == i else 0) - (1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ],
-        cols=n,
-    )
+SINGULAR_DEGREE2 = (
+    "degree-2 psi^ell - 1 is singular; this contradicts the finiteness "
+    "of the cokernel and signals an engine bug"
+)
 
 
 def adams_minus_one(group: AbelianGroup, ell: int, degree: int) -> IntMatrix:
@@ -164,15 +151,7 @@ class Pi1Data:
     @property
     def q_part(self) -> tuple[int, ...]:
         """q-primary parts q^{v_q(d)} of the torsion, dropping trivial ones."""
-        out = []
-        for d in self.torsion:
-            qpow = 1
-            while d % self.q == 0:
-                qpow *= self.q
-                d //= self.q
-            if qpow > 1:
-                out.append(qpow)
-        return tuple(out)
+        return primary_part(self.torsion, self.q)
 
     def to_json(self) -> dict:
         return {
@@ -194,15 +173,11 @@ def pi1_level(group: AbelianGroup, ell: int | None = None, q: int | None = None)
         ell = default_ell(group)
     _require_coprime(group, ell)
     if q is None:
-        qs = [p for p in range(2, group.order + 1) if group.order % p == 0 and _is_prime(p)]
-        q = qs[0] if qs else 0
+        q = smallest_prime_factor(group.order)
     mat = adams_minus_one(group, ell, 2)
     det = mat.det()
     if det == 0:
-        raise ArithmeticError(
-            "degree-2 psi^ell - 1 is singular; this contradicts the finiteness "
-            "of the cokernel and signals an engine bug"
-        )
+        raise ArithmeticError(SINGULAR_DEGREE2)
     dec = smith_normal_form(mat)
     return Pi1Data(
         group=group,
@@ -211,10 +186,6 @@ def pi1_level(group: AbelianGroup, ell: int | None = None, q: int | None = None)
         invariant_factors=dec.invariant_factors,
         determinant=det,
     )
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
 def determinant_mod_ell_check(group: AbelianGroup, ell: int | None = None) -> tuple[bool, int]:
@@ -242,32 +213,27 @@ class FiberLevelData:
 
 def fiber_level_data(group: AbelianGroup, ell: int | None = None, q: int | None = None) -> dict[Subgroup, FiberLevelData]:
     """Per-subgroup kernel/cokernel data; psi^ell commutes with restriction,
-    and a primitive root mod exponent(G) stays primitive at every level."""
+    and a primitive root mod exponent(G) stays primitive at every level.
+    A singular degree-2 level means a singular top level (its permutation
+    module is a quotient of the top one), rejected as in ``pi1_level``."""
     if ell is None:
         ell = default_ell(group)
+    _require_coprime(group, ell)
     if q is None:
-        q = pi1_level(group, ell).q
+        q = smallest_prime_factor(group.order)
     out = {}
     for h in group.subgroups():
         dual = DualLevel(group, h)
         ker = kernel_lattice(adams_minus_one_on(dual, ell, 0))
         pi0 = row_hnf([ker.column(j) for j in range(ker.cols)], dual.size)
-        deg2 = adams_minus_one_on(dual, ell, 2)
-        dec = smith_normal_form(deg2)
-        torsion = tuple(d for d in dec.invariant_factors if d != 1)
-        qpart = []
-        for d in torsion:
-            qpow = 1
-            while q > 1 and d % q == 0:
-                qpow *= q
-                d //= q
-            if qpow > 1:
-                qpart.append(qpow)
+        dec = smith_normal_form(adams_minus_one_on(dual, ell, 2))
+        if dec.rank < dual.size:
+            raise ArithmeticError(SINGULAR_DEGREE2)
         out[h] = FiberLevelData(
             subgroup=h,
             pi0_basis=pi0,
             pi1_invariant_factors=dec.invariant_factors,
-            pi1_q_part=tuple(qpart),
+            pi1_q_part=primary_part(dec.invariant_factors, q),
         )
     return out
 
@@ -292,17 +258,12 @@ def group_report(group: AbelianGroup, ell: int | None = None) -> dict:
 def restriction_commutes_with_adams(group: AbelianGroup, ell: int) -> bool:
     """res o psi^ell = psi^ell o res on every level (kernel functoriality)."""
     ru = RURing(group)
+    top = dual_permutation(ru.dual, ell)
     for h in group.subgroups():
         dual = DualLevel(group, h)
+        perm = dual_permutation(dual, ell)
         for a in ru.dual.reps:
             v = ru.basis_element(a)
-            lhs = ru.restrict(ru.adams(ell, v), dual)
-            # psi^ell on the restricted element
-            w = ru.restrict(v, dual)
-            rhs = [0] * dual.size
-            for b, c in zip(dual.reps, w):
-                if c:
-                    rhs[dual.index_of(dual.scale(ell, b))] += c
-            if lhs != tuple(rhs):
+            if ru.restrict(permute(top, v), dual) != permute(perm, ru.restrict(v, dual)):
                 return False
     return True

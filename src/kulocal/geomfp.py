@@ -35,6 +35,7 @@ from .exact import (
     Cyclotomic,
     QuotientRing,
     cyclotomic_polynomial,
+    is_prime,
     is_primitive_root,
     mult_matrix,
     mult_matrix_determinant,
@@ -62,7 +63,7 @@ def trunc_regular_poly(q: int, k: int) -> tuple:
 def _check_q_k(q: int, k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if q < 2 or any(q % d == 0 for d in range(2, q)):
+    if not is_prime(q):
         raise ValueError("q must be prime")
 
 

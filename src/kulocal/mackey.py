@@ -28,11 +28,15 @@ from .exact import (
     IntMatrix,
     lattice_contains,
     lattice_equal,
+    primary_part,
+    prime_factors,
+    prime_power_part,
     row_hnf,
     smith_normal_form,
 )
 from .fiber import fiber_level_data, pi1_level
 from .groups import AbelianGroup, DualLevel, Subgroup
+from .reprings import dual_multiply
 
 Vector = tuple
 
@@ -70,17 +74,9 @@ class Level:
     @property
     def primary_torsion(self) -> tuple[int, ...]:
         """The same torsion split into prime powers, sorted."""
-        from .exact import prime_factors
-
-        out = []
-        for d in self.torsion:
-            for p in prime_factors(d):
-                ppow = 1
-                while d % p == 0:
-                    ppow *= p
-                    d //= p
-                out.append(ppow)
-        return tuple(sorted(out))
+        return tuple(sorted(
+            prime_power_part(d, p) for d in self.torsion for p in prime_factors(d)
+        ))
 
     def elements_equal(self, a: Sequence[int], b: Sequence[int]) -> bool:
         diff = tuple(x - y for x, y in zip(a, b))
@@ -376,14 +372,7 @@ def ru_mackey(group: AbelianGroup) -> GreenFunctor:
             tr[(k, h)] = IntMatrix.from_columns(cols, nrows=d_h.size)
 
     def multiply(h: Subgroup, v, w) -> Vector:
-        d = duals[h]
-        out = [0] * d.size
-        for i, x in enumerate(v):
-            if x:
-                for j, y in enumerate(w):
-                    if y:
-                        out[d.index_of(d.add(d.reps[i], d.reps[j]))] += x * y
-        return tuple(out)
+        return dual_multiply(duals[h], v, w)
 
     units = {}
     for h in subs:
@@ -572,15 +561,7 @@ def v_h(functor: MackeyFunctor, h: Subgroup, p: int) -> tuple[int, tuple[int, ..
         return lvl.rank, ()
     mat = IntMatrix.from_columns(cols, nrows=lvl.rank)
     free, torsion = smith_normal_form(mat).cokernel_invariants()
-    p_torsion = []
-    for d in torsion:
-        ppow = 1
-        while d % p == 0:
-            ppow *= p
-            d //= p
-        if ppow > 1:
-            p_torsion.append(ppow)
-    return free, tuple(p_torsion)
+    return free, primary_part(torsion, p)
 
 
 def idempotent_splitting_check(functor: MackeyFunctor, p: int) -> bool:

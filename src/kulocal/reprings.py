@@ -26,12 +26,57 @@ from .exact import (
     kernel_lattice,
     lattice_equal,
     row_hnf,
+    smallest_primitive_root,
 )
 from .groups import AbelianGroup, DualLevel, Subgroup
 
 Vector = tuple
 
 MAP_ENUMERATION_BOUND = 10 ** 6
+
+
+def dual_multiply(dual: DualLevel, v: Sequence[int], w: Sequence[int]) -> Vector:
+    """Product in the group ring of the characters of one level: convolution
+    over the dual basis."""
+    out = [0] * dual.size
+    reps = dual.reps
+    for i, x in enumerate(v):
+        if x:
+            for j, y in enumerate(w):
+                if y:
+                    out[dual.index_of(dual.add(reps[i], reps[j]))] += x * y
+    return tuple(out)
+
+
+def dual_permutation(dual: DualLevel, ell: int) -> list[int]:
+    """psi^ell on the dual basis: index i -> index of ell * (i-th character)."""
+    return [dual.index_of(dual.scale(ell, a)) for a in dual.reps]
+
+
+def permute(perm: Sequence[int], v: Sequence[int]) -> Vector:
+    """The vector with v_i moved to position perm[i] (summed where perm collides)."""
+    out = [0] * len(perm)
+    for i, c in enumerate(v):
+        if c:
+            out[perm[i]] += c
+    return tuple(out)
+
+
+def adams_minus_one_on(dual: DualLevel, ell: int, degree: int) -> IntMatrix:
+    """Matrix of psi^ell - 1 on the given dual level, degree 0 or 2; in
+    degree 2 the permutation is scaled by ell (psi^ell of the Bott class)."""
+    if degree not in (0, 2):
+        raise ValueError("degree must be 0 or 2")
+    n = dual.size
+    perm = dual_permutation(dual, ell)
+    scale = ell if degree == 2 else 1
+    return IntMatrix(
+        [
+            [scale * (1 if perm[j] == i else 0) - (1 if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ],
+        cols=n,
+    )
 
 
 class RURing:
@@ -60,14 +105,7 @@ class RURing:
         return tuple(c * x for x in v)
 
     def multiply(self, v: Sequence[int], w: Sequence[int]) -> Vector:
-        out = [0] * self.n
-        reps = self.dual.reps
-        for i, x in enumerate(v):
-            if x:
-                for j, y in enumerate(w):
-                    if y:
-                        out[self.dual.index_of(self.dual.add(reps[i], reps[j]))] += x * y
-        return tuple(out)
+        return dual_multiply(self.dual, v, w)
 
     def power(self, v: Sequence[int], k: int) -> Vector:
         result = self.one
@@ -104,15 +142,7 @@ class RURing:
 
     def adams(self, ell: int, v: Sequence[int]) -> Vector:
         """psi^ell: the basis character chi_a goes to chi_{ell a}."""
-        out = [0] * self.n
-        for a, c in zip(self.dual.reps, v):
-            if c:
-                out[self.dual.index_of(self.dual.scale(ell, a))] += c
-        return tuple(out)
-
-    def adams_permutation(self, ell: int) -> list[int]:
-        """index i -> index of ell * (i-th dual basis element)."""
-        return [self.dual.index_of(self.dual.scale(ell, a)) for a in self.dual.reps]
+        return permute(dual_permutation(self.dual, ell), v)
 
     # -- Euler classes
 
@@ -288,25 +318,15 @@ def rational_rep_lattices(group: AbelianGroup) -> RationalLattices:
     # fixed lattice of psi^l for l a generator of the units mod the exponent;
     # verified to be fixed by every unit below
     e = group.exponent
-    from .exact import smallest_primitive_root
-
-    ell = smallest_primitive_root(e)
-    perm = ru.adams_permutation(ell)
-    p_minus_i = IntMatrix(
-        [
-            [(1 if perm[j] == i else 0) - (1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ],
-        cols=n,
-    )
-    ker = kernel_lattice(p_minus_i)
+    ker = kernel_lattice(adams_minus_one_on(ru.dual, smallest_primitive_root(e), 0))
     rq_chi = row_hnf([ker.column(j) for j in range(ker.cols)], n)
 
     # the fixed lattice really is fixed by all units, and its characters are rational
     for u in range(1, e + 1):
         if math.gcd(u, e) == 1:
+            perm = dual_permutation(ru.dual, u)
             for v in rq_chi:
-                assert ru.adams(u, v) == v
+                assert permute(perm, v) == v
     for v in rq_chi:
         assert ru.character(v).is_rational()
 

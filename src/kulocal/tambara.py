@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .burnside import BurnsideRing
+from .exact import is_prime
 from .groups import ExplicitHSet, Subgroup, abelian_group, map_set_orbits
 from .mackey import burnside_mackey
 
@@ -39,7 +40,7 @@ NORM_INLINE_ENUM_BOUND = 2000
 
 
 def _check_odd_prime(q: int) -> None:
-    if q < 3 or q % 2 == 0 or any(q % d == 0 for d in range(2, q)):
+    if q == 2 or not is_prime(q):
         raise ValueError("q must be an odd prime")
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kulocal.burnside import BurnsideRing, marks_json, marks_text
-from kulocal.exact import lattice_contains, row_hnf
+from kulocal.exact import IntMatrix, lattice_contains, row_hnf, solve_integer
 from kulocal.groups import parse_group
 
 SEED = int(os.environ.get("TEST_SEED", "20240801"))
@@ -203,3 +203,19 @@ def test_marks_serializations():
     assert js["marks_matrix"][0] == [9, 0, 0]
     text = marks_text(g)
     assert "table of marks" in text
+
+
+@pytest.mark.parametrize("spec", ["C3xC9", "C3xC3xC3"])
+def test_a_mod_j_coordinates_of_products(spec):
+    group = parse_group(spec)
+    for level in group.subgroups():
+        r = BurnsideRing(group, level)
+        q = r.a_mod_j()
+        basis = IntMatrix.from_columns(q.basis, nrows=len(q.cyclic_subgroups))
+        for i, k in enumerate(r.subgroups):
+            for l in r.subgroups[i:]:
+                marks = q.project(r.multiply(r.basis_element(k), r.basis_element(l)))
+                coords = q.coordinates(marks)
+                assert coords is not None
+                assert coords == solve_integer(basis, marks)
+                assert basis.apply(coords) == marks

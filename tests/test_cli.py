@@ -120,3 +120,21 @@ def test_verify_all_tiny(capsys):
     code, out, _ = run_capture(capsys, ["verify-all", "--max-order", "9"])
     assert code == 0
     assert "all checks passed" in out
+
+
+def test_pi1_trivial_group_has_empty_q_part(capsys):
+    # q = 1 for the trivial group: the q-part is empty and the command returns
+    code, out, _ = run_capture(capsys, ["pi1", "--group", "C1", "--ell", "4", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["q"] == 1
+    assert payload["pi1_q_part"] == []
+    assert all(level["pi1_q_part"] == [] for level in payload["levels"])
+
+
+@pytest.mark.parametrize("command", ["pi0", "pi1"])
+def test_singular_degree2_exits_2(capsys, command):
+    code, out, err = run_capture(capsys, [command, "--group", "C9", "--ell", "1"])
+    assert code == 2
+    assert out == ""
+    assert "degree-2 psi^ell - 1 is singular" in err

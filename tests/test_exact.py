@@ -10,6 +10,8 @@ from kulocal.exact import (
     QuotientRing,
     cyclotomic_polynomial,
     euler_phi,
+    hnf_coordinates,
+    is_prime,
     kernel_lattice,
     lattice_contains,
     lattice_equal,
@@ -18,9 +20,12 @@ from kulocal.exact import (
     poly_mul,
     poly_sub,
     poly_x_power,
+    prime_factors,
+    prime_power_part,
     reduce_root_of_unity_sum,
     ring_inverse,
     row_hnf,
+    smallest_prime_factor,
     smallest_primitive_root,
     smith_normal_form,
     solve_integer,
@@ -201,3 +206,40 @@ def test_mult_matrix_shape():
     r = QuotientRing((1, 0, 0, 1, 0, 0, 1))  # Phi_9
     m = mult_matrix(r.x_power(1))
     assert m.rows == m.cols == 6
+
+
+def test_hnf_coordinates_match_solve_integer():
+    # solve_integer (a full Smith form) is the reference for the back-substitution
+    rng = random.Random(SEED + 3)
+    members = non_members = 0
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        gens = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rng.randrange(1, 6))]
+        hnf = row_hnf(gens, n)
+        a = IntMatrix.from_columns(hnf, nrows=n)
+        for _ in range(10):
+            coeffs = [rng.randint(-4, 4) for _ in hnf]
+            member = tuple(sum(c * row[j] for c, row in zip(coeffs, hnf)) for j in range(n))
+            assert hnf_coordinates(hnf, member) == solve_integer(a, member) == tuple(coeffs)
+            v = tuple(x + rng.randint(-1, 1) for x in member)
+            expected = solve_integer(a, v)
+            assert hnf_coordinates(hnf, v) == expected
+            assert lattice_contains(hnf, v) == (expected is not None)
+            members += 1
+            non_members += expected is None
+    assert members and non_members
+
+
+def test_number_theory_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 2001):
+        factors = sympy.factorint(n)
+        assert prime_factors(n) == sorted(factors)
+        assert is_prime(n) == sympy.isprime(n)
+        assert smallest_prime_factor(n) == (min(factors) if factors else 1)
+        for q in (1, 2, 3, 5, 7, 9):
+            expected = 1 if q == 1 else q ** min(
+                factors.get(p, 0) // e for p, e in sympy.factorint(q).items()
+            )
+            assert prime_power_part(n, q) == expected
+    assert not is_prime(0) and not is_prime(-3)

@@ -264,3 +264,16 @@ def test_to_json_roundtrip():
     blob = m.to_json(include_mult=True)
     text = json.dumps(blob, sort_keys=True)
     assert json.loads(text) == blob
+
+
+def test_primary_torsion_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    triv = parse_group("C1").trivial_subgroup
+
+    def prime_powers(n):
+        return [p ** e for p, e in sympy.factorint(n).items()]
+
+    for n in range(1, 2001):
+        m = n % 45 + 1
+        lvl = Level(subgroup=triv, rank=2, relations=((n, 0), (0, m)))
+        assert lvl.primary_torsion == tuple(sorted(prime_powers(n) + prime_powers(m)))

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from kulocal.geomfp import verify_q_unit_identity
 from kulocal.tambara import (
     CyclicTower,
     NORM_ENUM_BOUND,
@@ -170,3 +171,10 @@ def test_derivation_suite_is_fast():
                 assert derive_norm_on_x(q, k, i).formula_matches
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"derivation suite took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 4, 9, 15])
+@pytest.mark.parametrize("check", [verify_q_unit_identity, CyclicTower, restriction_rule_check])
+def test_rejects_q_not_an_odd_prime(check, q):
+    with pytest.raises(ValueError):
+        check(q, 1)
