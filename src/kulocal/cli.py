@@ -29,10 +29,8 @@ from .exact import IntMatrix, prime_factors, smith_normal_form
 from .fiber import (
     default_ell,
     determinant_mod_ell_check,
-    fiber_level_data,
     group_report,
     kernel_equals_AmodJ,
-    pi1_level,
 )
 from .geomfp import (
     bott_character,
@@ -91,21 +89,8 @@ def cmd_pi0(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, str]:
 
 
 def cmd_pi1(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, str]:
-    if ell is None:
-        ell = default_ell(group)
-    data = pi1_level(group, ell)
-    levels = fiber_level_data(group, ell, data.q)
     payload = group_report(group, ell)
-    payload["q"] = data.q
-    payload["levels"] = [
-        {
-            "subgroup": h.order,
-            "pi1_invariant_factors": [d for d in lv.pi1_invariant_factors if d != 1],
-            "pi1_q_part": list(lv.pi1_q_part),
-        }
-        for h, lv in levels.items()
-    ]
-    lines = [f"pi1 data for {group!r} (ell = {ell}, q = {data.q})"]
+    lines = [f"pi1 data for {group!r} (ell = {payload['ell']}, q = {payload['q']})"]
     for entry in payload["levels"]:
         tors = entry["pi1_invariant_factors"]
         qpart = entry["pi1_q_part"]
@@ -115,7 +100,7 @@ def cmd_pi1(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, str]:
             + "  q-part "
             + (" + ".join(f"Z/{d}" for d in qpart) if qpart else "0")
         )
-    ok = data.determinant != 0
+    ok = payload["det_degree2"] != 0
     if group.factors == (3,):
         m = assemble_pi1_c3()
         payload["assembled_c3"] = {

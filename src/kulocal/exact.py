@@ -192,17 +192,6 @@ def poly_x_power(n: int) -> tuple:
     return (0,) * n + (1,)
 
 
-def poly_pow_mod(f: Sequence, n: int, modulus: Sequence) -> tuple:
-    result: tuple = (1,)
-    base = poly_divmod_monic(f, modulus)[1]
-    while n > 0:
-        if n & 1:
-            result = poly_divmod_monic(poly_mul(result, base), modulus)[1]
-        base = poly_divmod_monic(poly_mul(base, base), modulus)[1]
-        n >>= 1
-    return result
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e: int) -> tuple:
     """The e-th cyclotomic polynomial, by exact division of x^e - 1."""
@@ -465,21 +454,6 @@ class IntMatrix:
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and self.det() in (1, -1)
-
-
-def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.rows != b.rows:
-        raise ValueError("row mismatch")
-    return IntMatrix(
-        [list(r1) + list(r2) for r1, r2 in zip(a.entries, b.entries)],
-        cols=a.cols + b.cols,
-    )
-
-
-def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.cols:
-        raise ValueError("column mismatch")
-    return IntMatrix(list(a.entries) + list(b.entries), cols=a.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .burnside import BurnsideRing
 from .exact import (
     IntMatrix,
     is_primitive_root,
-    kernel_lattice,
     lattice_spans,
     primary_part,
     row_hnf,
@@ -32,7 +31,14 @@ from .exact import (
     smallest_primitive_root,
 )
 from .groups import AbelianGroup, DualLevel, Subgroup
-from .reprings import RURing, adams_minus_one_on, dual_permutation, permute, rational_rep_lattices
+from .reprings import (
+    RURing,
+    adams_kernel_basis,
+    adams_minus_one_on,
+    dual_permutation,
+    permute,
+    rational_rep_lattices,
+)
 
 Vector = tuple
 
@@ -63,6 +69,15 @@ SINGULAR_DEGREE2 = (
 def adams_minus_one(group: AbelianGroup, ell: int, degree: int) -> IntMatrix:
     _require_coprime(group, ell)
     return adams_minus_one_on(DualLevel(group, group.full_subgroup), ell, degree)
+
+
+def degree2_invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors of the cokernel of the degree-2 psi^ell - 1 given as
+    ``mat``; a singular matrix contradicts its finiteness and raises."""
+    dec = smith_normal_form(mat)
+    if dec.rank < mat.rows:
+        raise ArithmeticError(SINGULAR_DEGREE2)
+    return dec.invariant_factors
 
 
 @dataclass(frozen=True)
@@ -112,8 +127,7 @@ def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWi
     _require_coprime(group, ell)
 
     n = group.order
-    kernel_mat = kernel_lattice(adams_minus_one(group, ell, 0))
-    kernel = row_hnf([kernel_mat.column(j) for j in range(kernel_mat.cols)], n)
+    kernel = adams_kernel_basis(DualLevel(group, group.full_subgroup), ell)
 
     lat = rational_rep_lattices(group)
     assert lat.equal
@@ -167,24 +181,20 @@ class Pi1Data:
 def pi1_level(group: AbelianGroup, ell: int | None = None, q: int | None = None) -> Pi1Data:
     """Cokernel of the degree-2 psi^ell - 1, with its q-primary part.
 
-    A zero determinant would contradict injectivity in degree 2 and raises.
+    A singular matrix would contradict injectivity in degree 2 and raises.
     """
     if ell is None:
         ell = default_ell(group)
-    _require_coprime(group, ell)
     if q is None:
         q = smallest_prime_factor(group.order)
     mat = adams_minus_one(group, ell, 2)
-    det = mat.det()
-    if det == 0:
-        raise ArithmeticError(SINGULAR_DEGREE2)
-    dec = smith_normal_form(mat)
+    factors = degree2_invariant_factors(mat)
     return Pi1Data(
         group=group,
         ell=ell,
         q=q if q else 1,
-        invariant_factors=dec.invariant_factors,
-        determinant=det,
+        invariant_factors=factors,
+        determinant=mat.det(),
     )
 
 
@@ -215,7 +225,9 @@ def fiber_level_data(group: AbelianGroup, ell: int | None = None, q: int | None 
     """Per-subgroup kernel/cokernel data; psi^ell commutes with restriction,
     and a primitive root mod exponent(G) stays primitive at every level.
     A singular degree-2 level means a singular top level (its permutation
-    module is a quotient of the top one), rejected as in ``pi1_level``."""
+    module is a quotient of the top one), rejected as in ``pi1_level``.
+    An ell that is not a primitive root is rejected after the singular
+    check, so that ell = 1 reports the singular matrix."""
     if ell is None:
         ell = default_ell(group)
     _require_coprime(group, ell)
@@ -224,34 +236,42 @@ def fiber_level_data(group: AbelianGroup, ell: int | None = None, q: int | None 
     out = {}
     for h in group.subgroups():
         dual = DualLevel(group, h)
-        ker = kernel_lattice(adams_minus_one_on(dual, ell, 0))
-        pi0 = row_hnf([ker.column(j) for j in range(ker.cols)], dual.size)
-        dec = smith_normal_form(adams_minus_one_on(dual, ell, 2))
-        if dec.rank < dual.size:
-            raise ArithmeticError(SINGULAR_DEGREE2)
+        factors = degree2_invariant_factors(adams_minus_one_on(dual, ell, 2))
         out[h] = FiberLevelData(
             subgroup=h,
-            pi0_basis=pi0,
-            pi1_invariant_factors=dec.invariant_factors,
-            pi1_q_part=primary_part(dec.invariant_factors, q),
+            pi0_basis=adams_kernel_basis(dual, ell),
+            pi1_invariant_factors=factors,
+            pi1_q_part=primary_part(factors, q),
         )
+    _require_primitive(group, ell)
     return out
 
 
 def group_report(group: AbelianGroup, ell: int | None = None) -> dict:
-    """The per-group JSON report: degree-0 kernel data and degree-2 cokernel."""
+    """The ``pi1`` report in one pass over the levels: the top level gives the
+    degree-0 kernel and the degree-2 cokernel, and every level its cokernel."""
     if ell is None:
         ell = default_ell(group)
-    witness = kernel_equals_AmodJ(group, ell)
-    data = pi1_level(group, ell)
+    q = smallest_prime_factor(group.order)
+    levels = fiber_level_data(group, ell, q)
+    top = levels[group.full_subgroup]
     return {
         "group": repr(group),
         "ell": ell,
-        "pi0_rank": witness.rank,
-        "pi0_basis": [list(r) for r in witness.kernel],
-        "pi1_invariant_factors": list(data.invariant_factors),
-        "pi1_q_part": list(data.q_part),
-        "det_degree2": data.determinant,
+        "q": q,
+        "pi0_rank": top.pi0_rank,
+        "pi0_basis": [list(r) for r in top.pi0_basis],
+        "pi1_invariant_factors": list(top.pi1_invariant_factors),
+        "pi1_q_part": list(top.pi1_q_part),
+        "det_degree2": adams_minus_one(group, ell, 2).det(),
+        "levels": [
+            {
+                "subgroup": h.order,
+                "pi1_invariant_factors": [d for d in lv.pi1_invariant_factors if d != 1],
+                "pi1_q_part": list(lv.pi1_q_part),
+            }
+            for h, lv in levels.items()
+        ],
     }
 
 

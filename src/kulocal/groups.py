@@ -272,12 +272,6 @@ class Subgroup:
     def join(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.group, _join_masks(self.group, self.mask, other.mask))
 
-    def index_over(self, other: "Subgroup") -> int:
-        """[H : K] for K <= H."""
-        if not self.contains(other):
-            raise ValueError("not a subgroup")
-        return self.order // other.order
-
     @cached_property
     def annihilator(self) -> "Subgroup":
         """{a : <a, h> = 0 for all h in H} under the self-duality pairing."""
@@ -309,9 +303,6 @@ class Subgroup:
         dec = smith_normal_form(IntMatrix(rel_rows, cols=r))
         return tuple(d for d in dec.invariant_factors if d > 1)
 
-    def abstract_group(self) -> AbelianGroup:
-        return AbelianGroup(self.abstract_factors)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subgroup)
@@ -332,14 +323,6 @@ class QuotientData:
     kernel: Subgroup
     quotient: AbelianGroup
     project: Callable[[Element], Element]
-
-    def section(self) -> dict[Element, Element]:
-        """One representative in G for each quotient element."""
-        reps: dict[Element, Element] = {}
-        for g in self.group.elements:
-            q = self.project(g)
-            reps.setdefault(q, g)
-        return reps
 
 
 class DualLevel:
@@ -392,10 +375,6 @@ class DualLevel:
     def pairing(self, a: Element, h: Element) -> int:
         """<a, h> mod exponent(G), well defined for h in H."""
         return self.group.dual_pairing(a, h)
-
-    def project_to(self, smaller: "DualLevel") -> list[Element]:
-        """Character restriction D_H -> D_K for K <= H, as a map of reps."""
-        return [smaller.canon(a) for a in self.reps]
 
 
 # ---------------------------------------------------------------------------

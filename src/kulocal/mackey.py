@@ -172,11 +172,11 @@ class MackeyFunctor:
                             failures.append(f"tr transitivity {h!r}>{k!r}>{l!r}")
             for k in inside:
                 for l in inside:
-                    kl = k.join(l)
                     meet = k.intersect(l)
                     lhs = _compose(self.res(h, k), self.tr(l, h))
+                    # [H : KL] with |KL| = |K| |L| / |K & L|
                     rhs = _compose(self.tr(meet, k), self.res(l, meet)).scale(
-                        h.order // kl.order
+                        h.order * meet.order // (k.order * l.order)
                     )
                     if not self.maps_equal(self.level(k), lhs, rhs):
                         failures.append(f"double coset at {h!r}: K={k!r} L={l!r}")
@@ -315,9 +315,9 @@ def burnside_mackey(group: AbelianGroup) -> GreenFunctor:
             # res^H_K [H/L] = [H : KL] [K / (K & L)]
             cols = []
             for l in ring_h.subgroups:
-                kl = k.join(l)
+                meet = k.intersect(l)
                 col = [0] * ring_k.n
-                col[ring_k.sub_index(k.intersect(l))] = h.order // kl.order
+                col[ring_k.sub_index(meet)] = h.order * meet.order // (k.order * l.order)
                 cols.append(col)
             res[(h, k)] = IntMatrix.from_columns(cols, nrows=ring_k.n)
             # tr^H_K [K/L] = [H/L]

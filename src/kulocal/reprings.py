@@ -79,6 +79,12 @@ def adams_minus_one_on(dual: DualLevel, ell: int, degree: int) -> IntMatrix:
     )
 
 
+def adams_kernel_basis(dual: DualLevel, ell: int) -> tuple[Vector, ...]:
+    """ker(psi^ell - 1) in degree 0 on the given dual level, as canonical HNF rows."""
+    ker = kernel_lattice(adams_minus_one_on(dual, ell, 0))
+    return row_hnf([ker.column(j) for j in range(ker.cols)], dual.size)
+
+
 class RURing:
     """RU(G) for abelian G: the group ring of the dual group of G."""
 
@@ -116,9 +122,6 @@ class RURing:
             base = self.multiply(base, base)
             k >>= 1
         return result
-
-    def dimension(self, v: Sequence[int]) -> int:
-        return sum(v)
 
     @property
     def regular_rep(self) -> Vector:
@@ -318,8 +321,7 @@ def rational_rep_lattices(group: AbelianGroup) -> RationalLattices:
     # fixed lattice of psi^l for l a generator of the units mod the exponent;
     # verified to be fixed by every unit below
     e = group.exponent
-    ker = kernel_lattice(adams_minus_one_on(ru.dual, smallest_primitive_root(e), 0))
-    rq_chi = row_hnf([ker.column(j) for j in range(ker.cols)], n)
+    rq_chi = adams_kernel_basis(ru.dual, smallest_primitive_root(e))
 
     # the fixed lattice really is fixed by all units, and its characters are rational
     for u in range(1, e + 1):

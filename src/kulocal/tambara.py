@@ -26,12 +26,13 @@ the derivation reports as a sanity datum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .burnside import BurnsideRing
 from .exact import is_prime
 from .groups import ExplicitHSet, Subgroup, abelian_group, map_set_orbits
-from .mackey import burnside_mackey
+from .mackey import GreenFunctor, burnside_mackey
 
 Vector = tuple
 
@@ -61,6 +62,11 @@ class CyclicTower:
 
     def ring(self, i: int) -> BurnsideRing:
         return self.rings[i]
+
+    @cached_property
+    def burnside(self) -> GreenFunctor:
+        """The Burnside Mackey functor of the tower's group, built once."""
+        return burnside_mackey(self.group)
 
     # -- multiplicative induction on the Burnside part -------------------------
 
@@ -106,10 +112,6 @@ class CyclicTower:
 
     # -- level-ring elements (burnside part, x part mod 2) ---------------------
 
-    def zero_element(self, i: int) -> tuple[Vector, Vector]:
-        n = self.ring(i).n
-        return ((0,) * n, (0,) * n)
-
     def monomial(self, i: int, a: Sequence[int], eps: int) -> tuple[Vector, Vector]:
         n = self.ring(i).n
         if eps not in (0, 1):
@@ -133,8 +135,7 @@ class CyclicTower:
         """Restriction along the tower; x restricts to x."""
         if not 0 <= i_to <= i_from <= self.k:
             raise ValueError("bad levels")
-        m = burnside_mackey(self.group)
-        mat = m.res(self.levels[i_from], self.levels[i_to])
+        mat = self.burnside.res(self.levels[i_from], self.levels[i_to])
         b, c = u
         return (mat.apply(b), tuple(v % 2 for v in mat.apply(c)))
 
@@ -161,11 +162,10 @@ def restriction_rule_check(q: int, k: int) -> bool:
     unit restricts to the unit; checked against the Burnside functor matrices."""
     _check_odd_prime(q)
     tower = CyclicTower(q, k)
-    m = burnside_mackey(tower.group)
     for i in range(k):
         upper = tower.ring(i + 1)
         lower = tower.ring(i)
-        mat = m.res(tower.levels[i + 1], tower.levels[i])
+        mat = tower.burnside.res(tower.levels[i + 1], tower.levels[i])
         for j in range(i + 2):
             col = mat.column(j)
             if j == i + 1:  # the unit

@@ -72,8 +72,9 @@ def test_idempotents_error_on_bad_prime(capsys):
     assert "divides the group order" in err
 
 
-def test_kernel_error_on_nonprimitive(capsys):
-    code, out, err = run_capture(capsys, ["kernel", "--group", "C7", "--ell", "2"])
+@pytest.mark.parametrize("command", ["kernel", "pi0", "pi1"])
+def test_kernel_error_on_nonprimitive(capsys, command):
+    code, out, err = run_capture(capsys, [command, "--group", "C7", "--ell", "2"])
     assert code == 2
     assert "primitive root" in err
 

@@ -1,11 +1,15 @@
+import itertools
+import math
+
 import pytest
 
-from kulocal.exact import IntMatrix, lattice_equal, row_hnf, smith_normal_form
+from kulocal.exact import IntMatrix, is_primitive_root, lattice_equal, row_hnf, smith_normal_form
 from kulocal.fiber import (
     adams_minus_one,
     default_ell,
     determinant_mod_ell_check,
     fiber_level_data,
+    group_report,
     kernel_equals_AmodJ,
     pi1_level,
     restriction_commutes_with_adams,
@@ -127,6 +131,30 @@ def test_fiber_levels_c9():
         n_cyc = sum(1 for k in g.subgroups() if h.contains(k) and k.is_cyclic)
         assert data.pi0_rank == n_cyc
         assert all(d > 0 for d in data.pi1_invariant_factors)
+
+
+@pytest.mark.parametrize("spec", ["C1", "C3", "C9", "C27", "C3xC3", "C3xC9", "C5xC5"])
+def test_group_report_matches_reference_path(spec):
+    g = parse_group(spec)
+    admissible = (
+        ell for ell in itertools.count(2)
+        if math.gcd(ell, g.order) == 1 and is_primitive_root(ell, g.exponent)
+    )
+    for ell in itertools.islice(admissible, 3):
+        report = group_report(g, ell)
+        witness = kernel_equals_AmodJ(g, ell)
+        assert report["pi0_basis"] == [list(r) for r in witness.kernel]
+        assert report["pi0_rank"] == witness.rank
+        data = pi1_level(g, ell)
+        assert report["q"] == data.q
+        assert report["pi1_invariant_factors"] == list(data.invariant_factors)
+        assert report["pi1_q_part"] == list(data.q_part)
+        assert report["det_degree2"] == data.determinant
+        levels = fiber_level_data(g, ell)
+        assert [entry["subgroup"] for entry in report["levels"]] == [h.order for h in levels]
+        for entry, lv in zip(report["levels"], levels.values()):
+            assert entry["pi1_invariant_factors"] == [d for d in lv.pi1_invariant_factors if d != 1]
+            assert entry["pi1_q_part"] == list(lv.pi1_q_part)
 
 
 def test_restriction_functoriality():

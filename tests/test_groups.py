@@ -55,6 +55,15 @@ def test_cyclic_prime_power_counts():
         assert len(AbelianGroup((q, q)).subgroups()) == q + 3
 
 
+@pytest.mark.parametrize("spec", ["C3xC9", "C3xC3xC3", "C5xC25"])
+def test_join_order_from_intersection(spec):
+    # |KL| |K & L| = |K| |L|: the Mackey functors take [H : KL] from orders
+    subs = parse_group(spec).subgroups()
+    for k in subs:
+        for l in subs:
+            assert k.join(l).order * k.intersect(l).order == k.order * l.order
+
+
 def test_subgroups_closed_and_ordered():
     g = parse_group("C3xC9")
     subs = g.subgroups()

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from kulocal import tambara
 from kulocal.geomfp import verify_q_unit_identity
 from kulocal.tambara import (
     CyclicTower,
@@ -109,6 +110,19 @@ def test_res_after_norm_is_power():
 @pytest.mark.parametrize("q,k", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
 def test_restriction_rule(q, k):
     assert restriction_rule_check(q, k)
+
+
+def test_tower_builds_burnside_functor_once(monkeypatch):
+    built = []
+    original = tambara.burnside_mackey
+
+    def counting(group):
+        built.append(group)
+        return original(group)
+
+    monkeypatch.setattr(tambara, "burnside_mackey", counting)
+    derive_norm_on_x(3, 3, 2)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(
