@@ -7,7 +7,6 @@ from .burnside import BurnsideRing
 from .exact import (
     Cyclotomic,
     IntMatrix,
-    QuotientRing,
     SmithDecomposition,
     cyclotomic_polynomial,
     kernel_lattice,
@@ -56,7 +55,6 @@ __all__ = [
     "GreenFunctor",
     "IntMatrix",
     "MackeyFunctor",
-    "QuotientRing",
     "RURing",
     "SmithDecomposition",
     "Subgroup",

@@ -21,6 +21,7 @@ from typing import Sequence
 from .exact import (
     IntMatrix,
     hnf_coordinates,
+    is_prime,
     kernel_lattice,
     lattice_contains,
     prime_factors,
@@ -185,6 +186,8 @@ class BurnsideRing:
         Requires p coprime to the group order; the denominators that appear
         divide a power of |level|, hence are p-local units.
         """
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not a prime")
         if self.level.order % p == 0:
             raise ValueError(
                 f"no integral idempotents at p={p}: p divides the group order {self.level.order}"

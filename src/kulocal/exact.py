@@ -10,12 +10,13 @@ Main contents:
 * ``Cyclotomic``: elements of Q(zeta_e) in the power basis mod the e-th
   cyclotomic polynomial, the canonical form in which sums of roots of unity
   can be compared (the power basis injects into C, the naive exponent
-  representation does not),
+  representation does not); with int coefficients it is the ring Z[zeta_e],
+  which is every quotient Z[x]/rho(k-1) that geomfp builds (e = q^k),
 * ``IntMatrix`` with exact Bareiss determinants,
 * Smith normal form with full unimodular witnesses U, S, V (A = U*S*V),
   integer kernel lattices, integer linear solving, and row Hermite normal
   form for canonical lattice comparison,
-* quotient rings Z[x]/(m) for monic m, with multiplication matrices.
+* multiplication matrices on Z[zeta_e], whose determinants are norms.
 """
 
 from __future__ import annotations
@@ -162,10 +163,6 @@ def poly_mul(f: Sequence, g: Sequence) -> tuple:
                 if b:
                     out[i + j] += a * b
     return poly_trim(out)
-
-
-def poly_scale(c, f: Sequence) -> tuple:
-    return poly_trim(c * a for a in f)
 
 
 def poly_divmod_monic(f: Sequence, g: Sequence) -> tuple[tuple, tuple]:
@@ -759,130 +756,23 @@ def lattice_spans(rows_big, rows_small, ncols: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# quotient rings Z[x]/(m), m monic
+# multiplication matrices on Z[zeta_e]
 
 
-class QuotientRing:
-    """Z[x]/(m) for a monic integer polynomial m; a free Z-module of rank deg m."""
+def mult_matrix(a: Cyclotomic) -> IntMatrix:
+    """Matrix of multiplication by a on the basis 1, zeta, .., zeta^{phi(e)-1}.
 
-    __slots__ = ("modulus", "degree")
-
-    def __init__(self, modulus: Sequence[int]):
-        mod = poly_trim(modulus)
-        if not mod or mod[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if len(mod) < 2:
-            raise ValueError("modulus must have positive degree")
-        self.modulus = mod
-        self.degree = len(mod) - 1
-
-    def element(self, coeffs: Sequence[int]) -> "QuotientRingElement":
-        rem = poly_divmod_monic(poly_trim(coeffs), self.modulus)[1]
-        return QuotientRingElement(self, rem)
-
-    @property
-    def zero(self) -> "QuotientRingElement":
-        return QuotientRingElement(self, ())
-
-    @property
-    def one(self) -> "QuotientRingElement":
-        return QuotientRingElement(self, (1,))
-
-    def x_power(self, n: int) -> "QuotientRingElement":
-        return self.element(poly_x_power(n))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuotientRing) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(self.modulus)
-
-    def __repr__(self) -> str:
-        return f"QuotientRing(modulus={list(self.modulus)})"
+    Only integral elements have an integer matrix; a Fraction coefficient is
+    rejected rather than truncated.
+    """
+    if not all(isinstance(c, int) for c in a.coeffs):
+        raise ValueError(f"{a!r} is not in Z[zeta_e]: mult_matrix needs int coefficients")
+    d = len(a.coeffs)
+    cols = [(a * Cyclotomic.zeta_power(a.conductor, j)).coeffs for j in range(d)]
+    return IntMatrix.from_columns(cols, nrows=d)
 
 
-class QuotientRingElement:
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: QuotientRing, reduced_coeffs: Sequence[int]):
-        self.ring = ring
-        c = list(reduced_coeffs)
-        c += [0] * (ring.degree - len(c))
-        self.coeffs = tuple(c)
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
-
-    def __add__(self, other: "QuotientRingElement") -> "QuotientRingElement":
-        self._check(other)
-        return QuotientRingElement(
-            self.ring, poly_trim(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "QuotientRingElement") -> "QuotientRingElement":
-        self._check(other)
-        return QuotientRingElement(
-            self.ring, poly_trim(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "QuotientRingElement":
-        return QuotientRingElement(self.ring, poly_neg(self.coeffs))
-
-    def __mul__(self, other) -> "QuotientRingElement":
-        if isinstance(other, int):
-            return QuotientRingElement(self.ring, poly_scale(other, self.coeffs))
-        self._check(other)
-        return self.ring.element(poly_mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QuotientRingElement":
-        result = self.ring.one
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self.ring.element((other,))
-        if not isinstance(other, QuotientRingElement):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"QRE({list(self.coeffs)} mod {list(self.ring.modulus)})"
-
-
-def mult_matrix(a: QuotientRingElement) -> IntMatrix:
-    """Matrix of multiplication by a on the monomial basis 1, x, .., x^{d-1}."""
-    ring = a.ring
-    cols = [(a * ring.x_power(j)).coeffs for j in range(ring.degree)]
-    return IntMatrix.from_columns(cols, nrows=ring.degree)
-
-
-def mult_matrix_determinant(a: QuotientRingElement) -> int:
-    """det of multiplication by a; multiplicative in a, and +-1 iff a is a unit."""
+def mult_matrix_determinant(a: Cyclotomic) -> int:
+    """det of multiplication by a (the norm of a); multiplicative in a, and
+    +-1 iff a is a unit of Z[zeta_e]."""
     return mult_matrix(a).det()
-
-
-def ring_inverse(a: QuotientRingElement) -> QuotientRingElement | None:
-    """Inverse of a in Z[x]/(m) if one exists over Z, else None."""
-    ring = a.ring
-    rhs = [1] + [0] * (ring.degree - 1)
-    sol = solve_integer(mult_matrix(a), rhs)
-    if sol is None:
-        return None
-    inv = QuotientRingElement(ring, poly_trim(sol))
-    assert (a * inv) == ring.one
-    return inv

@@ -123,8 +123,8 @@ def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWi
     """
     if ell is None:
         ell = default_ell(group)
-    _require_primitive(group, ell)
     _require_coprime(group, ell)
+    _require_primitive(group, ell)
 
     n = group.order
     kernel = adams_kernel_basis(DualLevel(group, group.full_subgroup), ell)

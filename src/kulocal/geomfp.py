@@ -1,8 +1,11 @@
 """Ring-level identities around Euler classes of cyclic prime-power groups.
 
 Everything here happens in Z[x]/(x^{q^k} - 1) (the representation ring of a
-cyclic group of order q^k) and its quotient by the pullback of the regular
-representation of the order-q quotient group.  The verified identities:
+cyclic group of order q^k) and its quotient Z[x]/rho(k-1) by the pullback
+rho(k-1) of the regular representation of the order-q quotient group.  Since
+rho(k-1) is the q^k-th cyclotomic polynomial, that quotient is the ring
+Z[zeta_{q^k}] of ``exact.Cyclotomic`` with conductor q^k, with x = zeta_{q^k}.
+The verified identities:
 
 * x^{q^k} - 1 factors as (x^{q^{k-1}} - 1) * rho(k-1), where rho(k-1) is that
   pulled-back regular representation (equal to the q^k-th cyclotomic
@@ -27,22 +30,18 @@ All checks return witness objects carrying the data they verified.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 from .exact import (
     Cyclotomic,
-    QuotientRing,
-    cyclotomic_polynomial,
+    IntMatrix,
     is_prime,
     is_primitive_root,
     mult_matrix,
     mult_matrix_determinant,
+    poly_mul,
     poly_sub,
-    poly_trim,
     poly_x_power,
-    reduce_root_of_unity_sum,
 )
 from .groups import AbelianGroup
 from .reprings import RURing, perm_rep
@@ -110,8 +109,6 @@ class Witness:
 def verify_regular_factorization(q: int, k: int) -> Witness:
     """x^{q^k} - 1 = (x^{q^{k-1}} - 1) * rho(k-1) as integer polynomials."""
     _check_q_k(q, k)
-    from .exact import poly_mul
-
     lhs = poly_sub(poly_x_power(q ** k), (1,))
     left = poly_sub(poly_x_power(q ** (k - 1)), (1,))
     rho = trunc_regular_poly(q, k)
@@ -125,7 +122,7 @@ def verify_regular_factorization(q: int, k: int) -> Witness:
 
 
 def verify_q_unit_identity(q: int, k: int) -> Witness:
-    """In Z[x]/rho(k-1) with y = x^{q^{k-1}}:
+    """In Z[x]/rho(k-1) = Z[zeta_{q^k}] with y = x^{q^{k-1}}:
 
     (1 - y)(y^{q-2} + 2 y^{q-3} + ... + (q-2) y + (q-1)) = q, and (y-1)^q is
     divisible by q; so inverting y - 1 and inverting q agree.
@@ -133,13 +130,13 @@ def verify_q_unit_identity(q: int, k: int) -> Witness:
     _check_q_k(q, k)
     if q == 2:
         raise ValueError("q must be odd")
-    ring = QuotientRing(trunc_regular_poly(q, k))
+    e = q ** k
     step = q ** (k - 1)
-    y = ring.x_power(step)
-    one = ring.one
+    y = Cyclotomic.zeta_power(e, step)
+    one = Cyclotomic.one(e)
 
     # (1 - y) * sum_{j=0}^{q-2} (q-1-j) y^j == q
-    partner = ring.zero
+    partner = Cyclotomic.zero(e)
     for j in range(q - 1):
         partner = partner + (q - 1 - j) * (y ** j)
     forward = (one - y) * partner == q * one
@@ -187,24 +184,24 @@ def verify_euler_localization(q: int, k: int) -> Witness:
     witness["euler_divisible"] = part_a
 
     # (b) units rho_i for i prime to q
-    ring = QuotientRing(trunc_regular_poly(q, k))
+    one = Cyclotomic.one(n)
     unit_count = 0
     dets_checked = 0
     part_b = True
     for i in range(1, n):
         if i % q == 0:
             continue
-        rho_i = ring.element([1] * i)
+        rho_i = Cyclotomic.from_poly(n, [1] * i)
         i_inv = pow(i, -1, n)
         inv_coeffs = [0] * n
         for t in range(i_inv):
             inv_coeffs[(i * t) % n] += 1
-        inverse = ring.element(inv_coeffs)
-        if rho_i * inverse != ring.one:
+        inverse = Cyclotomic.from_poly(n, inv_coeffs)
+        if rho_i * inverse != one:
             part_b = False
             break
         unit_count += 1
-        if ring.degree <= DIRECT_DET_RANK_BOUND:
+        if len(one.coeffs) <= DIRECT_DET_RANK_BOUND:
             if abs(mult_matrix_determinant(rho_i)) != 1:
                 part_b = False
                 break
@@ -213,9 +210,9 @@ def verify_euler_localization(q: int, k: int) -> Witness:
     witness["unit_dets_cross_checked"] = dets_checked
 
     # (c) determinant of multiplication by y - 1 via its block structure
-    y_minus_1 = ring.x_power(step) - ring.one
+    y_minus_1 = Cyclotomic.zeta_power(n, step) - one
     m = mult_matrix(y_minus_1)
-    d = ring.degree
+    d = m.rows
     blocks_ok = True
     block0 = None
     for s1 in range(d):
@@ -224,8 +221,6 @@ def verify_euler_localization(q: int, k: int) -> Witness:
             if r1 != r2 and m.entries[s1][s2] != 0:
                 blocks_ok = False
     if blocks_ok:
-        from .exact import IntMatrix
-
         blocks = []
         for r in range(step):
             block = IntMatrix(
@@ -261,7 +256,7 @@ def verify_euler_localization(q: int, k: int) -> Witness:
 
 
 def verify_CqxCq_vanishing(q: int) -> Witness:
-    """Over R = Z[x]/(1 + x + ... + x^{q-1}), as polynomials in y:
+    """Over R = Z[x]/(1 + x + ... + x^{q-1}) = Z[zeta_q], as polynomials in y:
 
     prod_{i=0}^{q-1} (y - x^i) = y^q - 1
                                = x^{q(q-1)/2} prod_{i=0}^{q-1} (y x^{q-i} - 1),
@@ -273,34 +268,34 @@ def verify_CqxCq_vanishing(q: int) -> Witness:
     _check_q_k(q, 1)
     if q == 2:
         raise ValueError("q must be odd")
-    ring = QuotientRing(tuple([1] * q))  # Z[x]/(1 + x + ... + x^{q-1})
+    zero, one = Cyclotomic.zero(q), Cyclotomic.one(q)
 
     def poly_y_mul(f: list, g: list) -> list:
-        out = [ring.zero] * (len(f) + len(g) - 1)
+        out = [zero] * (len(f) + len(g) - 1)
         for i, a in enumerate(f):
             for j, b in enumerate(g):
                 out[i + j] = out[i + j] + a * b
         return out
 
     # y^q - 1 over R
-    target = [ring.zero] * (q + 1)
-    target[0] = -ring.one
-    target[q] = ring.one
+    target = [zero] * (q + 1)
+    target[0] = -one
+    target[q] = one
 
     # prod (y - x^i)
-    prod1 = [ring.one]
+    prod1 = [one]
     for i in range(q):
-        prod1 = poly_y_mul(prod1, [-ring.x_power(i), ring.one])
+        prod1 = poly_y_mul(prod1, [-Cyclotomic.zeta_power(q, i), one])
     first = prod1 == target
 
     # x^{q(q-1)/2} * prod (y x^{q-i} - 1)
-    prod2 = [ring.x_power((q * (q - 1) // 2) % q)]
+    prod2 = [Cyclotomic.zeta_power(q, q * (q - 1) // 2)]
     for i in range(q):
-        prod2 = poly_y_mul(prod2, [-ring.one, ring.x_power((q - i) % q)])
+        prod2 = poly_y_mul(prod2, [-one, Cyclotomic.zeta_power(q, q - i)])
     second = prod2 == target
 
     # fold y^q -> 1: the Euler-class product dies in the bivariate quotient
-    folded = [ring.zero] * q
+    folded = [zero] * q
     for j, c in enumerate(prod2):
         folded[j % q] = folded[j % q] + c
     third = all(c.is_zero() for c in folded)

@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 from .burnside import AModJ, BurnsideRing
 from .exact import (
     IntMatrix,
+    is_prime,
     lattice_contains,
     lattice_equal,
     primary_part,
@@ -549,6 +550,8 @@ def v_h(functor: MackeyFunctor, h: Subgroup, p: int) -> tuple[int, tuple[int, ..
     Returns (free rank, p-power torsion).  Transfers from maximal proper
     subgroups suffice by transitivity.
     """
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not a prime")
     if functor.group.order % p == 0:
         raise ValueError(f"p={p} divides the group order; the splitting needs p coprime")
     lvl = functor.level(h)

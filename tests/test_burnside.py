@@ -168,8 +168,11 @@ def test_idempotent_orthogonal_decomposition(spec, p):
 
 def test_idempotent_rejects_bad_prime():
     r = ring("C9")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="divides the group order"):
         r.idempotent(r.subgroups[0], p=3)
+    for p in (0, 1, 4):
+        with pytest.raises(ValueError, match="is not a prime"):
+            r.idempotent(r.subgroups[0], p=p)
 
 
 @pytest.mark.parametrize(

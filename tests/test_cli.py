@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,11 +77,26 @@ def test_idempotents_error_on_bad_prime(capsys):
     assert "divides the group order" in err
 
 
+@pytest.mark.parametrize("p", ["0", "1", "4"])
+def test_idempotents_error_on_nonprime(capsys, p):
+    code, out, err = run_capture(capsys, ["idempotents", "--group", "C9", "--p", p])
+    assert code == 2
+    assert f"p={p} is not a prime" in err
+
+
 @pytest.mark.parametrize("command", ["kernel", "pi0", "pi1"])
 def test_kernel_error_on_nonprimitive(capsys, command):
     code, out, err = run_capture(capsys, [command, "--group", "C7", "--ell", "2"])
     assert code == 2
     assert "primitive root" in err
+
+
+@pytest.mark.parametrize("command", ["kernel", "pi0", "pi1"])
+def test_error_on_noncoprime_ell(capsys, command):
+    # coprimality is checked before primitivity by every subcommand
+    code, out, err = run_capture(capsys, [command, "--group", "C9", "--ell", "3"])
+    assert code == 2
+    assert "ell=3 is not coprime to |G|=9" in err
 
 
 def test_pi0_error_on_even_group(capsys):
@@ -109,6 +129,29 @@ def test_geomfp_verify_small(capsys):
     code, out, _ = run_capture(capsys, ["geomfp-verify", "--max-order", "9"])
     assert code == 0
     assert "pass" in out and "FAIL" not in out
+
+
+# sha256 of `geomfp-verify --format json`: pins every witness value of the
+# Euler-class suites, which no other test compares in full
+GEOMFP_VERIFY_SHA256 = "c0994f37a7f84fd81e66cb79e9af9e82a14f9c51e7472c3849573250a704d2c1"
+
+
+def test_geomfp_verify_json_pinned(capsys):
+    code, out, _ = run_capture(capsys, ["geomfp-verify", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GEOMFP_VERIFY_SHA256
+
+
+def test_geomfp_verify_json_pinned_under_O():
+    # the witnesses must not depend on assert statements
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kulocal.cli", "geomfp-verify", "--format", "json"],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == GEOMFP_VERIFY_SHA256
 
 
 def test_bott_verify(capsys):

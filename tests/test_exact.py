@@ -7,7 +7,6 @@ import pytest
 from kulocal.exact import (
     Cyclotomic,
     IntMatrix,
-    QuotientRing,
     cyclotomic_polynomial,
     euler_phi,
     hnf_coordinates,
@@ -23,7 +22,6 @@ from kulocal.exact import (
     prime_factors,
     prime_power_part,
     reduce_root_of_unity_sum,
-    ring_inverse,
     row_hnf,
     smallest_prime_factor,
     smallest_primitive_root,
@@ -165,33 +163,37 @@ def test_row_hnf_canonical():
 
 
 def test_quotient_ring_and_mult_det():
-    r = QuotientRing((1, 1, 1))  # Z[x]/(x^2+x+1)
-    x = r.x_power(1)
-    assert mult_matrix_determinant(r.one) == 1
-    d = mult_matrix_determinant(x - r.one)
-    assert abs(d) == 3
+    # Z[zeta_3] = Z[x]/(x^2+x+1)
+    one, x = Cyclotomic.one(3), Cyclotomic.zeta_power(3, 1)
+    assert mult_matrix_determinant(one) == 1
+    assert abs(mult_matrix_determinant(x)) == 1
+    assert abs(mult_matrix_determinant(x - one)) == 3
+    assert mult_matrix_determinant(Cyclotomic.from_rational(3, 2)) == 4
 
-    r3 = QuotientRing(poly_sub(poly_x_power(3), (1,)))  # Z[x]/(x^3-1)
-    assert abs(mult_matrix_determinant(r3.x_power(1))) == 1
+
+@pytest.mark.parametrize("e", [3, 5, 7, 9, 25, 27, 49, 81, 125])
+def test_norm_of_zeta_minus_one(e):
+    # zeta_e - 1 generates the prime over p in Z[zeta_e], e = p^k: norm +-p
+    d = mult_matrix_determinant(Cyclotomic.zeta_power(e, 1) - Cyclotomic.one(e))
+    assert abs(d) == prime_factors(e)[0]
 
 
 def test_mult_det_multiplicative():
     rng = random.Random(SEED + 2)
-    r = QuotientRing((2, 0, 1, 1))  # x^3 + x^2 + 2, monic
-    for _ in range(25):
-        a = r.element([rng.randint(-3, 3) for _ in range(3)])
-        b = r.element([rng.randint(-3, 3) for _ in range(3)])
-        assert mult_matrix_determinant(a * b) == (
-            mult_matrix_determinant(a) * mult_matrix_determinant(b)
-        )
+    for e in (3, 5, 7, 9):
+        phi = euler_phi(e)
+        for _ in range(10):
+            a = Cyclotomic(e, [rng.randint(-3, 3) for _ in range(phi)])
+            b = Cyclotomic(e, [rng.randint(-3, 3) for _ in range(phi)])
+            assert mult_matrix_determinant(a * b) == (
+                mult_matrix_determinant(a) * mult_matrix_determinant(b)
+            )
 
 
-def test_ring_inverse():
-    r = QuotientRing((1, 1, 1))
-    x = r.x_power(1)
-    inv = ring_inverse(x + r.one)  # (x+1)(-x) = 1 mod x^2+x+1
-    assert inv is not None and (x + r.one) * inv == r.one
-    assert ring_inverse(x - r.one) is None  # determinant 3, not a unit
+def test_mult_matrix_rejects_fractions():
+    # int() would truncate 1/2 to 0 and report norm 0; the norm is 1/4
+    with pytest.raises(ValueError):
+        mult_matrix(Cyclotomic.from_rational(3, Fraction(1, 2)))
 
 
 def test_smallest_primitive_root():
@@ -203,8 +205,7 @@ def test_smallest_primitive_root():
 
 
 def test_mult_matrix_shape():
-    r = QuotientRing((1, 0, 0, 1, 0, 0, 1))  # Phi_9
-    m = mult_matrix(r.x_power(1))
+    m = mult_matrix(Cyclotomic.zeta_power(9, 1))  # mod Phi_9 = 1 + x^3 + x^6
     assert m.rows == m.cols == 6
 
 

@@ -2,7 +2,13 @@ import time
 
 import pytest
 
-from kulocal.exact import QuotientRing, poly_mul, poly_sub, poly_x_power
+from kulocal.exact import (
+    Cyclotomic,
+    cyclotomic_polynomial,
+    poly_mul,
+    poly_sub,
+    poly_x_power,
+)
 from kulocal.geomfp import (
     bott_character,
     root_of_unity_product,
@@ -24,6 +30,12 @@ def test_trunc_regular_poly():
     assert trunc_regular_poly(5, 1) == (1, 1, 1, 1, 1)
 
 
+@pytest.mark.parametrize("q,k", PRIME_POWER_RANGE)
+def test_trunc_regular_poly_is_cyclotomic(q, k):
+    # so Z[x]/rho(k-1) is Z[zeta_{q^k}], the ring geomfp computes in
+    assert trunc_regular_poly(q, k) == cyclotomic_polynomial(q ** k)
+
+
 def test_regular_factorization_examples():
     assert verify_regular_factorization(3, 1).ok
     assert verify_regular_factorization(3, 2).ok
@@ -39,9 +51,8 @@ def test_regular_factorization_range(q, k):
 
 def test_q_unit_identity_examples():
     # q=3, k=1: (1 - x)(x + 2) = 3 in Z[x]/(x^2+x+1)
-    r = QuotientRing((1, 1, 1))
-    x = r.x_power(1)
-    assert (r.one - x) * (x + 2 * r.one) == 3 * r.one
+    one, x = Cyclotomic.one(3), Cyclotomic.zeta_power(3, 1)
+    assert (one - x) * (x + 2 * one) == 3 * one
     assert verify_q_unit_identity(3, 1).ok
     assert verify_q_unit_identity(3, 2).ok
     assert verify_q_unit_identity(5, 1).ok
@@ -69,9 +80,8 @@ def test_euler_localization_small():
 
 def test_euler_localization_unit_example():
     # rho_2 = x + 1 is a unit mod x^2 + x + 1: (x+1)(-x) = 1
-    r = QuotientRing((1, 1, 1))
-    x = r.x_power(1)
-    assert (x + r.one) * (-1 * x) == r.one
+    one, x = Cyclotomic.one(3), Cyclotomic.zeta_power(3, 1)
+    assert (x + one) * (-1 * x) == one
 
 
 @pytest.mark.parametrize("q,k", PRIME_POWER_RANGE)

@@ -139,8 +139,11 @@ def test_v_h_a_mod_j_c3xc3():
 
 def test_v_h_rejects_dividing_prime():
     g = parse_group("C3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="divides the group order"):
         v_h(burnside_mackey(g), g.full_subgroup, 3)
+    for p in (0, 1, 4):
+        with pytest.raises(ValueError, match="is not a prime"):
+            v_h(burnside_mackey(g), g.full_subgroup, p)
 
 
 def test_idempotent_splitting_checks():
