@@ -5,7 +5,9 @@ over the canonical subgroup list.  The table of marks M[K][H] = |(G/K)^H|
 (= [G:K] when H <= K, else 0, in the abelian case) embeds the ring into a
 product of copies of Z; multiplication is computed there and transformed
 back, which serves multiplication, the p-local idempotents, and the ideal of
-cyclically-vanishing virtual sets with one mechanism.
+cyclically-vanishing virtual sets with one mechanism.  The quotient A/J by
+that ideal is the image of the marks map on the cyclic subgroups, and is
+presented in those coordinates.
 
 ``BurnsideRing(G, level)`` works inside a subgroup ``level`` so that Mackey
 functor levels can reuse everything; the default level is the whole group.
@@ -26,7 +28,6 @@ from .exact import (
     lattice_contains,
     prime_factors,
     row_hnf,
-    solve_integer,
 )
 from .groups import AbelianGroup, DualLevel, Subgroup
 
@@ -163,20 +164,7 @@ class BurnsideRing:
         """A/J presented as the image of marks restricted to cyclic columns."""
         cyc = self.cyclic_subgroups()
         image_rows = [self.marks_on_cyclic(self.basis_element(k)) for k in self.subgroups]
-        hnf = row_hnf(image_rows, len(cyc))
-        # integer preimages of the canonical basis, for restriction/transfer maps
-        mat = IntMatrix.from_columns(image_rows, nrows=len(cyc))
-        preimages = []
-        for row in hnf:
-            sol = solve_integer(mat, row)
-            assert sol is not None
-            preimages.append(tuple(sol))
-        return AModJ(
-            ring=self,
-            cyclic_subgroups=cyc,
-            basis=hnf,
-            preimages=tuple(preimages),
-        )
+        return AModJ(ring=self, cyclic_subgroups=cyc, basis=row_hnf(image_rows, len(cyc)))
 
     # -- p-local idempotents -----------------------------------------------------
 
@@ -223,14 +211,13 @@ class AModJ:
     """The quotient of the Burnside ring by the cyclically-vanishing ideal.
 
     Presented by its marks image on cyclic-subgroup columns: a full-rank
-    sublattice of Z^{#cyclic} with pointwise multiplication.  ``preimages``
-    gives one Burnside element over each canonical basis row.
+    sublattice of Z^{#cyclic} with pointwise multiplication, whose canonical
+    basis is the row Hermite form ``basis``.
     """
 
     ring: BurnsideRing
     cyclic_subgroups: tuple[Subgroup, ...]
     basis: tuple[Vector, ...]
-    preimages: tuple[Vector, ...]
 
     @property
     def rank(self) -> int:

@@ -330,12 +330,20 @@ def reduce_root_of_unity_sum(e: int, exponents: Iterable[int]) -> Cyclotomic:
 
 
 class IntMatrix:
-    """Immutable rectangular matrix over Z (arbitrary precision)."""
+    """Immutable rectangular matrix over Z (arbitrary precision).
+
+    Entries must be ints: anything else (a Fraction, a float, a bool) is
+    rejected rather than converted, so nothing is silently truncated.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence[int]], cols: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
+        for row in rows:
+            for x in row:
+                if type(x) is not int:
+                    raise ValueError(f"IntMatrix entry {x!r} is not an int")
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -749,12 +757,6 @@ def lattice_equal(rows_a, rows_b, ncols: int) -> bool:
     return row_hnf(rows_a, ncols) == row_hnf(rows_b, ncols)
 
 
-def lattice_spans(rows_big, rows_small, ncols: int) -> bool:
-    """True if every row of rows_small lies in the lattice of rows_big."""
-    hnf = row_hnf(rows_big, ncols)
-    return all(lattice_contains(hnf, v) for v in rows_small)
-
-
 # ---------------------------------------------------------------------------
 # multiplication matrices on Z[zeta_e]
 
@@ -762,11 +764,9 @@ def lattice_spans(rows_big, rows_small, ncols: int) -> bool:
 def mult_matrix(a: Cyclotomic) -> IntMatrix:
     """Matrix of multiplication by a on the basis 1, zeta, .., zeta^{phi(e)-1}.
 
-    Only integral elements have an integer matrix; a Fraction coefficient is
-    rejected rather than truncated.
+    Only integral elements have an integer matrix; IntMatrix rejects a
+    Fraction coefficient rather than truncating it.
     """
-    if not all(isinstance(c, int) for c in a.coeffs):
-        raise ValueError(f"{a!r} is not in Z[zeta_e]: mult_matrix needs int coefficients")
     d = len(a.coeffs)
     cols = [(a * Cyclotomic.zeta_power(a.conductor, j)).coeffs for j in range(d)]
     return IntMatrix.from_columns(cols, nrows=d)

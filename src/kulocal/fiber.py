@@ -23,7 +23,6 @@ from .burnside import BurnsideRing
 from .exact import (
     IntMatrix,
     is_primitive_root,
-    lattice_spans,
     primary_part,
     row_hnf,
     smallest_prime_factor,
@@ -82,13 +81,15 @@ def degree2_invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class KernelWitness:
-    """The three lattices of the degree-0 kernel identification."""
+    """The lattices of the degree-0 kernel identification, all in canonical
+    HNF, so equal tuples are equal lattices."""
 
     group: AbelianGroup
     ell: int
-    kernel: tuple[Vector, ...]      # ker(psi^ell - 1), canonical HNF
-    rq: tuple[Vector, ...]          # Galois orbit-sum lattice, canonical HNF
-    linearized: tuple[Vector, ...]  # image of the Burnside ring, canonical HNF
+    kernel: tuple[Vector, ...]      # ker(psi^ell - 1)
+    rq: tuple[Vector, ...]          # Galois orbit-sum lattice
+    rq_chi: tuple[Vector, ...]      # lattice fixed by the Adams operations
+    linearized: tuple[Vector, ...]  # image of the Burnside ring
     cyclic_count: int
 
     @property
@@ -98,7 +99,7 @@ class KernelWitness:
     @property
     def ok(self) -> bool:
         return (
-            self.kernel == self.rq == self.linearized
+            self.kernel == self.rq == self.rq_chi == self.linearized
             and self.rank == self.cyclic_count
         )
 
@@ -130,22 +131,17 @@ def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWi
     kernel = adams_kernel_basis(DualLevel(group, group.full_subgroup), ell)
 
     lat = rational_rep_lattices(group)
-    assert lat.equal
-    rq = lat.rq
 
     ring = BurnsideRing(group)
     lin_rows = [ring.linearize(ring.basis_element(k)) for k in ring.subgroups]
-    linearized = row_hnf(lin_rows, n)
-
-    # containment of the linearization in the kernel is structural; assert it
-    assert lattice_spans(kernel, lin_rows, n)
 
     return KernelWitness(
         group=group,
         ell=ell,
         kernel=kernel,
-        rq=rq,
-        linearized=linearized,
+        rq=lat.rq,
+        rq_chi=lat.rq_chi,
+        linearized=row_hnf(lin_rows, n),
         cyclic_count=len(group.cyclic_subgroups()),
     )
 
@@ -178,21 +174,20 @@ class Pi1Data:
         }
 
 
-def pi1_level(group: AbelianGroup, ell: int | None = None, q: int | None = None) -> Pi1Data:
-    """Cokernel of the degree-2 psi^ell - 1, with its q-primary part.
+def pi1_level(group: AbelianGroup, ell: int | None = None) -> Pi1Data:
+    """Cokernel of the degree-2 psi^ell - 1, with its q-primary part for q
+    the smallest prime dividing |G| (1 for the trivial group).
 
     A singular matrix would contradict injectivity in degree 2 and raises.
     """
     if ell is None:
         ell = default_ell(group)
-    if q is None:
-        q = smallest_prime_factor(group.order)
     mat = adams_minus_one(group, ell, 2)
     factors = degree2_invariant_factors(mat)
     return Pi1Data(
         group=group,
         ell=ell,
-        q=q if q else 1,
+        q=smallest_prime_factor(group.order),
         invariant_factors=factors,
         determinant=mat.det(),
     )
@@ -221,9 +216,10 @@ class FiberLevelData:
         return len(self.pi0_basis)
 
 
-def fiber_level_data(group: AbelianGroup, ell: int | None = None, q: int | None = None) -> dict[Subgroup, FiberLevelData]:
-    """Per-subgroup kernel/cokernel data; psi^ell commutes with restriction,
-    and a primitive root mod exponent(G) stays primitive at every level.
+def fiber_level_data(group: AbelianGroup, ell: int | None = None) -> dict[Subgroup, FiberLevelData]:
+    """Per-subgroup kernel/cokernel data, with q-parts for q the smallest
+    prime dividing |G|.  psi^ell commutes with restriction, and a primitive
+    root mod exponent(G) stays primitive at every level.
     A singular degree-2 level means a singular top level (its permutation
     module is a quotient of the top one), rejected as in ``pi1_level``.
     An ell that is not a primitive root is rejected after the singular
@@ -231,8 +227,7 @@ def fiber_level_data(group: AbelianGroup, ell: int | None = None, q: int | None 
     if ell is None:
         ell = default_ell(group)
     _require_coprime(group, ell)
-    if q is None:
-        q = smallest_prime_factor(group.order)
+    q = smallest_prime_factor(group.order)
     out = {}
     for h in group.subgroups():
         dual = DualLevel(group, h)
@@ -253,7 +248,7 @@ def group_report(group: AbelianGroup, ell: int | None = None) -> dict:
     if ell is None:
         ell = default_ell(group)
     q = smallest_prime_factor(group.order)
-    levels = fiber_level_data(group, ell, q)
+    levels = fiber_level_data(group, ell)
     top = levels[group.full_subgroup]
     return {
         "group": repr(group),

@@ -27,6 +27,7 @@ from .burnside import AModJ, BurnsideRing
 from .exact import (
     IntMatrix,
     is_prime,
+    kernel_lattice,
     lattice_contains,
     lattice_equal,
     primary_part,
@@ -35,7 +36,7 @@ from .exact import (
     row_hnf,
     smith_normal_form,
 )
-from .fiber import fiber_level_data, pi1_level
+from .fiber import default_ell, fiber_level_data, pi1_level
 from .groups import AbelianGroup, DualLevel, Subgroup
 from .reprings import dual_multiply
 
@@ -454,8 +455,6 @@ def linearization_check(group: AbelianGroup) -> LinearizationCheck:
     for h in subs:
         ring = rings[h]
         j_rows = ring.ideal_j_rows()
-        from .exact import kernel_lattice
-
         ker = kernel_lattice(lam[h])
         ker_rows = [ker.column(j) for j in range(ker.cols)]
         if not lattice_equal(j_rows, ker_rows, ring.n):
@@ -477,47 +476,54 @@ def linearization_check(group: AbelianGroup) -> LinearizationCheck:
 
 def a_mod_j_mackey(group: AbelianGroup) -> GreenFunctor:
     """Levelwise quotient by the cyclically-vanishing ideal, in the canonical
-    marks-image basis at every level."""
+    marks-image basis at every level.
+
+    A/J at H is the image of the marks on the cyclic subgroups of H.  Marks
+    at a subgroup C commute with restriction, so res^H_K keeps the entries at
+    the cyclic subgroups of K; tr^H_K scales them by [H : K] and puts 0 at
+    the other cyclic subgroups of H.
+    """
     subs = group.subgroups()
-    rings = {h: BurnsideRing(group, h) for h in subs}
-    quots: dict[Subgroup, AModJ] = {h: rings[h].a_mod_j() for h in subs}
-    a_fun = burnside_mackey(group)
+    quots: dict[Subgroup, AModJ] = {h: BurnsideRing(group, h).a_mod_j() for h in subs}
 
     levels = {h: Level(subgroup=h, rank=quots[h].rank) for h in subs}
 
-    def induced(matrix: IntMatrix, src: Subgroup, dst: Subgroup) -> IntMatrix:
-        """Push a map A(src) -> A(dst) down to the quotients."""
-        cols = []
-        for pre in quots[src].preimages:
-            img = matrix.apply(pre)
-            marks = quots[dst].project(img)
-            coords = quots[dst].coordinates(marks)
-            assert coords is not None
-            cols.append(coords)
+    def coordinates(q: AModJ, marks: Sequence[int]) -> Vector:
+        coords = q.coordinates(marks)
+        if coords is None:
+            raise ArithmeticError(f"marks {tuple(marks)} lie outside A/J at {q.ring.level!r}")
+        return coords
+
+    def matrix(dst: Subgroup, images: Sequence[Sequence[int]]) -> IntMatrix:
+        cols = [coordinates(quots[dst], v) for v in images]
         return IntMatrix.from_columns(cols, nrows=quots[dst].rank)
 
     res: dict = {}
     tr: dict = {}
     for h in subs:
+        n_h = len(quots[h].cyclic_subgroups)
         for k in subs:
             if not h.contains(k):
                 continue
-            res[(h, k)] = induced(a_fun.res(h, k), h, k)
-            tr[(k, h)] = induced(a_fun.tr(k, h), k, h)
+            # positions of K's cyclic subgroups among H's (both canonical order)
+            inside = [i for i, c in enumerate(quots[h].cyclic_subgroups) if k.contains(c)]
+            res[(h, k)] = matrix(k, [[b[i] for i in inside] for b in quots[h].basis])
+            index = h.order // k.order
+            up = []
+            for b in quots[k].basis:
+                v = [0] * n_h
+                for i, x in zip(inside, b):
+                    v[i] = index * x
+                up.append(v)
+            tr[(k, h)] = matrix(h, up)
 
     def multiply(h: Subgroup, a, b) -> Vector:
         q = quots[h]
         va = [sum(c * row[j] for c, row in zip(a, q.basis)) for j in range(len(q.cyclic_subgroups))]
         vb = [sum(c * row[j] for c, row in zip(b, q.basis)) for j in range(len(q.cyclic_subgroups))]
-        coords = q.coordinates(tuple(x * y for x, y in zip(va, vb)))
-        assert coords is not None
-        return coords
+        return coordinates(q, tuple(x * y for x, y in zip(va, vb)))
 
-    units = {}
-    for h in subs:
-        coords = quots[h].coordinates(quots[h].one)
-        assert coords is not None
-        units[h] = coords
+    units = {h: coordinates(quots[h], quots[h].one) for h in subs}
 
     return GreenFunctor(
         group=group,
@@ -626,19 +632,16 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
     """
     if group.order % 2 == 0:
         raise ValueError("the assembled answer requires a group of odd order")
-    from .fiber import default_ell
-
     if ell is None:
         ell = default_ell(group)
 
     aj = a_mod_j_mackey(group)
     subs = group.subgroups()
-    rings = {h: BurnsideRing(group, h) for h in subs}
-    quots = {h: rings[h].a_mod_j() for h in subs}
+    ranks = {h: aj.level(h).rank for h in subs}
 
     levels = {}
     for h in subs:
-        r = quots[h].rank
+        r = ranks[h]
         relations = tuple(
             tuple(2 if j == r + i else 0 for j in range(2 * r)) for i in range(r)
         )
@@ -662,7 +665,7 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
             tr[(k, h)] = block_diag(aj.tr(k, h))
 
     def multiply(h: Subgroup, a, b) -> Vector:
-        r = quots[h].rank
+        r = ranks[h]
         a0, a1 = a[:r], a[r:]
         b0, b1 = b[:r], b[r:]
         free = aj.multiply(h, a0, b0)
@@ -671,7 +674,7 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
         )
         return tuple(free) + x_part
 
-    units = {h: tuple(aj.unit(h)) + (0,) * quots[h].rank for h in subs}
+    units = {h: tuple(aj.unit(h)) + (0,) * ranks[h] for h in subs}
 
     functor = GreenFunctor(
         group=group,
@@ -688,19 +691,19 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
     level_data = fiber_level_data(group, ell)
     cross = True
     for h in subs:
-        ring = rings[h]
+        ring = BurnsideRing(group, h)
         lin_rows = [ring.linearize(ring.basis_element(k)) for k in ring.subgroups]
         dual_size = ring.dual().size
         if not lattice_equal(lin_rows, level_data[h].pi0_basis, dual_size):
             cross = False
-        if len(level_data[h].pi0_basis) != quots[h].rank:
+        if len(level_data[h].pi0_basis) != ranks[h]:
             cross = False
 
     return Pi0Result(
         group=group,
         ell=ell,
         functor=functor,
-        cyclic_counts={h: quots[h].rank for h in subs},
+        cyclic_counts=ranks,
         kernel_cross_check=cross,
     )
 

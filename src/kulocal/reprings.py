@@ -28,11 +28,9 @@ from .exact import (
     row_hnf,
     smallest_primitive_root,
 )
-from .groups import AbelianGroup, DualLevel, Subgroup
+from .groups import AbelianGroup, DualLevel, ExplicitHSet, Subgroup, map_set_orbits
 
 Vector = tuple
-
-MAP_ENUMERATION_BOUND = 10 ** 6
 
 
 def dual_multiply(dual: DualLevel, v: Sequence[int], w: Sequence[int]) -> Vector:
@@ -235,11 +233,8 @@ def perm_rep_orbit_counts(group: AbelianGroup, ell: int) -> dict[Subgroup, int]:
 
 
 def perm_rep_orbit_counts_enumerated(group: AbelianGroup, ell: int) -> dict[Subgroup, int]:
-    """The same decomposition by honest enumeration (oracle; bounded)."""
-    from .groups import ExplicitHSet, map_set_orbits
-
-    if ell ** group.order > MAP_ENUMERATION_BOUND:
-        raise ValueError("enumeration bound exceeded")
+    """The same decomposition by honest enumeration (oracle; bounded by
+    ``map_set_orbits``, which refuses more than MAP_SET_BOUND maps)."""
     x = ExplicitHSet.trivial_points(group.trivial_subgroup, ell)
     orbits = map_set_orbits(group.full_subgroup, group.trivial_subgroup, x)
     return {h: c for h, c in orbits.items() if c}

@@ -154,6 +154,30 @@ def test_geomfp_verify_json_pinned_under_O():
     assert hashlib.sha256(proc.stdout).hexdigest() == GEOMFP_VERIFY_SHA256
 
 
+# The lattice workload's pi0 jobs and their output digests, recorded by
+# perfbench/record_digests.py; the digest is taken as perfbench/run.py's
+# output_digest takes it: sha256 of the re-serialized canonical JSON.
+BENCH_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+LATTICE_PI0_GROUPS = ("C3xC3xC9", "C5xC25", "C9xC9", "C3xC27", "C3xC3xC3")
+
+
+def _lattice_pi0_cases():
+    digests = json.loads(BENCH_DIGESTS.read_text())
+    return [
+        pytest.param(spec, ell, digest, id=f"{spec}-ell{ell}")
+        for spec in LATTICE_PI0_GROUPS
+        for ell, digest in sorted(digests[f"pi0 {spec}"].items())
+    ]
+
+
+@pytest.mark.parametrize("spec,ell,digest", _lattice_pi0_cases())
+def test_pi0_json_matches_benchmark_digest(capsys, spec, ell, digest):
+    code, out, _ = run_capture(capsys, ["pi0", "--group", spec, "--ell", ell, "--format", "json"])
+    assert code == 0
+    canonical = canonical_json(json.loads(out))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
 def test_bott_verify(capsys):
     code, out, _ = run_capture(capsys, ["bott-verify", "--group", "C3"])
     assert code == 0

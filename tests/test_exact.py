@@ -196,6 +196,12 @@ def test_mult_matrix_rejects_fractions():
         mult_matrix(Cyclotomic.from_rational(3, Fraction(1, 2)))
 
 
+def test_intmatrix_rejects_fraction_entry():
+    # int() would truncate 1/2 to 0, so the determinant would read 0
+    with pytest.raises(ValueError, match=r"entry Fraction\(1, 2\) is not an int"):
+        IntMatrix([[Fraction(1, 2)]])
+
+
 def test_smallest_primitive_root():
     assert smallest_primitive_root(3) == 2
     assert smallest_primitive_root(9) == 2

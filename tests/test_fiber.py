@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -65,6 +66,16 @@ def test_kernel_identification(spec):
     w = kernel_equals_AmodJ(g)
     assert w.ok
     assert w.rank == len(g.cyclic_subgroups())
+
+
+def test_kernel_witness_reports_differing_rational_lattices():
+    w = kernel_equals_AmodJ(parse_group("C9"))
+    assert w.ok
+    # 2 * (first row) spans a proper sublattice of the orbit-sum lattice
+    doubled = (tuple(2 * x for x in w.rq_chi[0]),) + w.rq_chi[1:]
+    bad = dataclasses.replace(w, rq_chi=doubled)
+    assert not bad.ok
+    assert bad.to_json()["lattices_agree"] is False
 
 
 def test_kernel_rejects_nonprimitive():

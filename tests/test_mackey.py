@@ -1,6 +1,7 @@
 import pytest
 
-from kulocal.exact import IntMatrix
+from kulocal.burnside import BurnsideRing
+from kulocal.exact import IntMatrix, solve_integer
 from kulocal.groups import AbelianGroup, parse_group
 from kulocal.mackey import (
     Level,
@@ -97,6 +98,46 @@ def test_a_mod_j_levels_and_axioms(spec):
         assert m.level(h).free_rank == n_cyc
     assert m.check_mackey_axioms() == []
     assert m.check_green_axioms() == []
+
+
+def _a_mod_j_through_burnside(group):
+    """A/J's res, tr and units by pushing the Burnside functor's maps down
+    through integer preimages of each basis row (the reference route)."""
+    a_fun = burnside_mackey(group)
+    subs = group.subgroups()
+    quots = {h: BurnsideRing(group, h).a_mod_j() for h in subs}
+
+    def preimages(q):
+        ring = q.ring
+        image_rows = [ring.marks_on_cyclic(ring.basis_element(k)) for k in ring.subgroups]
+        mat = IntMatrix.from_columns(image_rows, nrows=len(q.cyclic_subgroups))
+        return [solve_integer(mat, row) for row in q.basis]
+
+    def induced(matrix, src, dst):
+        q = quots[dst]
+        cols = [q.coordinates(q.project(matrix.apply(pre))) for pre in preimages(quots[src])]
+        return IntMatrix.from_columns(cols, nrows=q.rank)
+
+    res, tr = {}, {}
+    for h in subs:
+        for k in subs:
+            if h.contains(k):
+                res[(h, k)] = induced(a_fun.res(h, k), h, k)
+                tr[(k, h)] = induced(a_fun.tr(k, h), k, h)
+    units = {h: quots[h].coordinates(quots[h].project(a_fun.unit(h))) for h in subs}
+    return res, tr, units
+
+
+@pytest.mark.parametrize(
+    "spec", ["C3", "C9", "C27", "C3xC3", "C3xC9", "C5xC5", "C3xC3xC3"]
+)
+def test_a_mod_j_maps_match_burnside_preimage_route(spec):
+    g = parse_group(spec)
+    m = a_mod_j_mackey(g)
+    res, tr, units = _a_mod_j_through_burnside(g)
+    assert m._res == res
+    assert m._tr == tr
+    assert {h: m.unit(h) for h in m.subgroups} == units
 
 
 def test_restriction_rule_in_a_mod_j():

@@ -130,6 +130,12 @@ def test_perm_rep_enumeration_agrees(spec, ell):
     assert perm_rep_orbit_counts(g, ell) == perm_rep_orbit_counts_enumerated(g, ell)
 
 
+def test_perm_rep_enumeration_refuses_large_sets():
+    # 2^25 maps: map_set_orbits checks the count before it enumerates any
+    with pytest.raises(ValueError, match="size 33554432 exceeds bound"):
+        perm_rep_orbit_counts_enumerated(parse_group("C25"), 2)
+
+
 @pytest.mark.parametrize("spec,ell", [("C5", 2), ("C9", 3), ("C27", 2), ("C3xC9", 2)])
 def test_perm_rep_character_formula(spec, ell):
     g = parse_group(spec)

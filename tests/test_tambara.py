@@ -6,7 +6,6 @@ from kulocal import tambara
 from kulocal.geomfp import verify_q_unit_identity
 from kulocal.tambara import (
     CyclicTower,
-    NORM_ENUM_BOUND,
     derive_norm_on_x,
     norm_of_x,
     norm_on_monomial,
