@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 from .exact import (
@@ -53,12 +53,8 @@ class BurnsideRing:
         """|(level/K)^H|: the count of H-fixed cosets."""
         return self.level.order // k.order if k.contains(h) else 0
 
-    @property
+    @cached_property
     def table_of_marks(self) -> IntMatrix:
-        return self._table_of_marks()
-
-    @lru_cache(maxsize=None)
-    def _table_of_marks(self) -> IntMatrix:
         return IntMatrix(
             [[self.mark(k, h) for h in self.subgroups] for k in self.subgroups],
             cols=self.n,
@@ -117,18 +113,18 @@ class BurnsideRing:
 
     # -- linearization and the cyclically-vanishing ideal ------------------------
 
-    @lru_cache(maxsize=None)
+    @cached_property
     def dual(self) -> DualLevel:
         return DualLevel(self.group, self.level)
 
-    @lru_cache(maxsize=None)
+    @cached_property
     def linearize_matrix(self) -> IntMatrix:
         """Row K = the permutation character of [level/K] over the dual basis.
 
         [G/K] linearizes to the sum of the characters trivial on K, i.e. the
         dual elements pairing to zero with every element of K.
         """
-        dual = self.dual()
+        dual = self.dual
         rows = []
         for k in self.subgroups:
             row = [
@@ -139,16 +135,16 @@ class BurnsideRing:
         return IntMatrix(rows, cols=dual.size)
 
     def linearize(self, coeffs: Sequence[int]) -> Vector:
-        lin = self.linearize_matrix()
+        lin = self.linearize_matrix
         return tuple(
             sum(c * lin.entries[i][j] for i, c in enumerate(coeffs))
             for j in range(lin.cols)
         )
 
-    @lru_cache(maxsize=None)
+    @cached_property
     def ideal_j_rows(self) -> tuple[Vector, ...]:
         """Z-basis (saturated) of the kernel of linearization."""
-        lin = self.linearize_matrix()
+        lin = self.linearize_matrix
         ker = kernel_lattice(lin.transpose())
         return tuple(ker.column(j) for j in range(ker.cols))
 
@@ -159,9 +155,15 @@ class BurnsideRing:
         full = self.marks(coeffs)
         return tuple(full[i] for i, k in enumerate(self.subgroups) if k.is_cyclic)
 
-    @lru_cache(maxsize=None)
     def a_mod_j(self) -> "AModJ":
-        """A/J presented as the image of marks restricted to cyclic columns."""
+        """A/J presented as the image of marks restricted to cyclic columns.
+
+        A method over a per-instance cache, so perfbench/tracer.py can wrap
+        it as a function on the class."""
+        return self._a_mod_j
+
+    @cached_property
+    def _a_mod_j(self) -> "AModJ":
         cyc = self.cyclic_subgroups()
         image_rows = [self.marks_on_cyclic(self.basis_element(k)) for k in self.subgroups]
         return AModJ(ring=self, cyclic_subgroups=cyc, basis=row_hnf(image_rows, len(cyc)))

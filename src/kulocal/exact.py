@@ -16,6 +16,8 @@ Main contents:
 * Smith normal form with full unimodular witnesses U, S, V (A = U*S*V),
   integer kernel lattices, integer linear solving, and row Hermite normal
   form for canonical lattice comparison,
+* the invariant factors of a direct sum of cyclic groups
+  (``divisibility_chain``), without factoring their orders,
 * multiplication matrices on Z[zeta_e], whose determinants are norms.
 """
 
@@ -125,6 +127,24 @@ def primary_part(factors: Iterable[int], q: int) -> tuple[int, ...]:
     """The q-primary part of a finite group given by invariant factors: the
     nontrivial q^{v_q(d)}, in order."""
     return tuple(x for x in (prime_power_part(d, q) for d in factors) if x > 1)
+
+
+def divisibility_chain(orders: Iterable[int]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... of the direct sum of the Z/d for the
+    given positive orders, ones kept, so the length is unchanged.
+
+    Gcd/lcm exchange (Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b)) needs no
+    factorization, which matters for orders like 2^162 - 1.
+    """
+    d = list(orders)
+    if any(x <= 0 for x in d):
+        raise ValueError(f"cyclic orders must be positive: {d}")
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                g = math.gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,17 @@ kernels and cokernels.
 
 In degree 0, psi^ell permutes the dual basis (a -> ell*a); in degree 2 the
 same permutation is scaled by ell, because the Adams operation multiplies the
-Bott class by ell.  The degree-0 kernel is compared, as a lattice, against
-the image of the Burnside ring under linearization and against the rational
-representation lattice; the degree-2 cokernel is finite (nonzero determinant,
-checked via invertibility mod ell) and its invariant factors and q-primary
-part give the degree-1 homotopy levels.
+Bott class by ell.  So both are read off the cycles of that permutation
+(``reprings.adams_cycles``), and no matrix of psi^ell - 1 is reduced: an
+L-cycle contributes one orbit indicator to the degree-0 kernel, and the block
+ell*C - I, with cokernel Z/|ell^L - 1| and determinant (-1)^(L+1) (ell^L - 1),
+to the degree-2 cokernel.  The degree-0 kernel is compared, as a lattice,
+against the image of the Burnside ring under linearization and against the
+rational representation lattice; the degree-2 cokernel is finite (nonzero
+determinant, checked via invertibility mod ell) and its invariant factors and
+q-primary part give the degree-1 homotopy levels.  The matrices themselves
+(``adams_minus_one``) remain for the Bareiss determinant of
+``determinant_mod_ell_check`` and for tests.
 
 q-completion never manipulates q-adic numbers: the cokernels are finite, so
 the q-part of the torsion is the exact completed answer, and the free part of
@@ -22,16 +28,17 @@ from dataclasses import dataclass
 from .burnside import BurnsideRing
 from .exact import (
     IntMatrix,
+    divisibility_chain,
     is_primitive_root,
     primary_part,
     row_hnf,
     smallest_prime_factor,
-    smith_normal_form,
     smallest_primitive_root,
 )
 from .groups import AbelianGroup, DualLevel, Subgroup
 from .reprings import (
     RURing,
+    adams_cycles,
     adams_kernel_basis,
     adams_minus_one_on,
     dual_permutation,
@@ -70,13 +77,30 @@ def adams_minus_one(group: AbelianGroup, ell: int, degree: int) -> IntMatrix:
     return adams_minus_one_on(DualLevel(group, group.full_subgroup), ell, degree)
 
 
-def degree2_invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors of the cokernel of the degree-2 psi^ell - 1 given as
-    ``mat``; a singular matrix contradicts its finiteness and raises."""
-    dec = smith_normal_form(mat)
-    if dec.rank < mat.rows:
+def _cycle_determinants(cycles: tuple[tuple[int, ...], ...], ell: int) -> list[int]:
+    """det(ell*C - I) = (-1)^(L+1) (ell^L - 1) for each L-cycle C; a zero one
+    makes the degree-2 psi^ell - 1 singular, which contradicts the finiteness
+    of its cokernel and raises."""
+    dets = [(-1) ** (len(c) + 1) * (ell ** len(c) - 1) for c in cycles]
+    if 0 in dets:
         raise ArithmeticError(SINGULAR_DEGREE2)
-    return dec.invariant_factors
+    return dets
+
+
+def degree2_invariant_factors(dual: DualLevel, ell: int) -> tuple[int, ...]:
+    """Invariant factors of the cokernel of the degree-2 psi^ell - 1 on one
+    level.  An L-cycle block ell*C - I has cyclic cokernel
+    Z[x]/(x^L - 1, ell*x - 1) = Z/|ell^L - 1|, so L - 1 of its factors are 1,
+    and the cyclic orders of all blocks become one divisibility chain."""
+    cycles = adams_cycles(dual, ell)
+    orders = [abs(d) for d in _cycle_determinants(cycles, ell)]
+    return (1,) * (dual.size - len(cycles)) + divisibility_chain(orders)
+
+
+def degree2_determinant(dual: DualLevel, ell: int) -> int:
+    """det of the degree-2 psi^ell - 1 on one level: the product over the
+    cycles of their block determinants; a singular matrix raises."""
+    return math.prod(_cycle_determinants(adams_cycles(dual, ell), ell))
 
 
 @dataclass(frozen=True)
@@ -133,7 +157,6 @@ def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWi
     lat = rational_rep_lattices(group)
 
     ring = BurnsideRing(group)
-    lin_rows = [ring.linearize(ring.basis_element(k)) for k in ring.subgroups]
 
     return KernelWitness(
         group=group,
@@ -141,7 +164,7 @@ def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWi
         kernel=kernel,
         rq=lat.rq,
         rq_chi=lat.rq_chi,
-        linearized=row_hnf(lin_rows, n),
+        linearized=row_hnf(ring.linearize_matrix.entries, n),
         cyclic_count=len(group.cyclic_subgroups()),
     )
 
@@ -182,24 +205,31 @@ def pi1_level(group: AbelianGroup, ell: int | None = None) -> Pi1Data:
     """
     if ell is None:
         ell = default_ell(group)
-    mat = adams_minus_one(group, ell, 2)
-    factors = degree2_invariant_factors(mat)
+    _require_coprime(group, ell)
+    top = DualLevel(group, group.full_subgroup)
     return Pi1Data(
         group=group,
         ell=ell,
         q=smallest_prime_factor(group.order),
-        invariant_factors=factors,
-        determinant=mat.det(),
+        invariant_factors=degree2_invariant_factors(top, ell),
+        determinant=degree2_determinant(top, ell),
     )
 
 
 def determinant_mod_ell_check(group: AbelianGroup, ell: int | None = None) -> tuple[bool, int]:
-    """det(ell*P - I) is +-1 mod ell, hence nonzero; returns the exact det."""
+    """det(ell*P - I), by Bareiss elimination on the matrix, is +-1 mod ell,
+    hence nonzero, and equals the cycle product of ``degree2_determinant``;
+    returns the exact det."""
     if ell is None:
         ell = default_ell(group)
     _require_coprime(group, ell)
     det = adams_minus_one(group, ell, 2).det()
-    return det % ell in (1 % ell, (ell - 1) % ell) and det != 0, det
+    ok = (
+        det % ell in (1 % ell, (ell - 1) % ell)
+        and det != 0
+        and det == degree2_determinant(DualLevel(group, group.full_subgroup), ell)
+    )
+    return ok, det
 
 
 @dataclass(frozen=True)
@@ -231,7 +261,7 @@ def fiber_level_data(group: AbelianGroup, ell: int | None = None) -> dict[Subgro
     out = {}
     for h in group.subgroups():
         dual = DualLevel(group, h)
-        factors = degree2_invariant_factors(adams_minus_one_on(dual, ell, 2))
+        factors = degree2_invariant_factors(dual, ell)
         out[h] = FiberLevelData(
             subgroup=h,
             pi0_basis=adams_kernel_basis(dual, ell),
@@ -258,7 +288,7 @@ def group_report(group: AbelianGroup, ell: int | None = None) -> dict:
         "pi0_basis": [list(r) for r in top.pi0_basis],
         "pi1_invariant_factors": list(top.pi1_invariant_factors),
         "pi1_q_part": list(top.pi1_q_part),
-        "det_degree2": adams_minus_one(group, ell, 2).det(),
+        "det_degree2": degree2_determinant(DualLevel(group, group.full_subgroup), ell),
         "levels": [
             {
                 "subgroup": h.order,

@@ -422,7 +422,7 @@ def linearization_check(group: AbelianGroup) -> LinearizationCheck:
     ru_fun = ru_mackey(group)
     subs = group.subgroups()
     rings = {h: BurnsideRing(group, h) for h in subs}
-    lam = {h: rings[h].linearize_matrix().transpose() for h in subs}
+    lam = {h: rings[h].linearize_matrix.transpose() for h in subs}
 
     res_ok = tr_ok = True
     for h in subs:
@@ -454,7 +454,7 @@ def linearization_check(group: AbelianGroup) -> LinearizationCheck:
     kernel_ok = True
     for h in subs:
         ring = rings[h]
-        j_rows = ring.ideal_j_rows()
+        j_rows = ring.ideal_j_rows
         ker = kernel_lattice(lam[h])
         ker_rows = [ker.column(j) for j in range(ker.cols)]
         if not lattice_equal(j_rows, ker_rows, ring.n):
@@ -692,9 +692,7 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
     cross = True
     for h in subs:
         ring = BurnsideRing(group, h)
-        lin_rows = [ring.linearize(ring.basis_element(k)) for k in ring.subgroups]
-        dual_size = ring.dual().size
-        if not lattice_equal(lin_rows, level_data[h].pi0_basis, dual_size):
+        if not lattice_equal(ring.linearize_matrix.entries, level_data[h].pi0_basis, ring.dual.size):
             cross = False
         if len(level_data[h].pi0_basis) != ranks[h]:
             cross = False

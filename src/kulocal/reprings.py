@@ -23,7 +23,6 @@ from .burnside import BurnsideRing
 from .exact import (
     Cyclotomic,
     IntMatrix,
-    kernel_lattice,
     lattice_equal,
     row_hnf,
     smallest_primitive_root,
@@ -77,10 +76,43 @@ def adams_minus_one_on(dual: DualLevel, ell: int, degree: int) -> IntMatrix:
     )
 
 
+def adams_cycles(dual: DualLevel, ell: int) -> tuple[tuple[int, ...], ...]:
+    """The cycles of psi^ell on the dual basis of one level, each listed from
+    its smallest index, in order of smallest index.
+
+    They determine psi^ell - 1 in both degrees: the degree-0 kernel here, the
+    degree-2 cokernel and determinant in ``fiber``.  An ell that is not a unit
+    mod the exponent does not permute the characters and is rejected.
+    """
+    perm = dual_permutation(dual, ell)
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = []
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = perm[i]
+        if i != start:
+            raise ValueError(f"psi^{ell} does not permute the characters of {dual.group!r}")
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
 def adams_kernel_basis(dual: DualLevel, ell: int) -> tuple[Vector, ...]:
-    """ker(psi^ell - 1) in degree 0 on the given dual level, as canonical HNF rows."""
-    ker = kernel_lattice(adams_minus_one_on(dual, ell, 0))
-    return row_hnf([ker.column(j) for j in range(ker.cols)], dual.size)
+    """ker(psi^ell - 1) in degree 0 on the given dual level, as canonical HNF
+    rows: a vector fixed by a permutation is constant on its cycles, so the
+    cycle indicators span the kernel."""
+    rows = []
+    for cycle in adams_cycles(dual, ell):
+        row = [0] * dual.size
+        for i in cycle:
+            row[i] = 1
+        rows.append(row)
+    return row_hnf(rows, dual.size)
 
 
 class RURing:

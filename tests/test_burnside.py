@@ -1,5 +1,7 @@
+import gc
 import os
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -75,7 +77,7 @@ def test_linearize_examples():
     lin = r2.linearize(r2.basis_element(h))
     assert sum(lin) == 3 and set(lin) <= {0, 1}
     # the three characters are exactly those trivial on h
-    dual = r2.dual()
+    dual = r2.dual
     for a, c in zip(dual.reps, lin):
         trivial_on_h = all(dual.pairing(a, x) == 0 for x in h.elements)
         assert c == (1 if trivial_on_h else 0)
@@ -90,7 +92,7 @@ def test_linearize_is_ring_hom():
         b = tuple(rng.randint(-3, 3) for _ in range(r.n))
         lin_prod = r.linearize(r.multiply(a, b))
         # convolution of linearizations over the dual group
-        dual = r.dual()
+        dual = r.dual
         la, lb = r.linearize(a), r.linearize(b)
         conv = [0] * dual.size
         for i, x in enumerate(dual.reps):
@@ -107,14 +109,14 @@ def test_linearize_is_ring_hom():
 )
 def test_ideal_j_rank(spec, rank):
     r = ring(spec)
-    rows = r.ideal_j_rows()
+    rows = r.ideal_j_rows
     assert len(rows) == rank
     assert len(rows) == r.n - len(r.cyclic_subgroups())
 
 
 def test_ideal_j_is_cyclic_vanishing_locus():
     r = ring("C3xC3")
-    rows = r.ideal_j_rows()
+    rows = r.ideal_j_rows
     # every kernel element has vanishing marks on all cyclic subgroups
     for row in rows:
         assert all(v == 0 for v in r.marks_on_cyclic(row))
@@ -222,3 +224,13 @@ def test_a_mod_j_coordinates_of_products(spec):
                 assert coords is not None
                 assert coords == solve_integer(basis, marks)
                 assert basis.apply(coords) == marks
+
+
+def test_ring_is_freed_with_its_caches():
+    r = ring("C3xC9")
+    r.a_mod_j()
+    assert r.ideal_j_rows and r.table_of_marks.rows == r.n and r.dual.size == 27
+    ref = weakref.ref(r)
+    del r
+    gc.collect()
+    assert ref() is None

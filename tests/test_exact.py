@@ -8,6 +8,7 @@ from kulocal.exact import (
     Cyclotomic,
     IntMatrix,
     cyclotomic_polynomial,
+    divisibility_chain,
     euler_phi,
     hnf_coordinates,
     is_prime,
@@ -250,3 +251,68 @@ def test_number_theory_against_sympy():
             )
             assert prime_power_part(n, q) == expected
     assert not is_prime(0) and not is_prime(-3)
+
+
+def test_divisibility_chain_matches_smith_of_diagonal():
+    rng = random.Random(SEED + 4)
+    cases = [[], [1], [4, 6], [6, 4, 10], [9, 3, 27, 1], [2 ** 162 - 1, 2 ** 54 - 1, 3]]
+    for _ in range(300):
+        k = rng.randrange(1, 8)
+        cases.append([rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12, 25, 27, 35, 80, 242]) for _ in range(k)])
+    for orders in cases:
+        chain = divisibility_chain(orders)
+        assert all(chain[i + 1] % chain[i] == 0 for i in range(len(chain) - 1))
+        n = len(orders)
+        diag = IntMatrix([[orders[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        assert chain == smith_normal_form(diag).invariant_factors, orders
+    with pytest.raises(ValueError):
+        divisibility_chain([3, 0])
+
+
+def _sympy_matrices(rng):
+    """Seeded random matrices (some of them rank-deficient products) and
+    structured ones: psi^ell - 1 in both degrees, tables of marks,
+    linearization matrices and cyclotomic multiplication matrices."""
+    from kulocal.burnside import BurnsideRing
+    from kulocal.groups import DualLevel, parse_group
+    from kulocal.reprings import adams_minus_one_on
+
+    out = []
+    for _ in range(60):
+        m, n = rng.randrange(1, 9), rng.randrange(1, 9)
+        out.append(IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]))
+    for _ in range(30):
+        m, r, n = rng.randrange(1, 8), rng.randrange(1, 4), rng.randrange(1, 8)
+        left = IntMatrix([[rng.randint(-5, 5) for _ in range(r)] for _ in range(m)])
+        right = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)])
+        out.append(left * right)
+    for spec, ell in [("C9", 2), ("C27", 5), ("C3xC9", -7), ("C5xC5", 2)]:
+        g = parse_group(spec)
+        for h in g.subgroups():
+            for degree in (0, 2):
+                out.append(adams_minus_one_on(DualLevel(g, h), ell, degree))
+        ring = BurnsideRing(g)
+        out += [ring.table_of_marks, ring.linearize_matrix]
+    for e in (9, 25, 27):
+        for _ in range(3):
+            coeffs = [rng.randint(-3, 3) for _ in range(euler_phi(e))]
+            out.append(mult_matrix(Cyclotomic(e, coeffs)))
+    return out
+
+
+def test_smith_and_hermite_forms_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
+    from sympy.polys.domains import ZZ
+
+    for a in _sympy_matrices(random.Random(SEED + 5)):
+        ref = sympy.Matrix([list(r) for r in a.entries])
+        expected = tuple(abs(int(d)) for d in invariant_factors(ref, domain=ZZ) if d != 0)
+        assert smith_normal_form(a).invariant_factors == expected, a
+        # the row lattice of A is the column lattice of A^T, which sympy's
+        # (column-style) Hermite form spans with independent columns
+        hnf = hermite_normal_form(ref.T)
+        ref_rows = [tuple(int(x) for x in hnf.col(j)) for j in range(hnf.cols)]
+        ours = row_hnf(a.entries, a.cols)
+        assert len(ours) == len(ref_rows) == len(expected)
+        assert ours == row_hnf(ref_rows, a.cols), a

@@ -4,10 +4,22 @@ import math
 
 import pytest
 
-from kulocal.exact import IntMatrix, is_primitive_root, lattice_equal, row_hnf, smith_normal_form
+from kulocal.exact import (
+    IntMatrix,
+    is_primitive_root,
+    kernel_lattice,
+    lattice_equal,
+    primary_part,
+    row_hnf,
+    smallest_prime_factor,
+    smith_normal_form,
+)
 from kulocal.fiber import (
+    SINGULAR_DEGREE2,
     adams_minus_one,
     default_ell,
+    degree2_determinant,
+    degree2_invariant_factors,
     determinant_mod_ell_check,
     fiber_level_data,
     group_report,
@@ -15,7 +27,31 @@ from kulocal.fiber import (
     pi1_level,
     restriction_commutes_with_adams,
 )
-from kulocal.groups import parse_group
+from kulocal.groups import DualLevel, parse_group
+from kulocal.reprings import adams_kernel_basis, adams_minus_one_on
+
+
+def admissible_ells(g, count=3):
+    """The first ``count`` ells >= 2 that are coprime to |G| and primitive
+    mod exp(G), then the first such ell <= -2."""
+    def ok(ell):
+        return math.gcd(ell, g.order) == 1 and is_primitive_root(ell, g.exponent)
+
+    positive = itertools.islice(filter(ok, itertools.count(2)), count)
+    negative = next(filter(ok, itertools.count(-2, -1)))
+    return [*positive, negative]
+
+
+def matrix_oracle(dual, ell):
+    """Degree-2 invariant factors and det and the degree-0 kernel basis of
+    psi^ell - 1, by Smith form, Bareiss det and kernel lattice of its matrix."""
+    deg2 = adams_minus_one_on(dual, ell, 2)
+    ker = kernel_lattice(adams_minus_one_on(dual, ell, 0))
+    return (
+        smith_normal_form(deg2).invariant_factors,
+        deg2.det(),
+        row_hnf([ker.column(j) for j in range(ker.cols)], dual.size),
+    )
 
 
 def test_adams_minus_one_degree0_identity_ell():
@@ -133,6 +169,16 @@ def test_determinant_mod_ell(spec):
     assert ok and det != 0
 
 
+def test_determinant_check_requires_the_cycle_product(monkeypatch):
+    import kulocal.fiber as fiber
+
+    g = parse_group("C9")
+    ok, det = determinant_mod_ell_check(g, 2)
+    assert ok
+    monkeypatch.setattr(fiber, "degree2_determinant", lambda dual, ell: -det)
+    assert determinant_mod_ell_check(g, 2) == (False, det)
+
+
 def test_fiber_levels_c9():
     g = parse_group("C9")
     levels = fiber_level_data(g, 2)
@@ -144,28 +190,59 @@ def test_fiber_levels_c9():
         assert all(d > 0 for d in data.pi1_invariant_factors)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["C1", "C3", "C9", "C27", "C81", "C243", "C3xC3", "C3xC9", "C9xC9", "C5xC25", "C3xC3xC3"],
+)
+def test_cycle_closed_form_matches_matrix_oracle(spec):
+    g = parse_group(spec)
+    for ell in admissible_ells(g):
+        for h in g.subgroups():
+            dual = DualLevel(g, h)
+            factors, det, kernel = matrix_oracle(dual, ell)
+            assert degree2_invariant_factors(dual, ell) == factors, (spec, ell, h.order)
+            assert degree2_determinant(dual, ell) == det, (spec, ell, h.order)
+            assert adams_kernel_basis(dual, ell) == kernel, (spec, ell, h.order)
+
+
+@pytest.mark.parametrize("spec", ["C3", "C9", "C3xC3", "C5xC25"])
+@pytest.mark.parametrize("ell", [1, -1])
+def test_singular_ell_raises_at_every_entry_point(spec, ell):
+    g = parse_group(spec)
+    top = DualLevel(g, g.full_subgroup)
+    assert adams_minus_one_on(top, ell, 2).det() == 0
+    for call in (
+        lambda: degree2_invariant_factors(top, ell),
+        lambda: degree2_determinant(top, ell),
+        lambda: pi1_level(g, ell),
+        lambda: fiber_level_data(g, ell),
+        lambda: group_report(g, ell),
+    ):
+        with pytest.raises(ArithmeticError) as err:
+            call()
+        assert str(err.value) == SINGULAR_DEGREE2
+    ok, det = determinant_mod_ell_check(g, ell)
+    assert (ok, det) == (False, 0)
+
+
 @pytest.mark.parametrize("spec", ["C1", "C3", "C9", "C27", "C3xC3", "C3xC9", "C5xC5"])
 def test_group_report_matches_reference_path(spec):
     g = parse_group(spec)
-    admissible = (
-        ell for ell in itertools.count(2)
-        if math.gcd(ell, g.order) == 1 and is_primitive_root(ell, g.exponent)
-    )
-    for ell in itertools.islice(admissible, 3):
+    q = smallest_prime_factor(g.order)
+    for ell in admissible_ells(g):
         report = group_report(g, ell)
-        witness = kernel_equals_AmodJ(g, ell)
-        assert report["pi0_basis"] == [list(r) for r in witness.kernel]
-        assert report["pi0_rank"] == witness.rank
-        data = pi1_level(g, ell)
-        assert report["q"] == data.q
-        assert report["pi1_invariant_factors"] == list(data.invariant_factors)
-        assert report["pi1_q_part"] == list(data.q_part)
-        assert report["det_degree2"] == data.determinant
-        levels = fiber_level_data(g, ell)
-        assert [entry["subgroup"] for entry in report["levels"]] == [h.order for h in levels]
-        for entry, lv in zip(report["levels"], levels.values()):
-            assert entry["pi1_invariant_factors"] == [d for d in lv.pi1_invariant_factors if d != 1]
-            assert entry["pi1_q_part"] == list(lv.pi1_q_part)
+        top_factors, top_det, top_kernel = matrix_oracle(DualLevel(g, g.full_subgroup), ell)
+        assert report["pi0_basis"] == [list(r) for r in top_kernel]
+        assert report["pi0_rank"] == len(top_kernel)
+        assert report["q"] == q
+        assert report["pi1_invariant_factors"] == list(top_factors)
+        assert report["pi1_q_part"] == list(primary_part(top_factors, q))
+        assert report["det_degree2"] == top_det
+        assert [entry["subgroup"] for entry in report["levels"]] == [h.order for h in g.subgroups()]
+        for entry, h in zip(report["levels"], g.subgroups()):
+            factors, _, _ = matrix_oracle(DualLevel(g, h), ell)
+            assert entry["pi1_invariant_factors"] == [d for d in factors if d != 1]
+            assert entry["pi1_q_part"] == list(primary_part(factors, q))
 
 
 def test_restriction_functoriality():

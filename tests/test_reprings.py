@@ -4,9 +4,11 @@ import random
 import pytest
 
 from kulocal.exact import Cyclotomic
-from kulocal.groups import parse_group
+from kulocal.groups import DualLevel, parse_group
 from kulocal.reprings import (
     RURing,
+    adams_cycles,
+    dual_permutation,
     perm_rep,
     perm_rep_orbit_counts,
     perm_rep_orbit_counts_enumerated,
@@ -206,3 +208,22 @@ def test_psi_fixes_permutation_characters():
 
                 if math.gcd(ell, g.order) == 1:
                     assert ru.adams(ell, lin) == lin
+
+
+def test_adams_cycles_partition_the_dual_basis():
+    for spec, ell in [("C1", 2), ("C9", 2), ("C9", -7), ("C3xC9", 2), ("C5xC5", 3)]:
+        g = parse_group(spec)
+        for h in g.subgroups():
+            dual = DualLevel(g, h)
+            perm = dual_permutation(dual, ell)
+            cycles = adams_cycles(dual, ell)
+            assert sorted(i for c in cycles for i in c) == list(range(dual.size))
+            assert [c[0] for c in cycles] == sorted(min(c) for c in cycles)
+            for c in cycles:
+                assert [perm[i] for i in c] == [*c[1:], c[0]]
+
+
+def test_adams_cycles_reject_a_non_unit_ell():
+    g = parse_group("C9")
+    with pytest.raises(ValueError, match="does not permute"):
+        adams_cycles(DualLevel(g, g.full_subgroup), 3)
