@@ -3,11 +3,14 @@
 A Burnside element is an integer vector over the orbit basis [G/K], K running
 over the canonical subgroup list.  The table of marks M[K][H] = |(G/K)^H|
 (= [G:K] when H <= K, else 0, in the abelian case) embeds the ring into a
-product of copies of Z; multiplication is computed there and transformed
-back, which serves multiplication, the p-local idempotents, and the ideal of
-cyclically-vanishing virtual sets with one mechanism.  The quotient A/J by
-that ideal is the image of the marks map on the cyclic subgroups, and is
-presented in those coordinates.
+product of copies of Z.  Subgroups come in (order, ...) order, so the table
+is triangular: the marks map is a sparse sum over the K >= H, and its inverse
+an integer back-substitution from the largest subgroup down, which refuses a
+vector that is not integral.  Multiplication is the pointwise product of
+marks, carried back.  The p-local idempotent e_H is (1/|G|) times the inverse
+of |G| times the indicator of H, integral by Gluck's denominator bound.  The
+ideal J of cyclically-vanishing virtual sets is the kernel of the marks on the
+cyclic subgroups; the quotient A/J is their image, in those coordinates.
 
 ``BurnsideRing(G, level)`` works inside a subgroup ``level`` so that Mackey
 functor levels can reuse everything; the default level is the whole group.
@@ -26,7 +29,6 @@ from .exact import (
     is_prime,
     kernel_lattice,
     lattice_contains,
-    prime_factors,
     row_hnf,
 )
 from .groups import AbelianGroup, DualLevel, Subgroup
@@ -60,33 +62,35 @@ class BurnsideRing:
             cols=self.n,
         )
 
-    def marks(self, coeffs: Sequence[int]) -> Vector:
-        m = self.table_of_marks
+    @cached_property
+    def _above(self) -> tuple[tuple[int, ...], ...]:
+        """For each H, the indices of the K >= H, in order; the first is H."""
+        subs = self.subgroups
         return tuple(
-            sum(c * m.entries[i][j] for i, c in enumerate(coeffs)) for j in range(self.n)
+            tuple(j for j in range(i, self.n) if subs[j].contains(h))
+            for i, h in enumerate(subs)
         )
 
-    def element_from_marks(self, marks: Sequence) -> Vector:
-        """Invert the marks map; exact, and validated to land in Z."""
-        coeffs = self._solve_marks(marks)
-        out = []
-        for c in coeffs:
-            if c.denominator != 1:
-                raise ValueError(f"marks vector {marks} is not integral over the orbit basis")
-            out.append(int(c))
-        return tuple(out)
+    @cached_property
+    def _indices(self) -> tuple[int, ...]:
+        """[level:K], the one nonzero mark of [level/K]."""
+        return tuple(self.level.order // k.order for k in self.subgroups)
 
-    def _solve_marks(self, marks: Sequence) -> list[Fraction]:
-        """Solve sum_i c_i M[i][j] = marks_j; M is triangular in the canonical order."""
-        m = self.table_of_marks
-        coeffs = [Fraction(0)] * self.n
-        # columns of M^T are the mark rows; process subgroups from largest down
+    def marks(self, coeffs: Sequence[int]) -> Vector:
+        idx = self._indices
+        return tuple(sum(coeffs[j] * idx[j] for j in above) for above in self._above)
+
+    def element_from_marks(self, marks: Sequence[int]) -> Vector:
+        """Invert the marks map by back-substitution; refuses a vector that is
+        not integral over the orbit basis."""
+        idx = self._indices
+        coeffs = [0] * self.n
         for i in reversed(range(self.n)):
-            acc = Fraction(marks[i])
-            for j in range(i + 1, self.n):
-                acc -= coeffs[j] * m.entries[j][i]
-            coeffs[i] = acc / m.entries[i][i]
-        return coeffs
+            acc = marks[i] - sum(coeffs[j] * idx[j] for j in self._above[i][1:])
+            coeffs[i], rem = divmod(acc, idx[i])
+            if rem:
+                raise ValueError(f"marks vector {marks} is not integral over the orbit basis")
+        return tuple(coeffs)
 
     # -- ring structure --------------------------------------------------------
 
@@ -143,9 +147,10 @@ class BurnsideRing:
 
     @cached_property
     def ideal_j_rows(self) -> tuple[Vector, ...]:
-        """Z-basis (saturated) of the kernel of linearization."""
-        lin = self.linearize_matrix
-        ker = kernel_lattice(lin.transpose())
+        """Z-basis (saturated) of J, the kernel of the marks on the cyclic
+        subgroups."""
+        image = IntMatrix(self._cyclic_marks_rows, cols=len(self.cyclic_subgroups()))
+        ker = kernel_lattice(image.transpose())
         return tuple(ker.column(j) for j in range(ker.cols))
 
     def cyclic_subgroups(self) -> tuple[Subgroup, ...]:
@@ -154,6 +159,11 @@ class BurnsideRing:
     def marks_on_cyclic(self, coeffs: Sequence[int]) -> Vector:
         full = self.marks(coeffs)
         return tuple(full[i] for i, k in enumerate(self.subgroups) if k.is_cyclic)
+
+    @cached_property
+    def _cyclic_marks_rows(self) -> tuple[Vector, ...]:
+        """Row K = the marks of [level/K] on the cyclic subgroups."""
+        return tuple(self.marks_on_cyclic(self.basis_element(k)) for k in self.subgroups)
 
     def a_mod_j(self) -> "AModJ":
         """A/J presented as the image of marks restricted to cyclic columns.
@@ -165,16 +175,17 @@ class BurnsideRing:
     @cached_property
     def _a_mod_j(self) -> "AModJ":
         cyc = self.cyclic_subgroups()
-        image_rows = [self.marks_on_cyclic(self.basis_element(k)) for k in self.subgroups]
-        return AModJ(ring=self, cyclic_subgroups=cyc, basis=row_hnf(image_rows, len(cyc)))
+        return AModJ(ring=self, cyclic_subgroups=cyc, basis=row_hnf(self._cyclic_marks_rows, len(cyc)))
 
     # -- p-local idempotents -----------------------------------------------------
 
     def idempotent(self, h: Subgroup, p: int) -> tuple[Fraction, ...]:
         """The p-local idempotent whose marks vector is the indicator of H.
 
-        Requires p coprime to the group order; the denominators that appear
-        divide a power of |level|, hence are p-local units.
+        Requires p coprime to the group order.  |level| * e_H is integral
+        (Gluck's denominator bound), so e_H is (1/|level|) times the element
+        with marks |level| on H and 0 elsewhere; ``element_from_marks`` raises
+        if that element is not integral.
         """
         if not is_prime(p):
             raise ValueError(f"p={p} is not a prime")
@@ -182,27 +193,10 @@ class BurnsideRing:
             raise ValueError(
                 f"no integral idempotents at p={p}: p divides the group order {self.level.order}"
             )
-        indicator = [1 if k.mask == h.mask else 0 for k in self.subgroups]
-        coeffs = tuple(self._solve_marks(indicator))
-        self._validate_idempotent(h, coeffs)
-        return coeffs
-
-    def _validate_idempotent(self, h: Subgroup, coeffs: tuple[Fraction, ...]) -> None:
-        # e^2 = e in marks coordinates
-        marks = [
-            sum(c * m for c, m in zip(coeffs, (Fraction(x) for x in col)))
-            for col in self.table_of_marks.transpose().entries
-        ]
-        assert all(v in (0, 1) for v in marks)
-        # leading coefficient 1/[level:H]; support only on subgroups of H
-        lead = coeffs[self.sub_index(h)]
-        assert lead == Fraction(1, self.level.order // h.order)
-        for k, c in zip(self.subgroups, coeffs):
-            if c != 0 and not h.contains(k):
-                raise AssertionError("idempotent supported outside the target subgroup")
-            if c != 0:
-                for q in prime_factors(c.denominator):
-                    assert self.level.order % q == 0, "denominator not a |G|-unit"
+        order = self.level.order
+        scaled = [0] * self.n
+        scaled[self.sub_index(h)] = order
+        return tuple(Fraction(c, order) for c in self.element_from_marks(scaled))
 
     def idempotent_table(self, p: int) -> dict[Subgroup, tuple[Fraction, ...]]:
         return {h: self.idempotent(h, p) for h in self.subgroups}

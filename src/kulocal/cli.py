@@ -276,7 +276,7 @@ def cmd_verify_all(max_order: int, test_seed: int) -> tuple[bool, dict, str]:
         try:
             ring.idempotent_table(2)
             record(f"{g!r}: idempotent table at p=2", True)
-        except (ValueError, AssertionError):
+        except ValueError:
             record(f"{g!r}: idempotent table at p=2", False)
         for h in g.subgroups():
             free, torsion = v_h(amj, h, 2)

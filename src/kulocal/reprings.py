@@ -260,7 +260,8 @@ def perm_rep_orbit_counts(group: AbelianGroup, ell: int) -> dict[Subgroup, int]:
     ring = BurnsideRing(group)
     marks = [ell ** (group.order // h.order) for h in ring.subgroups]
     coeffs = ring.element_from_marks(marks)
-    assert all(c >= 0 for c in coeffs)
+    if any(c < 0 for c in coeffs):
+        raise ArithmeticError(f"orbit counts {coeffs} of the map set are not all nonnegative")
     return {h: c for h, c in zip(ring.subgroups, coeffs) if c}
 
 

@@ -85,7 +85,8 @@ class CyclicTower:
             mx[min(t, i)] ** (q ** (j - max(t, i))) for t in range(j + 1)
         ]
         out = dst.element_from_marks(marks_j)
-        assert all(c >= 0 for c in out)
+        if any(c < 0 for c in out):
+            raise ArithmeticError(f"norm {out} of {a} has a negative orbit count")
         return out
 
     def norm_burnside_bruteforce(self, i: int, j: int, a: Sequence[int]) -> Vector:
@@ -224,7 +225,8 @@ def derive_norm_on_x(q: int, k: int, i: int) -> NormDerivation:
     upper = tower.ring(i + 1)
 
     target = tower.x_power(i, q)  # x_i^q, honestly multiplied out (= 0)
-    assert tower.is_zero(target)
+    if not tower.is_zero(target):
+        raise ArithmeticError(f"x_{i}^{q} = {target} is not zero")
 
     survivors = []
     survivors_loose = []

@@ -5,6 +5,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from kulocal.burnside import BurnsideRing, marks_json, marks_text
 from kulocal.exact import IntMatrix, lattice_contains, row_hnf, solve_integer
@@ -234,3 +235,103 @@ def test_ring_is_freed_with_its_caches():
     del r
     gc.collect()
     assert ref() is None
+
+
+# -- independent oracles on every level --------------------------------------
+
+ORACLE_GROUPS = [
+    "C1", "C3", "C9", "C27", "C81", "C3xC3", "C3xC9", "C9xC9", "C5xC25",
+    "C3xC3xC3", "C15", "C45", "C3xC15",
+]
+
+
+def level_rings(spec):
+    group = parse_group(spec)
+    return [BurnsideRing(group, level) for level in group.subgroups()]
+
+
+def hall_mobius(k, h):
+    """mu(K, H) for K <= H in an abelian group (P. Hall, 1936).
+
+    Nonzero iff H/K has squarefree exponent, i.e. m.H <= K with m the radical
+    of [H:K]; then it is the product over the Sylow parts of
+    (-1)^r p^(r(r-1)/2), p^r the p-part of [H:K]."""
+    factors = sympy.factorint(h.order // k.order)
+    m = 1
+    for p in factors:
+        m *= p
+    if not all(k.contains_element(h.group.scale(m, x)) for x in h.elements):
+        return 0
+    mu = 1
+    for p, r in factors.items():
+        mu *= (-1) ** r * p ** (r * (r - 1) // 2)
+    return mu
+
+
+def dense_marks(r, coeffs):
+    return r.table_of_marks.transpose().apply(coeffs)
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_idempotent_is_gluck_formula(spec):
+    # e_H = sum_{K <= H} mu(K, H) / [level:K] [level/K] (D. Gluck, 1981)
+    for r in level_rings(spec):
+        for h in r.subgroups:
+            gluck = [Fraction(0)] * r.n
+            for i, k in enumerate(r.subgroups):
+                if h.contains(k):
+                    gluck[i] = Fraction(hall_mobius(k, h) * k.order, r.level.order)
+            assert r.idempotent(h, 2) == tuple(gluck)
+            assert r.idempotent(h, 7) == tuple(gluck)
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_idempotent_properties(spec):
+    # marks = indicator of H, leading coefficient 1/[level:H], support inside
+    # H, and every denominator divides |level|
+    for r in level_rings(spec):
+        for h in r.subgroups:
+            e = r.idempotent(h, 2)
+            ind = tuple(int(k == h) for k in r.subgroups)
+            assert dense_marks(r, e) == ind
+            assert e[r.sub_index(h)] == Fraction(1, r.level.order // h.order)
+            for k, c in zip(r.subgroups, e):
+                assert c == 0 or h.contains(k)
+                assert r.level.order % c.denominator == 0
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_marks_and_inverse_against_dense_table_and_sympy(spec):
+    # sparse marks = the dense table-of-marks product; element_from_marks and
+    # multiply = sympy's rational solve against the table, on seeded marks
+    # vectors (mostly not integral) and on products (always integral)
+    rng = random.Random(SEED + 11)
+    for r in level_rings(spec):
+        pairs = []
+        for _ in range(3):
+            a = [rng.randint(-5, 5) for _ in range(r.n)]
+            b = [rng.randint(-5, 5) for _ in range(r.n)]
+            assert r.marks(a) == dense_marks(r, a)
+            pairs.append((a, b))
+        vectors = [[rng.randint(-50, 50) for _ in range(r.n)] for _ in range(3)]
+        products = [[x * y for x, y in zip(r.marks(a), r.marks(b))] for a, b in pairs]
+        rhs = vectors + products
+        table = sympy.Matrix([list(row) for row in r.table_of_marks.entries])
+        solution = table.T.LUsolve(sympy.Matrix(rhs).T)
+        for col, marks in enumerate(rhs):
+            exact = [solution[i, col] for i in range(r.n)]
+            if all(c.is_integer for c in exact):
+                assert r.element_from_marks(marks) == tuple(int(c) for c in exact)
+            else:
+                with pytest.raises(ValueError, match="not integral over the orbit basis"):
+                    r.element_from_marks(marks)
+        for col, (a, b) in enumerate(pairs, start=len(vectors)):
+            assert r.multiply(a, b) == tuple(int(solution[i, col]) for i in range(r.n))
+
+
+def test_non_integral_marks_message():
+    r = ring("C3")
+    with pytest.raises(ValueError, match=r"^marks vector \(1, 0\) is not integral over the orbit basis$"):
+        r.element_from_marks((1, 0))
+    with pytest.raises(ValueError, match=r"^marks vector \[0, 1\] is not integral over the orbit basis$"):
+        r.element_from_marks([0, 1])

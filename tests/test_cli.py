@@ -136,6 +136,12 @@ def test_geomfp_verify_small(capsys):
 GEOMFP_VERIFY_SHA256 = "c0994f37a7f84fd81e66cb79e9af9e82a14f9c51e7472c3849573250a704d2c1"
 
 
+# Output digests of the benchmark jobs, recorded by perfbench/record_digests.py;
+# the digest is taken as perfbench/run.py's output_digest takes it: sha256 of
+# the re-serialized canonical JSON.
+BENCH_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+
+
 def test_geomfp_verify_json_pinned(capsys):
     code, out, _ = run_capture(capsys, ["geomfp-verify", "--format", "json"])
     assert code == 0
@@ -143,21 +149,28 @@ def test_geomfp_verify_json_pinned(capsys):
 
 
 def test_geomfp_verify_json_pinned_under_O():
-    # the witnesses must not depend on assert statements
+    # the witnesses, idempotents and norms must not depend on assert
+    # statements; the last two are pinned to their benchmark digests
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "kulocal.cli", "geomfp-verify", "--format", "json"],
-        env=env, capture_output=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == GEOMFP_VERIFY_SHA256
+    digests = json.loads(BENCH_DIGESTS.read_text())
+    cases = [
+        (["geomfp-verify"], GEOMFP_VERIFY_SHA256),
+        (["idempotents", "--group", "C3xC3xC9", "--p", "2"], digests["idempotents C3xC3xC9"]["-"]),
+        (["norms"], digests["norms"]["-"]),
+    ]
+    for argv, digest in cases:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "kulocal.cli", *argv, "--format", "json"],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout.decode()
+        assert canonical_json(json.loads(out)) == out
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
-# The lattice workload's pi0 jobs and their output digests, recorded by
-# perfbench/record_digests.py; the digest is taken as perfbench/run.py's
-# output_digest takes it: sha256 of the re-serialized canonical JSON.
-BENCH_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+# The lattice workload's pi0 jobs and their output digests (BENCH_DIGESTS).
 LATTICE_PI0_GROUPS = ("C3xC3xC9", "C5xC25", "C9xC9", "C3xC27", "C3xC3xC3")
 
 

@@ -89,6 +89,22 @@ def test_linearization_is_green_map(spec):
     assert check.ok
 
 
+def test_linearization_check_sees_a_wrong_kernel(monkeypatch):
+    # zero the row of [G/e] on the top level only: that row then lies in the
+    # kernel of linearization, but [G/e] has mark |G| at e, so it is not in J
+    group = parse_group("C3xC3")
+    build = BurnsideRing.linearize_matrix.func
+
+    def corrupted(ring):
+        lin = build(ring)
+        if ring.level != group.full_subgroup:
+            return lin
+        return IntMatrix([[0] * lin.cols] + [list(r) for r in lin.entries[1:]], cols=lin.cols)
+
+    monkeypatch.setattr(BurnsideRing, "linearize_matrix", property(corrupted))
+    assert not linearization_check(group).kernel_is_ideal_j
+
+
 @pytest.mark.parametrize("spec", INSTANCES)
 def test_a_mod_j_levels_and_axioms(spec):
     g = parse_group(spec)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from kulocal.burnside import BurnsideRing
 from kulocal.exact import Cyclotomic
 from kulocal.groups import DualLevel, parse_group
 from kulocal.reprings import (
@@ -130,6 +131,12 @@ def test_perm_rep_character():
 def test_perm_rep_enumeration_agrees(spec, ell):
     g = parse_group(spec)
     assert perm_rep_orbit_counts(g, ell) == perm_rep_orbit_counts_enumerated(g, ell)
+
+
+def test_perm_rep_orbit_counts_refuse_a_negative_count(monkeypatch):
+    monkeypatch.setattr(BurnsideRing, "element_from_marks", lambda self, marks: (2, -1))
+    with pytest.raises(ArithmeticError, match="not all nonnegative"):
+        perm_rep_orbit_counts(parse_group("C3"), 2)
 
 
 def test_perm_rep_enumeration_refuses_large_sets():

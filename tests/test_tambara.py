@@ -3,6 +3,7 @@ import time
 import pytest
 
 from kulocal import tambara
+from kulocal.burnside import BurnsideRing
 from kulocal.geomfp import verify_q_unit_identity
 from kulocal.tambara import (
     CyclicTower,
@@ -32,6 +33,20 @@ def test_norm_two_points_c3():
     out = t.norm_burnside(0, 1, (2,))
     assert t.ring(1).marks(out) == (8, 2)
     assert out == (2, 2)  # 2 [C3/e] + 2 [C3/C3]
+
+
+def test_norm_refuses_a_negative_orbit_count(monkeypatch):
+    # the check on element_from_marks' output holds under python -O too
+    t = CyclicTower(3, 1)
+    monkeypatch.setattr(BurnsideRing, "element_from_marks", lambda self, marks: (-1, 3))
+    with pytest.raises(ArithmeticError, match="negative orbit count"):
+        t.norm_burnside(0, 1, (2,))
+
+
+def test_derivation_refuses_a_nonzero_x_power(monkeypatch):
+    monkeypatch.setattr(CyclicTower, "x_power", lambda self, i, n: ((1, 0), (0, 0)))
+    with pytest.raises(ArithmeticError, match="is not zero"):
+        derive_norm_on_x(3, 1, 0)
 
 
 def test_norm_rejects_virtual():
