@@ -35,8 +35,8 @@ v = perm_rep(g, 2)
 print("2^{tensor C3} =", v, " with character", ru.character(v).rational_values())
 print()
 
-# rational sublattices: Galois orbit sums vs the Adams-fixed lattice
+# the rational representation lattice, spanned by the Galois orbit sums
 lat = rational_rep_lattices(parse_group("C9"))
-print("rational lattice of RU(C9): rank", lat.rank, "- two routes agree:", lat.equal)
-for row in lat.rq:
+print("rational lattice of RU(C9): rank", len(lat))
+for row in lat:
     print("  basis vector", row)

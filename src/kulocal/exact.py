@@ -220,7 +220,11 @@ def cyclotomic_polynomial(e: int) -> tuple:
     for d in divisors(e):
         if d < e:
             num, rem = poly_divmod_monic(num, cyclotomic_polynomial(d))
-            assert rem == ()
+            if rem != ():
+                raise ArithmeticError(
+                    f"the {d}-th cyclotomic polynomial left remainder {rem} "
+                    f"in x^{e} - 1"
+                )
     return num
 
 

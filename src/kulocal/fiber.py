@@ -106,13 +106,14 @@ def degree2_determinant(dual: DualLevel, ell: int) -> int:
 @dataclass(frozen=True)
 class KernelWitness:
     """The lattices of the degree-0 kernel identification, all in canonical
-    HNF, so equal tuples are equal lattices."""
+    HNF, so equal tuples are equal lattices.  Every row of ``rq`` is the
+    indicator of one orbit of the units mod the exponent, so a kernel equal
+    to ``rq`` is fixed by every such unit and has rational characters."""
 
     group: AbelianGroup
     ell: int
     kernel: tuple[Vector, ...]      # ker(psi^ell - 1)
     rq: tuple[Vector, ...]          # Galois orbit-sum lattice
-    rq_chi: tuple[Vector, ...]      # lattice fixed by the Adams operations
     linearized: tuple[Vector, ...]  # image of the Burnside ring
     cyclic_count: int
 
@@ -123,7 +124,7 @@ class KernelWitness:
     @property
     def ok(self) -> bool:
         return (
-            self.kernel == self.rq == self.rq_chi == self.linearized
+            self.kernel == self.rq == self.linearized
             and self.rank == self.cyclic_count
         )
 
@@ -151,20 +152,13 @@ def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWi
     _require_coprime(group, ell)
     _require_primitive(group, ell)
 
-    n = group.order
-    kernel = adams_kernel_basis(DualLevel(group, group.full_subgroup), ell)
-
-    lat = rational_rep_lattices(group)
-
     ring = BurnsideRing(group)
-
     return KernelWitness(
         group=group,
         ell=ell,
-        kernel=kernel,
-        rq=lat.rq,
-        rq_chi=lat.rq_chi,
-        linearized=row_hnf(ring.linearize_matrix.entries, n),
+        kernel=adams_kernel_basis(DualLevel(group, group.full_subgroup), ell),
+        rq=rational_rep_lattices(group),
+        linearized=row_hnf(ring.linearize_matrix.entries, group.order),
         cyclic_count=len(group.cyclic_subgroups()),
     )
 

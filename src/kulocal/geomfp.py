@@ -209,43 +209,36 @@ def verify_euler_localization(q: int, k: int) -> Witness:
     witness["units_certified"] = unit_count
     witness["unit_dets_cross_checked"] = dets_checked
 
-    # (c) determinant of multiplication by y - 1 via its block structure
+    # (c) determinant of multiplication by y - 1 via its block structure:
+    # y = zeta^step keeps each residue class mod step, and acts on every class
+    # by the same (q-1) x (q-1) block; a matrix of any other shape fails (c)
     y_minus_1 = Cyclotomic.zeta_power(n, step) - one
     m = mult_matrix(y_minus_1)
     d = m.rows
-    blocks_ok = True
-    block0 = None
-    for s1 in range(d):
-        for s2 in range(d):
-            r1, r2 = s1 % step, s2 % step
-            if r1 != r2 and m.entries[s1][s2] != 0:
-                blocks_ok = False
-    if blocks_ok:
-        blocks = []
-        for r in range(step):
-            block = IntMatrix(
-                [
-                    [m.entries[r + t1 * step][r + t2 * step] for t2 in range(q - 1)]
-                    for t1 in range(q - 1)
-                ],
-                cols=q - 1,
-            )
-            blocks.append(block)
-        blocks_ok = all(b == blocks[0] for b in blocks)
-        block0 = blocks[0]
-    if not blocks_ok:
-        det = m.det()
-    else:
-        det = block0.det() ** step
-        if d <= DIRECT_DET_RANK_BOUND:
-            assert det == m.det()
+    blocks = [
+        IntMatrix(
+            [
+                [m.entries[r + t1 * step][r + t2 * step] for t2 in range(q - 1)]
+                for t1 in range(q - 1)
+            ],
+            cols=q - 1,
+        )
+        for r in range(step)
+    ]
+    blocks_ok = all(b == blocks[0] for b in blocks) and all(
+        m.entries[s1][s2] == 0
+        for s1 in range(d)
+        for s2 in range(d)
+        if s1 % step != s2 % step
+    )
+    det = blocks[0].det() ** step
     a = abs(det)
     is_q_power = a > 1
     while a > 1 and a % q == 0:
         a //= q
     is_q_power = is_q_power and a == 1
     witness["det_y_minus_1"] = det
-    part_c = is_q_power
+    part_c = blocks_ok and is_q_power
 
     return Witness(
         check_name="euler_localization",
@@ -339,7 +332,7 @@ def bott_character(group: AbelianGroup) -> dict:
         m = group.order // k
         base = root_of_unity_product(k)
         if base != k:
-            raise AssertionError(
+            raise ArithmeticError(
                 f"cyclotomic product at k={k} gave {base!r}, expected {k}"
             )
         out[g] = (k ** m, m)

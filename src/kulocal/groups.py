@@ -1,4 +1,4 @@
-"""Finite abelian groups, subgroup lattices, quotients, duality, and G-sets.
+"""Finite abelian groups, subgroup lattices, duality, and G-sets.
 
 Groups are products of cyclic factors; elements are residue tuples.
 Subgroups are stored as bitmasks over the element enumeration, so
@@ -12,11 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
-
-from .exact import IntMatrix, row_hnf, smith_normal_form, solve_integer
 
 SUBGROUP_ENUM_BOUND = 1024
 MAP_SET_BOUND = 10 ** 6
@@ -160,32 +157,6 @@ class AbelianGroup:
     def cyclic_subgroups(self) -> tuple["Subgroup", ...]:
         return tuple(h for h in self.subgroups() if h.is_cyclic)
 
-    # -- quotients -----------------------------------------------------------
-
-    def quotient(self, h: "Subgroup") -> "QuotientData":
-        """Invariant-factor form of G/H with the element-level projection."""
-        if h.group is not self and h.group.factors != self.factors:
-            raise ValueError("subgroup of a different group")
-        r = len(self.factors)
-        if r == 0:
-            triv = AbelianGroup(())
-            return QuotientData(self, h, triv, lambda g: ())
-        cols = [tuple(n if i == j else 0 for i, n in enumerate(self.factors)) for j in range(r)]
-        cols += [g for g in h.elements]
-        mat = IntMatrix.from_columns(cols, nrows=r)
-        dec = smith_normal_form(mat)
-        diag = dec.invariant_factors  # full rank r: diag(factors) is included
-        keep = [i for i, d in enumerate(diag) if d > 1]
-        qfactors = tuple(diag[i] for i in keep)
-        quot = AbelianGroup(qfactors)
-        u_inv = dec.u_inv
-
-        def project(g: Element) -> Element:
-            w = u_inv.apply(g)
-            return tuple(w[i] % diag[i] for i in keep)
-
-        return QuotientData(self, h, quot, project)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, AbelianGroup) and self.factors == other.factors
 
@@ -282,27 +253,6 @@ class Subgroup:
                 mask |= 1 << i
         return Subgroup(g, mask)
 
-    @cached_property
-    def abstract_factors(self) -> tuple[int, ...]:
-        """Invariant factors of H as an abstract abelian group."""
-        g = self.group
-        r = len(g.factors)
-        if r == 0 or self.order == 1:
-            return ()
-        # lattice L = lifts of H + diag(n) Z^r; H = L / diag(n) Z^r
-        rows = [tuple(h) for h in self.elements]
-        rows += [tuple(n if i == j else 0 for i in range(r)) for j, n in enumerate(g.factors)]
-        basis = row_hnf(rows, r)
-        bt = IntMatrix.from_columns(basis, nrows=r).transpose()  # rows = basis
-        rel_rows = []
-        for j, n in enumerate(g.factors):
-            target = tuple(n if i == j else 0 for i in range(r))
-            coeffs = solve_integer(bt.transpose(), target)
-            assert coeffs is not None
-            rel_rows.append(coeffs)
-        dec = smith_normal_form(IntMatrix(rel_rows, cols=r))
-        return tuple(d for d in dec.invariant_factors if d > 1)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subgroup)
@@ -315,14 +265,6 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.group!r})"
-
-
-@dataclass
-class QuotientData:
-    group: AbelianGroup
-    kernel: Subgroup
-    quotient: AbelianGroup
-    project: Callable[[Element], Element]
 
 
 class DualLevel:

@@ -723,7 +723,10 @@ def assemble_pi1_c3() -> MackeyFunctor:
     whole = group.full_subgroup
 
     qpart = pi1_level(group, 2).q_part
-    assert len(qpart) == 1
+    if len(qpart) != 1:
+        raise ArithmeticError(
+            f"the degree-2 cokernel of C3 at ell=2 has 3-part {qpart}; expected one cyclic factor"
+        )
     order_u = qpart[0]
 
     level_e = Level(subgroup=triv, rank=2, relations=((2, 0), (0, 2)))

@@ -8,25 +8,17 @@ cyclotomic integers of conductor exponent(G), and is injective there.
 
 Also provides Adams operations, Euler classes of honest representations, the
 tensor-power permutation representation built from fixed-point counts, and
-the two rational sublattices (Galois orbit sums vs. the Adams-fixed lattice),
-computed independently and compared.
+the rational representation lattice, spanned by the Galois orbit sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .burnside import BurnsideRing
-from .exact import (
-    Cyclotomic,
-    IntMatrix,
-    lattice_equal,
-    row_hnf,
-    smallest_primitive_root,
-)
+from .exact import Cyclotomic, IntMatrix, row_hnf
 from .groups import AbelianGroup, DualLevel, ExplicitHSet, Subgroup, map_set_orbits
 
 Vector = tuple
@@ -217,23 +209,6 @@ class ClassFunction:
     def value(self, g) -> Cyclotomic:
         return self.values[self.group.index_of(g)]
 
-    def multiply(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(
-            self.group,
-            self.conductor,
-            tuple(a * b for a, b in zip(self.values, other.values)),
-        )
-
-    def add(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(
-            self.group,
-            self.conductor,
-            tuple(a + b for a, b in zip(self.values, other.values)),
-        )
-
-    def is_rational(self) -> bool:
-        return all(v.is_rational() for v in self.values)
-
     def rational_values(self) -> tuple:
         return tuple(v.rational_value() for v in self.values)
 
@@ -294,73 +269,27 @@ def perm_rep(group: AbelianGroup, ell: int) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# rational representation lattices
+# the rational representation lattice
 
 
-@dataclass(frozen=True)
-class RationalLattices:
-    """The two rational sublattices of RU(G), with their comparison.
+def rational_rep_lattices(group: AbelianGroup) -> tuple[Vector, ...]:
+    """The rational representation lattice of RU(G), as canonical HNF rows.
 
-    ``rq`` is spanned by Galois orbit sums of characters (the image of honest
-    rational representations); ``rq_chi`` is the saturated fixed lattice of
-    the Adams operations prime to the exponent (equivalently: the elements
-    with rational character).  For the groups handled here they agree; the
-    equality is computed, not assumed.
+    It is spanned by the Galois orbit sums: one indicator per orbit of the
+    unit group mod the exponent acting by a -> u*a on the dual basis.
     """
-
-    group: AbelianGroup
-    rq: tuple[Vector, ...]
-    rq_chi: tuple[Vector, ...]
-
-    @property
-    def equal(self) -> bool:
-        n = len(self.rq[0]) if self.rq else 0
-        return lattice_equal(self.rq, self.rq_chi, n)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rq)
-
-
-def galois_orbit_sums(group: AbelianGroup) -> tuple[Vector, ...]:
-    """One vector per orbit of the unit-group action a -> u*a on the dual."""
-    ru = RURing(group)
+    dual = DualLevel(group, group.full_subgroup)
     e = group.exponent
-    units = [u for u in range(1, max(e, 2)) if math.gcd(u, e) == 1] or [1]
+    units = [u for u in range(1, max(e, 2)) if math.gcd(u, e) == 1]
     seen = set()
     sums = []
-    for i, a in enumerate(ru.dual.reps):
+    for i, a in enumerate(dual.reps):
         if i in seen:
             continue
-        orbit = {ru.dual.index_of(ru.dual.scale(u, a)) for u in units}
+        orbit = {dual.index_of(dual.scale(u, a)) for u in units}
         seen |= orbit
-        vec = [0] * ru.n
-        for j in orbit:
-            vec[j] = 1
-        sums.append(tuple(vec))
-    return tuple(sums)
-
-
-def rational_rep_lattices(group: AbelianGroup) -> RationalLattices:
-    ru = RURing(group)
-    n = ru.n
-    rq = row_hnf(galois_orbit_sums(group), n)
-
-    # fixed lattice of psi^l for l a generator of the units mod the exponent;
-    # verified to be fixed by every unit below
-    e = group.exponent
-    rq_chi = adams_kernel_basis(ru.dual, smallest_primitive_root(e))
-
-    # the fixed lattice really is fixed by all units, and its characters are rational
-    for u in range(1, e + 1):
-        if math.gcd(u, e) == 1:
-            perm = dual_permutation(ru.dual, u)
-            for v in rq_chi:
-                assert permute(perm, v) == v
-    for v in rq_chi:
-        assert ru.character(v).is_rational()
-
-    return RationalLattices(group=group, rq=rq, rq_chi=rq_chi)
+        sums.append([1 if j in orbit else 0 for j in range(dual.size)])
+    return row_hnf(sums, dual.size)
 
 
 def ru_element_json(group: AbelianGroup, v: Sequence[int]) -> dict:

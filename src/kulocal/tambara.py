@@ -53,7 +53,11 @@ class CyclicTower:
         self.k = k
         self.group = abelian_group((q ** k,) if k else ())
         chain = sorted(self.group.subgroups(), key=lambda h: h.order)
-        assert len(chain) == k + 1
+        if len(chain) != k + 1:
+            raise ArithmeticError(
+                f"the cyclic group of order {q}^{k} has {len(chain)} subgroups, "
+                f"not a chain of {k + 1}"
+            )
         self.levels: tuple[Subgroup, ...] = tuple(chain)  # levels[i] = C_{q^i}
         self.rings = {i: BurnsideRing(self.group, h) for i, h in enumerate(chain)}
 

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -149,8 +151,9 @@ def test_geomfp_verify_json_pinned(capsys):
 
 
 def test_geomfp_verify_json_pinned_under_O():
-    # the witnesses, idempotents and norms must not depend on assert
-    # statements; the last two are pinned to their benchmark digests
+    # the witnesses, idempotents, norms and kernel witnesses must not depend
+    # on assert statements; all but the first are pinned to their benchmark
+    # digests (2 is the default ell of both kernel groups)
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     digests = json.loads(BENCH_DIGESTS.read_text())
@@ -158,6 +161,8 @@ def test_geomfp_verify_json_pinned_under_O():
         (["geomfp-verify"], GEOMFP_VERIFY_SHA256),
         (["idempotents", "--group", "C3xC3xC9", "--p", "2"], digests["idempotents C3xC3xC9"]["-"]),
         (["norms"], digests["norms"]["-"]),
+        (["kernel", "--group", "C243"], digests["kernel C243"]["2"]),
+        (["kernel", "--group", "C3xC3xC9"], digests["kernel C3xC3xC9"]["2"]),
     ]
     for argv, digest in cases:
         proc = subprocess.run(
@@ -168,6 +173,44 @@ def test_geomfp_verify_json_pinned_under_O():
         out = proc.stdout.decode()
         assert canonical_json(json.loads(out)) == out
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# Every assert statement left in src/kulocal, by (module, enclosing function),
+# with its count and why it may stay: python -O removes asserts, so any other
+# check must raise explicitly.
+ASSERT_ALLOWLIST = {
+    ("groups", "map_set_orbits"): (2, "brute-force oracle; checks its own enumeration"),
+    ("reprings", "perm_rep"): (1, "inline enumeration oracle, kept while the benchmark counts it"),
+}
+
+
+def _asserts_in(tree, module):
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            is_raise = (
+                isinstance(child, ast.Raise)
+                and child.exc is not None
+                and "AssertionError" in ast.unparse(child.exc)
+            )
+            if isinstance(child, ast.Assert) or is_raise:
+                found.append((module, ".".join(scope)))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_asserts_in_src_are_allowlisted():
+    src = Path(__file__).resolve().parent.parent / "src" / "kulocal"
+    found = Counter()
+    for path in sorted(src.glob("*.py")):
+        found.update(_asserts_in(ast.parse(path.read_text()), path.stem))
+    assert dict(found) == {key: count for key, (count, _) in ASSERT_ALLOWLIST.items()}
 
 
 # The lattice workload's pi0 jobs and their output digests (BENCH_DIGESTS).

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kulocal import exact
 from kulocal.exact import (
     Cyclotomic,
     IntMatrix,
@@ -48,6 +49,16 @@ def test_cyclotomic_polynomial_small():
     assert cyclotomic_polynomial(2) == (1, 1)
     assert cyclotomic_polynomial(3) == (1, 1, 1)  # x^2 + x + 1
     assert cyclotomic_polynomial(9) == (1, 0, 0, 1, 0, 0, 1)  # x^6 + x^3 + 1
+
+
+def test_cyclotomic_polynomial_raises_on_a_remainder(monkeypatch):
+    monkeypatch.setattr(exact, "poly_divmod_monic", lambda num, den: ((1,), (1,)))
+    cyclotomic_polynomial.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="left remainder"):
+            cyclotomic_polynomial(9)
+    finally:
+        cyclotomic_polynomial.cache_clear()
 
 
 @pytest.mark.parametrize("e", range(1, 40))

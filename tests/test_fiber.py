@@ -107,9 +107,9 @@ def test_kernel_identification(spec):
 def test_kernel_witness_reports_differing_rational_lattices():
     w = kernel_equals_AmodJ(parse_group("C9"))
     assert w.ok
-    # 2 * (first row) spans a proper sublattice of the orbit-sum lattice
-    doubled = (tuple(2 * x for x in w.rq_chi[0]),) + w.rq_chi[1:]
-    bad = dataclasses.replace(w, rq_chi=doubled)
+    # doubling the first orbit sum gives a proper sublattice, unequal to the kernel
+    doubled = (tuple(2 * x for x in w.rq[0]),) + w.rq[1:]
+    bad = dataclasses.replace(w, rq=doubled)
     assert not bad.ok
     assert bad.to_json()["lattices_agree"] is False
 

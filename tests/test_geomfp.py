@@ -2,14 +2,19 @@ import time
 
 import pytest
 
+from kulocal import geomfp
+from kulocal.cli import run
 from kulocal.exact import (
     Cyclotomic,
+    IntMatrix,
     cyclotomic_polynomial,
+    mult_matrix,
     poly_mul,
     poly_sub,
     poly_x_power,
 )
 from kulocal.geomfp import (
+    DIRECT_DET_RANK_BOUND,
     bott_character,
     root_of_unity_product,
     trunc_regular_poly,
@@ -89,6 +94,46 @@ def test_euler_localization_range(q, k):
     assert verify_euler_localization(q, k).ok
 
 
+# every (q, k) whose multiplication matrix is small enough for Bareiss
+BAREISS_RANGE = [
+    (q, k)
+    for q in (3, 5, 7, 11, 13, 17, 19, 23)
+    for k in (1, 2, 3)
+    if (q - 1) * q ** (k - 1) <= DIRECT_DET_RANK_BOUND
+]
+
+
+@pytest.mark.parametrize("q,k", BAREISS_RANGE)
+def test_euler_localization_det_matches_bareiss(q, k):
+    n = q ** k
+    y_minus_1 = Cyclotomic.zeta_power(n, q ** (k - 1)) - Cyclotomic.one(n)
+    w = verify_euler_localization(q, k)
+    assert w.ok
+    assert w.witness["det_y_minus_1"] == mult_matrix(y_minus_1).det()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [(0, 1), (1, 1)],
+    ids=["off-block entry", "block of one residue class"],
+)
+def test_euler_localization_fails_without_equal_blocks(monkeypatch, entry):
+    # neither corruption touches the residue-0 block, so the determinant the
+    # witness reports stays a power of q and only the block check can fail
+    clean = verify_euler_localization(3, 2)
+    original = geomfp.mult_matrix
+
+    def corrupted(c):
+        rows = [list(r) for r in original(c).entries]
+        rows[entry[0]][entry[1]] += 1
+        return IntMatrix(rows, cols=len(rows))
+
+    monkeypatch.setattr(geomfp, "mult_matrix", corrupted)
+    w = verify_euler_localization(3, 2)
+    assert w.witness == clean.witness
+    assert not w.ok
+
+
 def test_cq_x_cq_vanishing():
     assert verify_CqxCq_vanishing(3).ok
     assert verify_CqxCq_vanishing(5).ok
@@ -115,6 +160,14 @@ def test_bott_character_rejects_even_order():
     g = AbelianGroup((2,))
     with pytest.raises(ValueError):
         bott_character(g)
+
+
+def test_bott_character_raises_on_a_wrong_cyclotomic_product(monkeypatch, capsys):
+    monkeypatch.setattr(geomfp, "root_of_unity_product", lambda k: k + 1)
+    with pytest.raises(ArithmeticError, match="cyclotomic product at k=1 gave 2, expected 1"):
+        bott_character(parse_group("C3"))
+    assert run(["bott-verify", "--group", "C3"]) == 2
+    assert "cyclotomic product" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["C1", "C3", "C9", "C27", "C3xC3", "C3xC9", "C5", "C25", "C7"])

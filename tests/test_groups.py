@@ -81,27 +81,6 @@ def test_subgroup_bound():
         g.subgroups()
 
 
-def test_quotients():
-    g = parse_group("C9")
-    h = [s for s in g.subgroups() if s.order == 3][0]
-    q = g.quotient(h)
-    assert q.quotient.factors == (3,)
-
-    g2 = parse_group("C3xC3")
-    diag = g2.generated_subgroup([(1, 1)])
-    q2 = g2.quotient(diag)
-    assert q2.quotient.factors == (3,)
-    # projection is a homomorphism with the right kernel
-    for a in g2.elements:
-        for b in g2.elements:
-            assert q2.project(g2.add(a, b)) == q2.quotient.add(q2.project(a), q2.project(b))
-    kernel = [a for a in g2.elements if q2.project(a) == q2.quotient.identity]
-    assert sorted(kernel) == sorted(diag.elements)
-
-    q3 = g.quotient(g.full_subgroup)
-    assert q3.quotient.order == 1
-
-
 def test_dual_pairing_nondegenerate():
     for spec in ["C3", "C9", "C3xC3", "C3xC9"]:
         g = parse_group(spec)
@@ -133,20 +112,6 @@ def test_annihilator():
     ann = c3.annihilator
     assert ann.order == 3  # annihilator of C3 in C9 has order 9/3
     assert sorted(ann.elements) == [(0,), (3,), (6,)]
-
-
-def test_abstract_factors():
-    g = parse_group("C3xC3")
-    diag = g.generated_subgroup([(1, 1)])
-    assert diag.abstract_factors == (3,)
-    assert g.full_subgroup.abstract_factors in [(3, 3)]
-    assert g.trivial_subgroup.abstract_factors == ()
-
-    g2 = parse_group("C3xC9")
-    three_torsion = g2.subgroup_from_elements(
-        [x for x in g2.elements if g2.element_order(x) in (1, 3)]
-    )
-    assert three_torsion.abstract_factors == (3, 3)
 
 
 def test_map_set_whole_group_is_identityish():

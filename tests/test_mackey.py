@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
+from kulocal import mackey
 from kulocal.burnside import BurnsideRing
 from kulocal.exact import IntMatrix, solve_integer
 from kulocal.groups import AbelianGroup, parse_group
@@ -308,6 +311,12 @@ def test_assemble_pi1_c3():
     res = m.res(whole, triv)
     assert res.column(4) == (0, 0)
     assert m.check_mackey_axioms() == []
+
+
+def test_assemble_pi1_c3_raises_on_a_wrong_q_part(monkeypatch):
+    monkeypatch.setattr(mackey, "pi1_level", lambda group, ell: SimpleNamespace(q_part=(3, 3)))
+    with pytest.raises(ArithmeticError, match="expected one cyclic factor"):
+        assemble_pi1_c3()
 
 
 def test_lewis_diagram():

@@ -1,18 +1,21 @@
+import math
 import os
 import random
 
 import pytest
 
 from kulocal.burnside import BurnsideRing
-from kulocal.exact import Cyclotomic
+from kulocal.exact import Cyclotomic, is_primitive_root
 from kulocal.groups import DualLevel, parse_group
 from kulocal.reprings import (
     RURing,
     adams_cycles,
+    adams_kernel_basis,
     dual_permutation,
     perm_rep,
     perm_rep_orbit_counts,
     perm_rep_orbit_counts_enumerated,
+    permute,
     rational_rep_lattices,
 )
 
@@ -161,14 +164,52 @@ def test_perm_rep_character_formula(spec, ell):
 def test_rational_lattices(spec, rank):
     g = parse_group(spec)
     lat = rational_rep_lattices(g)
-    assert lat.equal
-    assert lat.rank == rank == len(g.cyclic_subgroups())
+    assert len(lat) == rank == len(g.cyclic_subgroups())
 
 
 def test_rational_lattice_c3_basis():
     g = parse_group("C3")
+    assert rational_rep_lattices(g) == ((1, 0, 0), (0, 1, 1))
+
+
+RATIONAL_LATTICE_GROUPS = [
+    "C1", "C3", "C9", "C27", "C81", "C243",
+    "C3xC3", "C3xC9", "C9xC9", "C5xC25", "C3xC3xC3",
+]
+
+
+@pytest.mark.parametrize("spec", RATIONAL_LATTICE_GROUPS)
+def test_rational_lattice_is_fixed_by_every_unit(spec):
+    g = parse_group(spec)
+    dual = DualLevel(g, g.full_subgroup)
+    e = g.exponent
     lat = rational_rep_lattices(g)
-    assert set(lat.rq) == {(1, 0, 0), (0, 1, 1)}
+    for u in range(1, max(e, 2)):
+        if math.gcd(u, e) == 1:
+            perm = dual_permutation(dual, u)
+            for row in lat:
+                assert permute(perm, row) == row
+
+
+@pytest.mark.parametrize("spec", RATIONAL_LATTICE_GROUPS)
+def test_rational_lattice_has_rational_characters(spec):
+    g = parse_group(spec)
+    ru = RURing(g)
+    for row in rational_rep_lattices(g):
+        assert all(v.is_rational() for v in ru.character(row).values)
+
+
+@pytest.mark.parametrize("spec", RATIONAL_LATTICE_GROUPS)
+def test_adams_kernel_is_the_rational_lattice_for_every_primitive_root(spec):
+    # the Galois orbits are the cycles of any generator of the units
+    g = parse_group(spec)
+    dual = DualLevel(g, g.full_subgroup)
+    e = g.exponent
+    ells = [ell for ell in range(1, max(e, 2)) if is_primitive_root(ell, e)]
+    assert ells
+    lat = rational_rep_lattices(g)
+    for ell in ells:
+        assert adams_kernel_basis(dual, ell) == lat
 
 
 @pytest.mark.parametrize("spec", ["C3", "C9", "C3xC3"])

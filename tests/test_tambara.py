@@ -5,6 +5,7 @@ import pytest
 from kulocal import tambara
 from kulocal.burnside import BurnsideRing
 from kulocal.geomfp import verify_q_unit_identity
+from kulocal.groups import AbelianGroup
 from kulocal.tambara import (
     CyclicTower,
     derive_norm_on_x,
@@ -124,6 +125,13 @@ def test_res_after_norm_is_power():
 @pytest.mark.parametrize("q,k", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
 def test_restriction_rule(q, k):
     assert restriction_rule_check(q, k)
+
+
+def test_tower_raises_when_the_subgroups_are_not_a_chain(monkeypatch):
+    original = AbelianGroup.subgroups
+    monkeypatch.setattr(AbelianGroup, "subgroups", lambda self: original(self)[1:])
+    with pytest.raises(ArithmeticError, match="not a chain of 3"):
+        CyclicTower(3, 2)
 
 
 def test_tower_builds_burnside_functor_once(monkeypatch):
