@@ -125,18 +125,14 @@ class BurnsideRing:
     def linearize_matrix(self) -> IntMatrix:
         """Row K = the permutation character of [level/K] over the dual basis.
 
-        [G/K] linearizes to the sum of the characters trivial on K, i.e. the
-        dual elements pairing to zero with every element of K.
+        [G/K] linearizes to the sum of the characters trivial on K: the dual
+        representatives in the annihilator of K.
         """
-        dual = self.dual
-        rows = []
-        for k in self.subgroups:
-            row = [
-                1 if all(dual.pairing(a, x) == 0 for x in k.elements) else 0
-                for a in dual.reps
-            ]
-            rows.append(row)
-        return IntMatrix(rows, cols=dual.size)
+        reps = [self.group.index_of(a) for a in self.dual.reps]
+        return IntMatrix(
+            [[k.annihilator.mask >> i & 1 for i in reps] for k in self.subgroups],
+            cols=len(reps),
+        )
 
     def linearize(self, coeffs: Sequence[int]) -> Vector:
         lin = self.linearize_matrix

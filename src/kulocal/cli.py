@@ -48,12 +48,11 @@ from .mackey import (
     assemble_pi1_c3,
     burnside_mackey,
     idempotent_splitting_check,
-    lewis_diagram,
     linearization_check,
     ru_mackey,
     v_h,
 )
-from .tambara import CyclicTower, derive_norm_on_x, restriction_rule_check
+from .tambara import derive_norm_on_x, restriction_rule_check
 
 DEFAULT_INSTANCES = ["C3", "C9", "C27", "C3xC3", "C5", "C25", "C7", "C3xC9"]
 GEOMFP_PRIMES = (3, 5, 7)

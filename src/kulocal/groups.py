@@ -1,18 +1,21 @@
 """Finite abelian groups, subgroup lattices, duality, and G-sets.
 
-Groups are products of cyclic factors; elements are residue tuples.
-Subgroups are stored as bitmasks over the element enumeration, so
-containment, intersection, and join are cheap set operations.  Only abelian
-groups are supported: every explicit computation downstream lives on cyclic
-groups and products of two or three of them, where conjugation is trivial
-and Weyl groups are quotients.
+Groups are products of cyclic factors; elements are residue tuples indexed in
+mixed radix (``itertools.product``: the last coordinate varies fastest).
+Subgroups, cosets and H-set points are bitmasks over that index.  One
+primitive shifts them: ``translate(mask, g)``, the mask of S + g, is one block
+rotation per nonzero coordinate of g; ``span`` (H + <g>, by doubling),
+subgroup generation, the lattice, joins and cosets are built on it.  Only
+abelian groups are supported: every explicit computation downstream lives on
+cyclic groups and products of two or three of them, where conjugation is
+trivial and Weyl groups are quotients.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterable, Sequence
 
 SUBGROUP_ENUM_BOUND = 1024
@@ -95,26 +98,52 @@ class AbelianGroup:
         e = self.exponent
         return sum((e // n) * x * y for x, y, n in zip(a, g, self.factors)) % e if g else 0
 
+    # -- translation -------------------------------------------------------
+
+    @cached_property
+    def _shifts(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """Per factor n: (n, stride, below), below[m] the mask of the elements
+        whose coordinate is < m."""
+        out, stride = [], self.order
+        for n in self.factors:
+            stride //= n
+            blocks = range(0, self.order, n * stride)
+            below = tuple(sum(((1 << m * stride) - 1) << u for u in blocks) for m in range(n + 1))
+            out.append((n, stride, below))
+        return tuple(out)
+
+    def translate(self, mask: int, g: Element) -> int:
+        """The mask of S + g for S the subset ``mask``: coordinate by
+        coordinate, blocks below n - c move up by c, the rest wrap down."""
+        for c, (n, stride, below) in zip(g, self._shifts):
+            c %= n
+            if c:
+                keep = mask & below[n - c]
+                mask = keep << c * stride | (mask ^ keep) >> (n - c) * stride
+        return mask
+
+    def span(self, mask: int, g: Element) -> int:
+        """H + <g> for the subgroup mask H: add the shifts by 2^t g until
+        the mask stops growing."""
+        while True:
+            grown = mask | self.translate(mask, g)
+            if grown == mask:
+                return mask
+            mask, g = grown, self.add(g, g)
+
+    def cosets(self, sub: int, within: int) -> list[int]:
+        """The cosets of the subgroup mask ``sub`` that make up ``within``,
+        ordered by their lowest element index."""
+        out = []
+        while within:
+            out.append(self.translate(sub, self.elements[_lowest_index(within)]))
+            within ^= out[-1]
+        return out
+
     # -- subgroups ----------------------------------------------------------
 
-    def subgroup_from_elements(self, els: Iterable[Element]) -> "Subgroup":
-        mask = 0
-        for g in els:
-            mask |= 1 << self.index_of(g)
-        return Subgroup(self, mask)
-
     def generated_subgroup(self, gens: Iterable[Element]) -> "Subgroup":
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            cur = frontier.pop()
-            for g in gens:
-                nxt = self.add(cur, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return self.subgroup_from_elements(seen)
+        return Subgroup(self, reduce(self.span, gens, 1))  # identity has index 0
 
     @property
     def trivial_subgroup(self) -> "Subgroup":
@@ -127,8 +156,8 @@ class AbelianGroup:
     def subgroups(self, bound: int = SUBGROUP_ENUM_BOUND) -> tuple["Subgroup", ...]:
         """All subgroups, in the canonical (order, element-index-tuple) order.
 
-        Computed as the join-closure of the cyclic subgroups; every subgroup
-        of a finite abelian group is a join of cyclic ones.
+        Computed as the closure of the cyclic subgroups under H -> H + <g>;
+        every subgroup of a finite abelian group is a join of cyclic ones.
         """
         if self.order > bound:
             raise ValueError(
@@ -138,17 +167,18 @@ class AbelianGroup:
 
     @cached_property
     def _subgroups_cached(self) -> tuple["Subgroup", ...]:
-        cyclics = {self.generated_subgroup([g]).mask for g in self.elements}
+        cyclics = {self.span(1, g): g for g in self.elements}
         masks = set(cyclics)
-        frontier = set(cyclics)
+        frontier = list(cyclics)
         while frontier:
-            new = set()
-            for m1 in frontier:
-                for m2 in cyclics:
-                    joined = _join_masks(self, m1, m2)
-                    if joined not in masks:
-                        masks.add(joined)
-                        new.add(joined)
+            new = []
+            for h in frontier:
+                for c, g in cyclics.items():
+                    if c & ~h:
+                        joined = self.span(h, g)
+                        if joined not in masks:
+                            masks.add(joined)
+                            new.append(joined)
             frontier = new
         subs = [Subgroup(self, m) for m in masks]
         subs.sort(key=lambda h: h.sort_key)
@@ -169,33 +199,8 @@ class AbelianGroup:
         return "x".join(f"C{n}" for n in self.factors)
 
 
-def _join_masks(group: AbelianGroup, m1: int, m2: int) -> int:
-    """Mask of the subgroup generated by two subgroups (elementwise sums)."""
-    if m1 == m2:
-        return m1
-    els1 = _mask_elements(group, m1)
-    els2 = _mask_elements(group, m2)
-    mask = 0
-    for a in els1:
-        for b in els2:
-            mask |= 1 << group.index_of(group.add(a, b))
-    return mask
-
-
-def _mask_elements(group: AbelianGroup, mask: int) -> list[Element]:
-    els = group.elements
-    return [els[i] for i in _mask_indices(mask)]
-
-
-def _mask_indices(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+def _lowest_index(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 class Subgroup:
@@ -207,7 +212,7 @@ class Subgroup:
 
     @cached_property
     def element_indices(self) -> tuple[int, ...]:
-        return tuple(_mask_indices(self.mask))
+        return tuple(i for i, bit in enumerate(bin(self.mask)[:1:-1]) if bit == "1")
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
@@ -241,7 +246,7 @@ class Subgroup:
         return Subgroup(self.group, self.mask & other.mask)
 
     def join(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.group, _join_masks(self.group, self.mask, other.mask))
+        return Subgroup(self.group, reduce(self.group.span, other.elements, self.mask))
 
     @cached_property
     def annihilator(self) -> "Subgroup":
@@ -270,26 +275,21 @@ class Subgroup:
 class DualLevel:
     """The character group of a subgroup H <= G, in coordinates inside G.
 
-    Characters of H are cosets of the annihilator of H; each coset is stored
-    by its minimal-index representative.  For H = G this recovers the whole
-    self-dual group with representatives the elements themselves, so the
-    representation ring of G and its levels share one mechanism.
+    Characters of H are cosets of the annihilator of H (shifts of its mask);
+    each coset is stored by its minimal-index representative.  For H = G this
+    recovers the whole self-dual group with representatives the elements
+    themselves, so the representation ring of G and its levels share one
+    mechanism.
     """
 
     def __init__(self, group: AbelianGroup, subgroup: Subgroup):
         self.group = group
         self.subgroup = subgroup
         self.ann = subgroup.annihilator
-        reps = []
-        seen = set()
-        for a in group.elements:
-            if a in seen:
-                continue
-            coset = {group.add(a, t) for t in self.ann.elements}
-            seen |= coset
-            reps.append(min(coset, key=group.index_of))
-        reps.sort(key=group.index_of)
-        self.reps = tuple(reps)
+        self.reps = tuple(
+            group.elements[_lowest_index(c)]
+            for c in group.cosets(self.ann.mask, group.full_subgroup.mask)
+        )
         self._rep_index = {a: i for i, a in enumerate(self.reps)}
         self._canon_cache: dict[Element, Element] = {}
 
@@ -301,7 +301,7 @@ class DualLevel:
         cached = self._canon_cache.get(a)
         if cached is None:
             g = self.group
-            cached = min((g.add(a, t) for t in self.ann.elements), key=g.index_of)
+            cached = g.elements[_lowest_index(g.translate(self.ann.mask, a))]
             self._canon_cache[a] = cached
         return cached
 
@@ -326,7 +326,8 @@ class DualLevel:
 class ExplicitHSet:
     """A finite H-set with explicit points, H a subgroup of the ambient group.
 
-    Points are opaque hashables; the action is a dict-backed function.
+    Points are opaque hashables; the action is a function.  A coset point
+    of ``from_orbits`` is (orbit, copy, coset mask), acted on by translation.
     """
 
     def __init__(self, subgroup: Subgroup, points: Sequence, act: Callable):
@@ -344,16 +345,13 @@ class ExplicitHSet:
                 raise ValueError("virtual sets have no explicit points")
             if not subgroup.contains(stab):
                 raise ValueError("stabilizer must lie in the acting subgroup")
-            cosets = set()
-            for h in subgroup.elements:
-                cosets.add(frozenset(group.add(h, s) for s in stab.elements))
+            cosets = group.cosets(stab.mask, subgroup.mask)
             for copy in range(mult):
-                for coset in sorted(cosets, key=lambda c: min(group.index_of(x) for x in c)):
-                    points.append((orbit_id, copy, coset))
+                points.extend((orbit_id, copy, coset) for coset in cosets)
 
         def act(h, point):
             orbit_id, copy, coset = point
-            return (orbit_id, copy, frozenset(group.add(h, x) for x in coset))
+            return (orbit_id, copy, group.translate(coset, h))
 
         return cls(subgroup, points, act)
 

@@ -84,6 +84,22 @@ def test_linearize_examples():
         assert c == (1 if trivial_on_h else 0)
 
 
+@pytest.mark.parametrize(
+    "spec", ["C3", "C9", "C27", "C3xC3", "C3xC9", "C9xC9", "C5xC25", "C3xC3xC3", "C15"]
+)
+def test_linearize_rows_are_pairing_trivial_characters(spec):
+    # row K on every level: the characters pairing to 0 with every element of K
+    g = parse_group(spec)
+    for level in g.subgroups():
+        r = BurnsideRing(g, level)
+        dual = r.dual
+        expected = [
+            [int(all(dual.pairing(a, x) == 0 for x in k.elements)) for a in dual.reps]
+            for k in r.subgroups
+        ]
+        assert [list(row) for row in r.linearize_matrix.entries] == expected
+
+
 def test_linearize_is_ring_hom():
     # checked through marks: linearize then evaluate at g equals mark at <g>
     rng = random.Random(SEED + 3)

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from kulocal.cli import canonical_json, run
+from kulocal.cli import DEFAULT_INSTANCES, canonical_json, run
+from kulocal.groups import parse_group
 
 
 def run_capture(capsys, argv):
@@ -213,6 +214,30 @@ def test_asserts_in_src_are_allowlisted():
     assert dict(found) == {key: count for key, (count, _) in ASSERT_ALLOWLIST.items()}
 
 
+def _unused_imports(tree, exported=()):
+    """Top-level imported names that no Name or attribute base refers to."""
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - set(exported) - {"annotations"})
+
+
+def test_src_has_no_unused_imports():
+    import kulocal
+
+    src = Path(__file__).resolve().parent.parent / "src" / "kulocal"
+    unused = {}
+    for path in sorted(src.glob("*.py")):
+        exported = kulocal.__all__ if path.stem == "__init__" else ()
+        names = _unused_imports(ast.parse(path.read_text()), exported)
+        if names:
+            unused[path.stem] = names
+    assert unused == {}
+
+
 # The lattice workload's pi0 jobs and their output digests (BENCH_DIGESTS).
 LATTICE_PI0_GROUPS = ("C3xC3xC9", "C5xC25", "C9xC9", "C3xC27", "C3xC3xC3")
 
@@ -244,6 +269,28 @@ def test_verify_all_tiny(capsys):
     code, out, _ = run_capture(capsys, ["verify-all", "--max-order", "9"])
     assert code == 0
     assert "all checks passed" in out
+
+
+def test_verify_all_reports_kernel_fault_under_O():
+    # a rational lattice short of one row must fail the kernel identification
+    # of every instance, and nothing else, without relying on assert statements
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import sys, kulocal.fiber as fiber\n"
+        "full = fiber.rational_rep_lattices\n"
+        "fiber.rational_rep_lattices = lambda group: full(group)[1:]\n"
+        "from kulocal.cli import run\n"
+        "sys.exit(run(['verify-all', '--max-order', '9']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    fails = [line.split("FAIL", 1)[1].strip() for line in lines if "FAIL  " in line]
+    instances = [s for s in DEFAULT_INSTANCES if parse_group(s).order <= 9]
+    assert fails == [f"{spec}: kernel identification" for spec in instances]
 
 
 def test_pi1_trivial_group_has_empty_q_part(capsys):

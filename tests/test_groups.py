@@ -1,13 +1,153 @@
 import math
+import os
+import random
 
 import pytest
 
 from kulocal.groups import (
     AbelianGroup,
+    DualLevel,
     ExplicitHSet,
     map_set_orbits,
     parse_group,
 )
+
+SEED = int(os.environ.get("TEST_SEED", "20240801"))
+
+ORACLE_GROUPS = [
+    "C1", "C3", "C9", "C27", "C81", "C243", "C3xC3", "C3xC9", "C9xC9", "C5xC25",
+    "C3xC3xC3", "C3xC3xC9", "C3xC3xC3xC3", "C15", "C45", "C3xC15", "C2xC4", "C6xC6",
+]
+
+
+# -- element-by-element references for the shift primitive -------------------
+
+
+def _mask_of(g, els):
+    return sum(1 << g.index_of(x) for x in set(els))
+
+
+def _closure(g, start, gens):
+    """Smallest superset of ``start`` closed under adding each of ``gens``."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        cur = frontier.pop()
+        for x in gens:
+            nxt = g.add(cur, x)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def _reference_subgroup_masks(g):
+    """Join-closure of the cyclic subgroups by |H| |K| element sums, in the
+    canonical (order, element-index tuple) order."""
+    cyclics = {_mask_of(g, _closure(g, [g.identity], [x])) for x in g.elements}
+
+    def elements(mask):
+        return [x for i, x in enumerate(g.elements) if mask >> i & 1]
+
+    masks, frontier = set(cyclics), set(cyclics)
+    while frontier:
+        new = set()
+        for m1 in frontier:
+            for m2 in cyclics:
+                joined = _mask_of(g, [g.add(a, b) for a in elements(m1) for b in elements(m2)])
+                if joined not in masks:
+                    masks.add(joined)
+                    new.add(joined)
+        frontier = new
+    return sorted(masks, key=lambda m: (bin(m).count("1"), [i for i in range(g.order) if m >> i & 1]))
+
+
+def _reference_dual_cosets(g, h):
+    """The cosets of ann(H) in G as element sets, keyed by their minimal-index
+    representative, in index order."""
+    ann = h.annihilator.elements
+    cosets = {}
+    for a in g.elements:
+        if not any(a in c for c in cosets.values()):
+            coset = {g.add(a, t) for t in ann}
+            cosets[min(coset, key=g.index_of)] = coset
+    return dict(sorted(cosets.items(), key=lambda kv: g.index_of(kv[0])))
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_subgroups_match_element_sum_closure(spec):
+    g = parse_group(spec)
+    assert [h.mask for h in g.subgroups()] == _reference_subgroup_masks(g)
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_dual_levels_match_coset_sets(spec):
+    g = parse_group(spec)
+    for h in g.subgroups():
+        dual = DualLevel(g, h)
+        cosets = _reference_dual_cosets(g, h)
+        assert dual.reps == tuple(cosets)
+        for rep, coset in cosets.items():
+            assert all(dual.canon(a) == rep for a in coset)
+
+
+def _gaussian_binomial(n, k, p):
+    num = math.prod(p ** (n - i) - 1 for i in range(k))
+    den = math.prod(p ** (i + 1) - 1 for i in range(k))
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(5, 1), (5, 2), (5, 3)]
+)
+def test_elementary_abelian_counts_are_gaussian_binomial_sums(p, n):
+    g = AbelianGroup((p,) * n)
+    assert len(g.subgroups()) == sum(_gaussian_binomial(n, k, p) for k in range(n + 1))
+
+
+@pytest.mark.parametrize(
+    "spec", ["C1", "C2", "C9", "C15", "C45", "C2xC4", "C3xC9", "C6xC6", "C3xC15", "C3xC3xC3"]
+)
+def test_translate_matches_elementwise_add(spec):
+    g = parse_group(spec)
+    rng = random.Random(SEED)
+    for _ in range(40):
+        mask = rng.getrandbits(g.order)
+        x = rng.choice(g.elements)
+        shifted = [g.add(a, x) for i, a in enumerate(g.elements) if mask >> i & 1]
+        assert g.translate(mask, x) == _mask_of(g, shifted)
+        unreduced = tuple(c + n * rng.randint(-2, 2) for c, n in zip(x, g.factors))
+        assert g.translate(mask, unreduced) == g.translate(mask, x)
+
+
+@pytest.mark.parametrize(
+    "spec", ["C1", "C9", "C15", "C45", "C2xC4", "C3xC9", "C6xC6", "C3xC15", "C3xC3xC3"]
+)
+def test_span_matches_closure(spec):
+    g = parse_group(spec)
+    rng = random.Random(SEED + 1)
+    subs = g.subgroups()
+    for _ in range(40):
+        h = rng.choice(subs)
+        x = rng.choice(g.elements)
+        assert g.span(h.mask, x) == _mask_of(g, _closure(g, h.elements, [x]))
+        gens = rng.sample(g.elements, min(3, g.order))
+        assert g.generated_subgroup(gens).mask == _mask_of(g, _closure(g, [g.identity], gens))
+
+
+def test_coset_points_are_translated_masks():
+    g = parse_group("C3xC9")
+    h = g.full_subgroup
+    j = [s for s in g.subgroups() if s.order == 3][1]
+    x = ExplicitHSet.from_orbits(h, [(j, 2)])
+    assert x.size() == 18
+    cosets = [p[2] for p in x.points[:9]]
+    assert sum(cosets) == h.mask  # disjoint cosets covering H
+    assert cosets == sorted(cosets, key=lambda c: (c & -c))
+    for p in x.points:
+        coset = [a for i, a in enumerate(g.elements) if p[2] >> i & 1]
+        for y in g.elements:
+            assert x.act(y, p)[2] == _mask_of(g, [g.add(y, a) for a in coset])
 
 
 def test_parse_group():
