@@ -174,19 +174,23 @@ def poly_sub(f: Sequence, g: Sequence) -> tuple:
 
 
 def poly_mul(f: Sequence, g: Sequence) -> tuple:
+    """Schoolbook product over the nonzero terms of f and g only."""
     if not f or not g:
         return ()
+    terms = [(j, b) for j, b in enumerate(g) if b]
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] += a * b
+            for j, b in terms:
+                out[i + j] += a * b
     return poly_trim(out)
 
 
 def poly_divmod_monic(f: Sequence, g: Sequence) -> tuple[tuple, tuple]:
-    """Divide f by monic g; exact over the coefficient ring (int or Fraction)."""
+    """Divide f by monic g; exact over the coefficient ring (int or Fraction).
+
+    Each step subtracts only the nonzero terms of g: Phi_{3^a} has three.
+    """
     g = poly_trim(g)
     if not g or g[-1] != 1:
         raise ValueError("divisor must be monic")
@@ -194,14 +198,15 @@ def poly_divmod_monic(f: Sequence, g: Sequence) -> tuple[tuple, tuple]:
     dg = len(g) - 1
     if dg == 0:
         return poly_trim(rem), ()
+    terms = [(j - dg, b) for j, b in enumerate(g) if b]
     quo = [0] * max(len(rem) - dg, 0)
     for i in range(len(rem) - 1, dg - 1, -1):
         c = rem[i]
         if c == 0:
             continue
         quo[i - dg] = c
-        for j in range(dg + 1):
-            rem[i - dg + j] -= c * g[j]
+        for j, b in terms:
+            rem[i + j] -= c * b
     return poly_trim(quo), poly_trim(rem)
 
 

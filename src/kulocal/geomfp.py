@@ -31,6 +31,7 @@ All checks return witness objects carrying the data they verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exact import (
     Cyclotomic,
@@ -305,8 +306,10 @@ def verify_CqxCq_vanishing(q: int) -> Witness:
 # Bott-class characters
 
 
+@lru_cache(maxsize=None)
 def root_of_unity_product(k: int) -> Cyclotomic:
-    """prod_{i=1}^{k-1} (zeta_k^i - 1), exact in Q(zeta_k)."""
+    """prod_{i=1}^{k-1} (zeta_k^i - 1), exact in Q(zeta_k); once per k, so
+    ``bott_character`` pays one product per element order."""
     out = Cyclotomic.one(k)
     for i in range(1, k):
         out = out * (Cyclotomic.zeta_power(k, i) - Cyclotomic.one(k))

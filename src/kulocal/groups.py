@@ -250,11 +250,19 @@ class Subgroup:
 
     @cached_property
     def annihilator(self) -> "Subgroup":
-        """{a : <a, h> = 0 for all h in H} under the self-duality pairing."""
+        """{a : <a, h> = 0 for all h in H} under the self-duality pairing.
+
+        It is enough to pair with generators of H, picked greedily: the
+        lowest element of H outside their span, until the span is H.
+        """
         g = self.group
+        gens, span = [], 1
+        while span != self.mask:
+            gens.append(g.elements[_lowest_index(self.mask & ~span)])
+            span = g.span(span, gens[-1])
         mask = 0
         for i, a in enumerate(g.elements):
-            if all(g.dual_pairing(a, h) == 0 for h in self.elements):
+            if all(g.dual_pairing(a, h) == 0 for h in gens):
                 mask |= 1 << i
         return Subgroup(g, mask)
 

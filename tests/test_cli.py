@@ -265,6 +265,27 @@ def test_bott_verify(capsys):
     assert "(3) * beta^1" in out
 
 
+def test_bott_verify_c243_under_O_within_the_job_budget():
+    # bott-verify C243 used to take about three minutes (one cyclotomic
+    # product per element); 30 s is the benchmark's per-job budget
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kulocal.cli", "bott-verify", "--group", "C243",
+         "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["adams_identity"] is True
+    group = parse_group("C243")
+    assert len(payload["bott_values"]) == group.order
+    for row in payload["bott_values"]:
+        k = group.element_order(tuple(row["g"]))
+        m = group.order // k
+        assert (row["scalar"], row["beta_power"]) == (k ** m, m)
+
+
 def test_verify_all_tiny(capsys):
     code, out, _ = run_capture(capsys, ["verify-all", "--max-order", "9"])
     assert code == 0

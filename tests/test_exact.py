@@ -18,8 +18,10 @@ from kulocal.exact import (
     lattice_equal,
     mult_matrix,
     mult_matrix_determinant,
+    poly_divmod_monic,
     poly_mul,
     poly_sub,
+    poly_trim,
     poly_x_power,
     prime_factors,
     prime_power_part,
@@ -327,3 +329,102 @@ def test_smith_and_hermite_forms_against_sympy():
         ours = row_hnf(a.entries, a.cols)
         assert len(ours) == len(ref_rows) == len(expected)
         assert ours == row_hnf(ref_rows, a.cols), a
+
+
+# -- the sparse Z[x] kernels against the dense schoolbook loops and sympy -----
+
+
+def _dense_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return poly_trim(out)
+
+
+def _dense_divmod_monic(f, g):
+    rem, dg = list(f), len(g) - 1
+    quo = [0] * max(len(rem) - dg, 0)
+    for i in range(len(rem) - 1, dg - 1, -1):
+        c = rem[i]
+        quo[i - dg] = c
+        for j in range(dg + 1):
+            rem[i - dg + j] -= c * g[j]
+    return poly_trim(quo), poly_trim(rem)
+
+
+def _random_poly(rng, length, kind):
+    """Coefficients, ascending: dense ints, sparse ints (mostly zeros),
+    Fractions, or the zero polynomial (untrimmed zeros included)."""
+    if kind == "zero":
+        return (0,) * rng.randrange(3)
+    if kind == "fraction":
+        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(length))
+    density = 1.0 if kind == "dense" else 0.1
+    return tuple(rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(length))
+
+
+POLY_KINDS = ("dense", "sparse", "fraction", "zero")
+
+
+def _sympy_poly(sympy, f):
+    qq = sympy.QQ
+    coeffs = [qq(Fraction(c).numerator, Fraction(c).denominator) for c in reversed(f)]
+    return sympy.Poly.from_list(coeffs or [qq(0)], sympy.Symbol("x"), domain=qq)
+
+
+def _sympy_cyclotomic(sympy, e):
+    return sympy.cyclotomic_poly(e, sympy.Symbol("x"), polys=True).set_domain(sympy.QQ)
+
+
+def _from_sympy(p):
+    return poly_trim(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+def test_poly_mul_matches_dense_product_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(SEED + 11)
+    for _ in range(200):
+        f = _random_poly(rng, rng.randrange(1, 60), rng.choice(POLY_KINDS))
+        g = _random_poly(rng, rng.randrange(1, 60), rng.choice(POLY_KINDS))
+        product = poly_mul(f, g)
+        assert product == _dense_mul(f, g), (f, g)
+        assert product == _from_sympy(_sympy_poly(sympy, f) * _sympy_poly(sympy, g))
+
+
+def _check_divmod(sympy, f, g):
+    quo, rem = poly_divmod_monic(f, g)
+    assert (quo, rem) == _dense_divmod_monic(f, g), (f, g)
+    ref_quo, ref_rem = sympy.div(_sympy_poly(sympy, f), _sympy_poly(sympy, g))
+    assert (quo, rem) == (_from_sympy(ref_quo), _from_sympy(ref_rem)), (f, g)
+
+
+def test_poly_divmod_monic_by_every_cyclotomic_polynomial_up_to_243():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(SEED + 12)
+    for e in range(1, 244):
+        phi = cyclotomic_polynomial(e)
+        assert _sympy_poly(sympy, phi) == _sympy_cyclotomic(sympy, e)
+        kind = POLY_KINDS[e % len(POLY_KINDS)]
+        _check_divmod(sympy, _random_poly(rng, rng.randrange(1, 2 * len(phi)), kind), phi)
+
+
+def test_poly_divmod_monic_by_random_monic_divisors():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(SEED + 13)
+    for _ in range(150):
+        g = _random_poly(rng, rng.randrange(0, 30), rng.choice(("dense", "sparse"))) + (1,)
+        f = _random_poly(rng, rng.randrange(0, 70), rng.choice(POLY_KINDS))
+        _check_divmod(sympy, f, g)
+
+
+@pytest.mark.parametrize("e", [45, 81, 243])
+def test_cyclotomic_products_match_sympy_remainders(e):
+    sympy = pytest.importorskip("sympy")
+    phi = _sympy_cyclotomic(sympy, e)
+    rng = random.Random(SEED + e)
+    for _ in range(6):
+        a, b = (_random_poly(rng, euler_phi(e), rng.choice(POLY_KINDS)) for _ in range(2))
+        product = Cyclotomic(e, a) * Cyclotomic(e, b)
+        expected = _from_sympy((_sympy_poly(sympy, a) * _sympy_poly(sympy, b)).rem(phi))
+        assert product == Cyclotomic(e, expected)

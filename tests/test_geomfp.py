@@ -162,7 +162,16 @@ def test_bott_character_rejects_even_order():
         bott_character(g)
 
 
+def test_bott_character_computes_one_product_per_element_order():
+    # C81 has elements of orders 1, 3, 9, 27 and 81
+    root_of_unity_product.cache_clear()
+    bott_character(parse_group("C81"))
+    info = root_of_unity_product.cache_info()
+    assert (info.misses, info.hits) == (5, 76)
+
+
 def test_bott_character_raises_on_a_wrong_cyclotomic_product(monkeypatch, capsys):
+    bott_character(parse_group("C3"))  # a warm cache must not hide the fault
     monkeypatch.setattr(geomfp, "root_of_unity_product", lambda k: k + 1)
     with pytest.raises(ArithmeticError, match="cyclotomic product at k=1 gave 2, expected 1"):
         bott_character(parse_group("C3"))

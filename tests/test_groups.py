@@ -62,10 +62,15 @@ def _reference_subgroup_masks(g):
     return sorted(masks, key=lambda m: (bin(m).count("1"), [i for i in range(g.order) if m >> i & 1]))
 
 
+def _reference_annihilator(g, h):
+    """ann(H) by its definition: every element of G paired with every element of H."""
+    return [a for a in g.elements if all(g.dual_pairing(a, x) == 0 for x in h.elements)]
+
+
 def _reference_dual_cosets(g, h):
     """The cosets of ann(H) in G as element sets, keyed by their minimal-index
     representative, in index order."""
-    ann = h.annihilator.elements
+    ann = _reference_annihilator(g, h)
     cosets = {}
     for a in g.elements:
         if not any(a in c for c in cosets.values()):
@@ -78,6 +83,14 @@ def _reference_dual_cosets(g, h):
 def test_subgroups_match_element_sum_closure(spec):
     g = parse_group(spec)
     assert [h.mask for h in g.subgroups()] == _reference_subgroup_masks(g)
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_annihilators_match_all_pairs_definition(spec):
+    g = parse_group(spec)
+    for h in g.subgroups():
+        assert h.annihilator.mask == _mask_of(g, _reference_annihilator(g, h)), h.elements
+        assert h.annihilator.order * h.order == g.order
 
 
 @pytest.mark.parametrize("spec", ORACLE_GROUPS)
