@@ -5,16 +5,17 @@ lattice, with both the rational representation lattice and the image of the
 Burnside ring under linearization; its rank is the number of cyclic
 subgroups.  Tensoring the Burnside quotient with Z[x]/(2x, x^2) gives the
 levelwise degree-0 answer.  Degree 2: psi^l - 1 is injective with finite
-cokernel whose q-part is the degree-1 answer; for the order-3 group that
-cokernel is Z/3.
+cokernel whose q-part enters the degree-1 answer; for the order-3 group that
+cokernel is Z/3, and the answer is the Burnside quotient tensored with
+(Z/2)^2, plus that Z/3 on the top level.
 """
 
 from kulocal import (
     assemble_pi0,
     assemble_pi1_c3,
+    group_report,
     kernel_equals_AmodJ,
     parse_group,
-    pi1_level,
 )
 from kulocal.mackey import lewis_diagram
 
@@ -34,9 +35,9 @@ print("cross-checked against the Adams kernel at every level:",
       result.kernel_cross_check)
 print()
 
-data = pi1_level(parse_group("C3"), 2)
-print("degree-2 cokernel for C3: invariant factors", data.invariant_factors,
-      "-> q-part", data.q_part)
+report = group_report(parse_group("C3"), 2)
+print("degree-2 cokernel for C3: invariant factors", tuple(report["pi1_invariant_factors"]),
+      "-> q-part", tuple(report["pi1_q_part"]))
 print()
 print("assembled degree-1 answer for C3:")
 print(lewis_diagram(assemble_pi1_c3()))

@@ -18,8 +18,8 @@ from .fiber import (
     adams_minus_one,
     default_ell,
     determinant_mod_ell_check,
+    group_report,
     kernel_equals_AmodJ,
-    pi1_level,
 )
 from .geomfp import (
     bott_character,
@@ -69,6 +69,7 @@ __all__ = [
     "default_ell",
     "derive_norm_on_x",
     "determinant_mod_ell_check",
+    "group_report",
     "idempotent_splitting_check",
     "kernel_equals_AmodJ",
     "kernel_lattice",
@@ -77,7 +78,6 @@ __all__ = [
     "norm_on_monomial",
     "parse_group",
     "perm_rep",
-    "pi1_level",
     "rational_rep_lattices",
     "reduce_root_of_unity_sum",
     "restriction_rule_check",

@@ -43,6 +43,8 @@ from .geomfp import (
 )
 from .groups import AbelianGroup, parse_group
 from .mackey import (
+    PI1_C3_TORSION,
+    MackeyFunctor,
     a_mod_j_mackey,
     assemble_pi0,
     assemble_pi1_c3,
@@ -69,6 +71,14 @@ def _group_summary(entry: dict) -> str:
         parts.append(f"Z^{entry['free_rank']}")
     parts.extend(f"Z/{d}" for d in entry["torsion"])
     return " + ".join(parts) if parts else "0"
+
+
+def _pi1_c3_torsion(m: MackeyFunctor) -> dict:
+    """Primary torsion of the bottom and top levels, as ``PI1_C3_TORSION``."""
+    return {
+        "bottom": list(m.level(m.group.trivial_subgroup).primary_torsion),
+        "top": list(m.level(m.group.full_subgroup).primary_torsion),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +111,7 @@ def cmd_pi1(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, str]:
         )
     ok = payload["det_degree2"] != 0
     if group.factors == (3,):
-        m = assemble_pi1_c3()
-        payload["assembled_c3"] = {
-            "bottom": list(m.level(group.trivial_subgroup).primary_torsion),
-            "top": list(m.level(group.full_subgroup).primary_torsion),
-        }
+        payload["assembled_c3"] = _pi1_c3_torsion(assemble_pi1_c3())
         lines.append("  assembled degree-1 answer:")
         lines.append(
             "    level e:  " + " + ".join(f"Z/{d}" for d in payload["assembled_c3"]["bottom"])
@@ -113,7 +119,7 @@ def cmd_pi1(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, str]:
         lines.append(
             "    level G:  " + " + ".join(f"Z/{d}" for d in payload["assembled_c3"]["top"])
         )
-        ok = ok and payload["assembled_c3"] == {"bottom": [2, 2], "top": [2, 2, 2, 2, 3]}
+        ok = ok and payload["assembled_c3"] == PI1_C3_TORSION
     return ok, payload, "\n".join(lines)
 
 
@@ -300,8 +306,7 @@ def cmd_verify_all(max_order: int, test_seed: int) -> tuple[bool, dict, str]:
     c3 = m.group
     record(
         "degree-1 assembly for C3",
-        m.level(c3.trivial_subgroup).primary_torsion == (2, 2)
-        and m.level(c3.full_subgroup).primary_torsion == (2, 2, 2, 2, 3)
+        _pi1_c3_torsion(m) == PI1_C3_TORSION
         and m.res(c3.full_subgroup, c3.trivial_subgroup).column(4) == (0, 0),
     )
 

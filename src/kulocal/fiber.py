@@ -11,7 +11,10 @@ to the degree-2 cokernel.  The degree-0 kernel is compared, as a lattice,
 against the image of the Burnside ring under linearization and against the
 rational representation lattice; the degree-2 cokernel is finite (nonzero
 determinant, checked via invertibility mod ell) and its invariant factors and
-q-primary part give the degree-1 homotopy levels.  The matrices themselves
+q-primary part give the degree-1 homotopy levels.  ``fiber_level_data`` (per
+level) and ``group_report`` (the ``pi1`` payload) are the only producers of
+this degree-2 data; ``mackey.assemble_pi1_c3`` reads its q-parts from the
+former.  The matrices themselves
 (``adams_minus_one``) remain for the Bareiss determinant of
 ``determinant_mod_ell_check`` and for tests.
 
@@ -163,53 +166,6 @@ def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWi
     )
 
 
-@dataclass(frozen=True)
-class Pi1Data:
-    group: AbelianGroup
-    ell: int
-    q: int
-    invariant_factors: tuple[int, ...]
-    determinant: int
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        return tuple(d for d in self.invariant_factors if d != 1)
-
-    @property
-    def q_part(self) -> tuple[int, ...]:
-        """q-primary parts q^{v_q(d)} of the torsion, dropping trivial ones."""
-        return primary_part(self.torsion, self.q)
-
-    def to_json(self) -> dict:
-        return {
-            "group": repr(self.group),
-            "ell": self.ell,
-            "q": self.q,
-            "pi1_invariant_factors": list(self.invariant_factors),
-            "pi1_q_part": list(self.q_part),
-            "det_degree2": self.determinant,
-        }
-
-
-def pi1_level(group: AbelianGroup, ell: int | None = None) -> Pi1Data:
-    """Cokernel of the degree-2 psi^ell - 1, with its q-primary part for q
-    the smallest prime dividing |G| (1 for the trivial group).
-
-    A singular matrix would contradict injectivity in degree 2 and raises.
-    """
-    if ell is None:
-        ell = default_ell(group)
-    _require_coprime(group, ell)
-    top = DualLevel(group, group.full_subgroup)
-    return Pi1Data(
-        group=group,
-        ell=ell,
-        q=smallest_prime_factor(group.order),
-        invariant_factors=degree2_invariant_factors(top, ell),
-        determinant=degree2_determinant(top, ell),
-    )
-
-
 def determinant_mod_ell_check(group: AbelianGroup, ell: int | None = None) -> tuple[bool, int]:
     """det(ell*P - I), by Bareiss elimination on the matrix, is +-1 mod ell,
     hence nonzero, and equals the cycle product of ``degree2_determinant``;
@@ -245,7 +201,7 @@ def fiber_level_data(group: AbelianGroup, ell: int | None = None) -> dict[Subgro
     prime dividing |G|.  psi^ell commutes with restriction, and a primitive
     root mod exponent(G) stays primitive at every level.
     A singular degree-2 level means a singular top level (its permutation
-    module is a quotient of the top one), rejected as in ``pi1_level``.
+    module is a quotient of the top one), which raises ArithmeticError.
     An ell that is not a primitive root is rejected after the singular
     check, so that ell = 1 reports the singular matrix."""
     if ell is None:
@@ -292,6 +248,12 @@ def group_report(group: AbelianGroup, ell: int | None = None) -> dict:
             for h, lv in levels.items()
         ],
     }
+
+
+def pi1_level(group: AbelianGroup, ell: int | None = None) -> dict:
+    """``group_report`` under the name that perfbench/tracer.py still wraps;
+    nothing in the package calls it."""
+    return group_report(group, ell)
 
 
 def restriction_commutes_with_adams(group: AbelianGroup, ell: int) -> bool:

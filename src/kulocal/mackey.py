@@ -9,9 +9,12 @@ double-coset law collapses to
     res^H_K o tr^H_L = [H : KL] * tr^K_{K&L} o res^L_{K&L}.
 
 Provided functors: the Burnside functor, the representation-ring functor,
-their levelwise quotient by the cyclically-vanishing ideal, the degree-0
-homotopy of the K-theoretic localization (the quotient tensored with
-Z[x]/(2x, x^2)), and the degree-1 answer for the order-3 cyclic group.  The
+their levelwise quotient A/J by the cyclically-vanishing ideal, and two
+answers built by one construction, A/J tensored with a sum of cyclic groups
+(``_tensor``): the degree-0 homotopy of the K-theoretic localization (A/J
+tensored with Z[x]/(2x, x^2)) and the degree-1 answer for the order-3 cyclic
+group (A/J tensored with (Z/2)^2, plus the q-part of the degree-2 cokernel
+that ``fiber.fiber_level_data`` computes at each level).  The
 geometric piece at a subgroup (level modulo transfers from proper subgroups)
 and its rank bookkeeping against the idempotent splitting are computed for
 any functor.
@@ -36,7 +39,7 @@ from .exact import (
     row_hnf,
     smith_normal_form,
 )
-from .fiber import default_ell, fiber_level_data, pi1_level
+from .fiber import default_ell, fiber_level_data
 from .groups import AbelianGroup, DualLevel, Subgroup
 from .reprings import dual_multiply
 
@@ -196,11 +199,7 @@ class MackeyFunctor:
             if isinstance(self, GreenFunctor):
                 entry["unit"] = list(self.unit(h))
                 if include_mult:
-                    n = lvl.rank
-                    entry["mult_tables"] = [
-                        [list(self.multiply(h, _unit_vec(n, i), _unit_vec(n, j))) for j in range(n)]
-                        for i in range(n)
-                    ]
+                    entry["mult_tables"] = [[list(v) for v in row] for row in self.product_table(h)]
             levels.append(entry)
         maps = []
         for (h, k), m in self._res.items():
@@ -249,12 +248,23 @@ class GreenFunctor(MackeyFunctor):
         super().__init__(group, levels, res, tr, name)
         self._units = units
         self._multiply = multiply
+        self._products: dict[Subgroup, list[list[Vector]]] = {}
 
     def unit(self, h: Subgroup) -> Vector:
         return self._units[h]
 
     def multiply(self, h: Subgroup, a: Sequence[int], b: Sequence[int]) -> Vector:
         return self._multiply(h, a, b)
+
+    def product_table(self, h: Subgroup) -> list[list[Vector]]:
+        """multiply(h, e_i, e_j) for every pair of basis vectors of the level,
+        computed once per level."""
+        table = self._products.get(h)
+        if table is None:
+            n = self.level(h).rank
+            basis = [_unit_vec(n, i) for i in range(n)]
+            table = self._products[h] = [[self.multiply(h, a, b) for b in basis] for a in basis]
+        return table
 
     def check_green_axioms(self) -> list[str]:
         """Restrictions are ring maps; transfers satisfy Frobenius reciprocity.
@@ -273,15 +283,14 @@ class GreenFunctor(MackeyFunctor):
                 lvl_k = self.level(k)
                 res = self.res(h, k)
                 tr = self.tr(k, h)
+                products = self.product_table(h)
                 res_cols = [res.column(j) for j in range(res.cols)]
                 tr_cols = [tr.column(j) for j in range(tr.cols)]
                 if not lvl_k.elements_equal(_apply_sparse(res_cols, self.unit(h)), self.unit(k)):
                     failures.append(f"res not unital {h!r}->{k!r}")
                 for i in range(n_h):
                     for j in range(i, n_h):
-                        lhs = _apply_sparse(
-                            res_cols, self.multiply(h, _unit_vec(n_h, i), _unit_vec(n_h, j))
-                        )
+                        lhs = _apply_sparse(res_cols, products[i][j])
                         rhs = self.multiply(k, res_cols[i], res_cols[j])
                         if not lvl_k.elements_equal(lhs, rhs):
                             failures.append(f"res not multiplicative {h!r}->{k!r} at ({i},{j})")
@@ -584,6 +593,58 @@ def idempotent_splitting_check(functor: MackeyFunctor, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# tensoring a functor with a finitely generated abelian group
+
+
+def _tensor(
+    functor: MackeyFunctor,
+    orders: Sequence[int],
+    extra: dict[Subgroup, Sequence[int]] | None = None,
+) -> tuple[dict, dict, dict]:
+    """Levels, restrictions and transfers of functor tensor (+_s Z/orders[s]),
+    order 0 meaning Z, for a functor with free levels (A/J's are).
+
+    Each level has one block of generators per summand, in the order of
+    ``orders``, so every map is block diagonal.  ``extra[h]`` appends cyclic
+    summands (same convention) at level H; restriction and transfer between
+    different levels are 0 on them, and res(H, H), tr(H, H) stay identities.
+    """
+    extra = extra or {}
+    blocks = len(orders)
+    levels = {}
+    for h in functor.subgroups:
+        r = functor.level(h).rank
+        cyclic = [d for d in orders for _ in range(r)] + list(extra.get(h, ()))
+        n = len(cyclic)
+        relations = tuple(
+            tuple(d if j == i else 0 for j in range(n)) for i, d in enumerate(cyclic) if d
+        )
+        levels[h] = Level(subgroup=h, rank=n, relations=relations)
+
+    def block_diag(m: IntMatrix, src: Subgroup, dst: Subgroup) -> IntMatrix:
+        n_src, n_dst = len(extra.get(src, ())), len(extra.get(dst, ()))
+        rows = [
+            [0] * (s * m.cols) + list(row) + [0] * ((blocks - s - 1) * m.cols + n_src)
+            for s in range(blocks)
+            for row in m.entries
+        ]
+        rows += [
+            [0] * (blocks * m.cols) + [int(src == dst and i == j) for j in range(n_src)]
+            for i in range(n_dst)
+        ]
+        return IntMatrix(rows, cols=blocks * m.cols + n_src)
+
+    res: dict = {}
+    tr: dict = {}
+    for h in functor.subgroups:
+        for k in functor.subgroups:
+            if h.contains(k):
+                res[(h, k)] = block_diag(functor.res(h, k), h, k)
+                tr[(k, h)] = block_diag(functor.tr(k, h), k, h)
+    return levels, res, tr
+
+
+# ---------------------------------------------------------------------------
 # assembly of the degree-0 answer
 
 
@@ -622,8 +683,8 @@ class Pi0Result:
 
 
 def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
-    """Tensor the quotient functor with Z[x]/(2x, x^2) and cross-check its
-    free part against the degree-0 Adams kernel at every level.
+    """Tensor the quotient functor with Z[x]/(2x, x^2) = Z + Z/2 and
+    cross-check its free part against the degree-0 Adams kernel at every level.
 
     Generators at each level: the quotient basis b_i followed by the torsion
     classes x*b_i with relations 2(x*b_i) = 0.  Restrictions and transfers
@@ -639,31 +700,6 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
     subs = group.subgroups()
     ranks = {h: aj.level(h).rank for h in subs}
 
-    levels = {}
-    for h in subs:
-        r = ranks[h]
-        relations = tuple(
-            tuple(2 if j == r + i else 0 for j in range(2 * r)) for i in range(r)
-        )
-        levels[h] = Level(subgroup=h, rank=2 * r, relations=relations)
-
-    def block_diag(m: IntMatrix) -> IntMatrix:
-        rows = []
-        for row in m.entries:
-            rows.append(list(row) + [0] * m.cols)
-        for row in m.entries:
-            rows.append([0] * m.cols + list(row))
-        return IntMatrix(rows, cols=2 * m.cols)
-
-    res = {}
-    tr = {}
-    for h in subs:
-        for k in subs:
-            if not h.contains(k):
-                continue
-            res[(h, k)] = block_diag(aj.res(h, k))
-            tr[(k, h)] = block_diag(aj.tr(k, h))
-
     def multiply(h: Subgroup, a, b) -> Vector:
         r = ranks[h]
         a0, a1 = a[:r], a[r:]
@@ -676,15 +712,7 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
 
     units = {h: tuple(aj.unit(h)) + (0,) * ranks[h] for h in subs}
 
-    functor = GreenFunctor(
-        group=group,
-        levels=levels,
-        res=res,
-        tr=tr,
-        units=units,
-        multiply=multiply,
-        name="pi0",
-    )
+    functor = GreenFunctor(group, *_tensor(aj, (0, 2)), units=units, multiply=multiply, name="pi0")
 
     # cross-check: at each level the linearized Burnside lattice equals the
     # degree-0 Adams kernel inside the level's representation ring
@@ -710,61 +738,27 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
 # the degree-1 answer for the cyclic group of order 3
 
 
-def assemble_pi1_c3() -> MackeyFunctor:
-    """Levels: (Z/2)^2 at the bottom and A(C3) tensor (Z/2)^2 plus a Z/3 class
-    on top; the Z/3 is produced by the degree-2 cokernel computation, not
-    hard-coded, and dies under restriction.
+# Primary torsion of the bottom and top levels of the degree-1 answer for C3.
+PI1_C3_TORSION = {"bottom": [2, 2], "top": [2, 2, 2, 2, 3]}
 
-    Generator order at the top level: [C3/C3] @ t0, [C3/C3] @ t1,
-    [C3/e] @ t0, [C3/e] @ t1, u  (u the q-torsion class).
+
+def assemble_pi1_c3() -> MackeyFunctor:
+    """A/J tensor (Z/2)^2 (for C3, A/J = A), plus at each level the q-part of
+    the degree-2 cokernel at ell = 2: 0 at the bottom and Z/3 on top, which
+    restriction kills.
+
+    Generator order at the top level: b_0 @ t0, b_1 @ t0, b_0 @ t1, b_1 @ t1,
+    u (b_i the A/J basis, t0 and t1 the generators of (Z/2)^2, u the q-torsion
+    class).
     """
     group = AbelianGroup((3,))
-    triv = group.trivial_subgroup
-    whole = group.full_subgroup
-
-    qpart = pi1_level(group, 2).q_part
-    if len(qpart) != 1:
+    qparts = {h: lv.pi1_q_part for h, lv in fiber_level_data(group, 2).items()}
+    top = qparts[group.full_subgroup]
+    if len(top) != 1:
         raise ArithmeticError(
-            f"the degree-2 cokernel of C3 at ell=2 has 3-part {qpart}; expected one cyclic factor"
+            f"the degree-2 cokernel of C3 at ell=2 has 3-part {top}; expected one cyclic factor"
         )
-    order_u = qpart[0]
-
-    level_e = Level(subgroup=triv, rank=2, relations=((2, 0), (0, 2)))
-    rels_top = tuple(
-        tuple((2 if i < 4 else order_u) if j == i else 0 for j in range(5))
-        for i in range(5)
-    )
-    level_top = Level(subgroup=whole, rank=5, relations=rels_top)
-
-    ident2 = IntMatrix.identity(2)
-    # res: [C3/C3] -> [e/e], [C3/e] -> 3 [e/e], u -> 0
-    res_top = IntMatrix(
-        [
-            [1, 0, 3, 0, 0],
-            [0, 1, 0, 3, 0],
-        ],
-        cols=5,
-    )
-    # tr: [e/e] @ tj -> [C3/e] @ tj
-    tr_up = IntMatrix(
-        [
-            [0, 0],
-            [0, 0],
-            [1, 0],
-            [0, 1],
-            [0, 0],
-        ],
-        cols=2,
-    )
-    ident5 = IntMatrix.identity(5)
-
-    return MackeyFunctor(
-        group=group,
-        levels={triv: level_e, whole: level_top},
-        res={(whole, triv): res_top, (whole, whole): ident5, (triv, triv): ident2},
-        tr={(triv, whole): tr_up, (whole, whole): ident5, (triv, triv): ident2},
-        name="pi1_c3",
-    )
+    return MackeyFunctor(group, *_tensor(a_mod_j_mackey(group), (2, 2), qparts), name="pi1_c3")
 
 
 # ---------------------------------------------------------------------------

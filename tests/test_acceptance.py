@@ -15,7 +15,7 @@ import pytest
 from kulocal.burnside import BurnsideRing
 from kulocal.cli import DEFAULT_INSTANCES, run
 from kulocal.exact import IntMatrix, smith_normal_form
-from kulocal.fiber import adams_minus_one, default_ell, kernel_equals_AmodJ, pi1_level
+from kulocal.fiber import adams_minus_one, default_ell, kernel_equals_AmodJ
 from kulocal.geomfp import (
     bott_character,
     root_of_unity_product,

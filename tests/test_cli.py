@@ -314,6 +314,30 @@ def test_verify_all_reports_kernel_fault_under_O():
     assert fails == [f"{spec}: kernel identification" for spec in instances]
 
 
+def test_pi1_c3_json_under_O():
+    # the assembled degree-1 answer must not depend on assert statements
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kulocal.cli", "pi1", "--group", "C3", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["assembled_c3"] == {"bottom": [2, 2], "top": [2, 2, 2, 2, 3]}
+
+
+def test_benchmark_tracer_binds_every_wrap_point():
+    # perfbench/tracer.py wraps layer functions by name; one that is renamed
+    # or deleted makes every traced benchmark job fail
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    script = "import kulocal.cli\nfrom tracer import Tracer\nTracer().install()\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_pi1_trivial_group_has_empty_q_part(capsys):
     # q = 1 for the trivial group: the q-part is empty and the command returns
     code, out, _ = run_capture(capsys, ["pi1", "--group", "C1", "--ell", "4", "--format", "json"])

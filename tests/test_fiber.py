@@ -24,7 +24,6 @@ from kulocal.fiber import (
     fiber_level_data,
     group_report,
     kernel_equals_AmodJ,
-    pi1_level,
     restriction_commutes_with_adams,
 )
 from kulocal.groups import DualLevel, parse_group
@@ -137,29 +136,31 @@ def test_kernel_is_subring_containing_one():
                 assert lattice_contains(hnf, ru.multiply(a, b))
 
 
+def _torsion(report):
+    return [d for d in report["pi1_invariant_factors"] if d != 1]
+
+
 def test_pi1_c3():
-    g = parse_group("C3")
-    data = pi1_level(g, 2)
-    assert data.torsion == (3,)
-    assert data.q_part == (3,)
-    assert data.determinant == -3
+    report = group_report(parse_group("C3"), 2)
+    assert _torsion(report) == [3]
+    assert report["pi1_q_part"] == [3]
+    assert report["det_degree2"] == -3
 
 
 def test_pi1_trivial():
-    g = parse_group("C1")
-    data = pi1_level(g, 2)
-    assert data.invariant_factors == (1,)
-    assert data.torsion == ()
-    assert data.determinant == 1
+    report = group_report(parse_group("C1"), 2)
+    assert report["pi1_invariant_factors"] == [1]
+    assert _torsion(report) == []
+    assert report["det_degree2"] == 1
 
 
 def test_pi1_c9_finite_and_nonzero_det():
-    g = parse_group("C9")
-    data = pi1_level(g, 2)
-    assert data.determinant != 0
-    assert all(d > 0 for d in data.invariant_factors)
+    report = group_report(parse_group("C9"), 2)
+    det = report["det_degree2"]
+    assert det != 0
+    assert all(d > 0 for d in report["pi1_invariant_factors"])
     # the q-part is recorded as computed data; sanity: q = 3 divides the det
-    assert data.determinant % 3 == 0
+    assert det % 3 == 0
 
 
 @pytest.mark.parametrize("spec", ["C1", "C3", "C9", "C27", "C3xC3", "C5", "C25", "C7"])
@@ -214,7 +215,6 @@ def test_singular_ell_raises_at_every_entry_point(spec, ell):
     for call in (
         lambda: degree2_invariant_factors(top, ell),
         lambda: degree2_determinant(top, ell),
-        lambda: pi1_level(g, ell),
         lambda: fiber_level_data(g, ell),
         lambda: group_report(g, ell),
     ):

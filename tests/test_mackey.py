@@ -1,10 +1,11 @@
-from types import SimpleNamespace
+import dataclasses
 
 import pytest
 
 from kulocal import mackey
 from kulocal.burnside import BurnsideRing
-from kulocal.exact import IntMatrix, solve_integer
+from kulocal.exact import IntMatrix, is_primitive_root, solve_integer
+from kulocal.fiber import group_report
 from kulocal.groups import AbelianGroup, parse_group
 from kulocal.mackey import (
     Level,
@@ -313,10 +314,88 @@ def test_assemble_pi1_c3():
     assert m.check_mackey_axioms() == []
 
 
+def _typed_pi1_c3(group):
+    """The degree-1 answer for C3 with its levels and matrices typed in:
+    generators [C3/C3] @ t0, [C3/C3] @ t1, [C3/e] @ t0, [C3/e] @ t1, u on top."""
+    triv, whole = group.trivial_subgroup, group.full_subgroup
+    level_e = Level(subgroup=triv, rank=2, relations=((2, 0), (0, 2)))
+    rels_top = tuple(
+        tuple((2 if i < 4 else 3) if j == i else 0 for j in range(5)) for i in range(5)
+    )
+    level_top = Level(subgroup=whole, rank=5, relations=rels_top)
+    # res: [C3/C3] -> [e/e], [C3/e] -> 3 [e/e], u -> 0
+    res_top = IntMatrix([[1, 0, 3, 0, 0], [0, 1, 0, 3, 0]], cols=5)
+    # tr: [e/e] @ tj -> [C3/e] @ tj
+    tr_up = IntMatrix([[0, 0], [0, 0], [1, 0], [0, 1], [0, 0]], cols=2)
+    ident2, ident5 = IntMatrix.identity(2), IntMatrix.identity(5)
+    return MackeyFunctor(
+        group=group,
+        levels={triv: level_e, whole: level_top},
+        res={(whole, triv): res_top, (whole, whole): ident5, (triv, triv): ident2},
+        tr={(triv, whole): tr_up, (whole, whole): ident5, (triv, triv): ident2},
+    )
+
+
+def test_assemble_pi1_c3_matches_the_typed_functor():
+    derived = assemble_pi1_c3()
+    g = derived.group
+    typed = _typed_pi1_c3(g)
+    triv, whole = g.trivial_subgroup, g.full_subgroup
+    for m in (derived, typed):
+        assert m.check_mackey_axioms() == []
+        # the q-torsion class is the last generator, and restriction kills it
+        assert m.res(whole, triv).column(m.level(whole).rank - 1) == (0, 0)
+    for h in g.subgroups():
+        assert derived.level(h).free_rank == typed.level(h).free_rank
+        assert derived.level(h).primary_torsion == typed.level(h).primary_torsion
+        assert v_h(derived, h, 2) == v_h(typed, h, 2)
+
+
+def _patch_top_q_part(monkeypatch, q_part):
+    real = mackey.fiber_level_data
+
+    def patched(group, ell=None):
+        levels = real(group, ell)
+        top = group.full_subgroup
+        levels[top] = dataclasses.replace(levels[top], pi1_q_part=q_part)
+        return levels
+
+    monkeypatch.setattr(mackey, "fiber_level_data", patched)
+
+
 def test_assemble_pi1_c3_raises_on_a_wrong_q_part(monkeypatch):
-    monkeypatch.setattr(mackey, "pi1_level", lambda group, ell: SimpleNamespace(q_part=(3, 3)))
+    _patch_top_q_part(monkeypatch, (3, 3))
     with pytest.raises(ArithmeticError, match="expected one cyclic factor"):
         assemble_pi1_c3()
+
+
+def test_assemble_pi1_c3_reads_its_q_part_from_the_cokernel(monkeypatch):
+    # the top-level class is the computed q-part, whatever its order
+    _patch_top_q_part(monkeypatch, (9,))
+    m = assemble_pi1_c3()
+    g = m.group
+    assert m.level(g.full_subgroup).primary_torsion == (2, 2, 2, 2, 9)
+    assert m.level(g.trivial_subgroup).primary_torsion == (2, 2)
+    assert m.res(g.full_subgroup, g.trivial_subgroup).column(4) == (0, 0)
+    assert m.check_mackey_axioms() == []
+
+
+def test_c3_q_part_is_z3_exactly_for_ells_primitive_mod_9():
+    # The 3-part of Z/|ell^2 - 1| is Z/3 iff 9 does not divide ell + 1, i.e.
+    # iff ell is a primitive root mod 9; assemble_pi1_c3 reads it at ell = 2.
+    # An ell primitive mod 3 only (8, 17, 26) gives a larger q-part.
+    g = parse_group("C3")
+    top = assemble_pi1_c3().level(g.full_subgroup).primary_torsion
+    derived = [d for d in top if d % 3 == 0]
+    assert derived == [3]
+    for ell in range(2, 27):
+        if not is_primitive_root(ell, 3):
+            continue
+        q_part = group_report(g, ell)["pi1_q_part"]
+        if is_primitive_root(ell, 9):
+            assert q_part == derived, ell
+        else:
+            assert q_part != derived and q_part[0] % 9 == 0, ell
 
 
 def test_lewis_diagram():
