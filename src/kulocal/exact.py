@@ -407,16 +407,20 @@ class IntMatrix:
         return IntMatrix.from_columns(self.entries, nrows=self.cols)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row by row over the nonzero entries: restriction, transfer and
+        linearization matrices are mostly zero."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        bt = other.transpose().entries
-        return IntMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in bt]
-                for row in self.entries
-            ],
-            cols=other.cols,
-        )
+        out = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for a, brow in zip(row, other.entries):
+                if a:
+                    for j, b in enumerate(brow):
+                        if b:
+                            acc[j] += a * b
+            out.append(acc)
+        return IntMatrix(out, cols=other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix(

@@ -8,16 +8,22 @@ double-coset law collapses to
 
     res^H_K o tr^H_L = [H : KL] * tr^K_{K&L} o res^L_{K&L}.
 
-Provided functors: the Burnside functor, the representation-ring functor,
-their levelwise quotient A/J by the cyclically-vanishing ideal, and two
-answers built by one construction, A/J tensored with a sum of cyclic groups
-(``_tensor``): the degree-0 homotopy of the K-theoretic localization (A/J
-tensored with Z[x]/(2x, x^2)) and the degree-1 answer for the order-3 cyclic
-group (A/J tensored with (Z/2)^2, plus the q-part of the degree-2 cokernel
-that ``fiber.fiber_level_data`` computes at each level).  The
-geometric piece at a subgroup (level modulo transfers from proper subgroups)
-and its rank bookkeeping against the idempotent splitting are computed for
-any functor.
+A Green functor is given by the products of basis vectors at each level
+(``basis_product``); every functor here is commutative, and ``multiply`` is
+the one bilinear extension of those products.
+
+Provided functors: the Burnside functor and its levelwise quotient A/J by the
+cyclically-vanishing ideal, both lattices of marks vectors built by one
+construction (``_marks_functor``: restriction keeps the marks at the subgroups
+of K, transfer scales them by [H : K], the product is pointwise); the
+representation-ring functor; and two answers built by one construction, A/J
+tensored with a sum of cyclic groups (``_tensor``): the degree-0 homotopy of
+the K-theoretic localization (A/J tensored with Z[x]/(2x, x^2)) and the
+degree-1 answer for the order-3 cyclic group (A/J tensored with (Z/2)^2, plus
+the q-part of the degree-2 cokernel that ``fiber.fiber_level_data`` computes
+at each level).  The geometric piece at a subgroup (level modulo transfers
+from proper subgroups) and its rank bookkeeping against the idempotent
+splitting are computed for any functor.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .burnside import AModJ, BurnsideRing
+from .burnside import BurnsideRing
 from .exact import (
     IntMatrix,
     is_prime,
@@ -41,7 +47,6 @@ from .exact import (
 )
 from .fiber import default_ell, fiber_level_data
 from .groups import AbelianGroup, DualLevel, Subgroup
-from .reprings import dual_multiply
 
 Vector = tuple
 
@@ -88,25 +93,6 @@ class Level:
         if not any(diff):
             return True
         return lattice_contains(self.relation_hnf, diff)
-
-
-def _compose(m2: IntMatrix, m1: IntMatrix) -> IntMatrix:
-    """m2 o m1, exploiting column sparsity (res/tr matrices are sparse)."""
-    if m2.cols != m1.rows:
-        raise ValueError("shape mismatch")
-    m2cols = [m2.column(j) for j in range(m2.cols)]
-    cols = []
-    for j in range(m1.cols):
-        col = [0] * m2.rows
-        for i in range(m1.rows):
-            c = m1.entries[i][j]
-            if c:
-                src = m2cols[i]
-                for r in range(m2.rows):
-                    if src[r]:
-                        col[r] += c * src[r]
-        cols.append(col)
-    return IntMatrix.from_columns(cols, nrows=m2.rows)
 
 
 class MackeyFunctor:
@@ -169,18 +155,18 @@ class MackeyFunctor:
                 for l in inside:
                     if k.contains(l):
                         # transitivity along L <= K <= H
-                        lhs = _compose(self.res(k, l), self.res(h, k))
+                        lhs = self.res(k, l) * self.res(h, k)
                         if not self.maps_equal(self.level(l), lhs, self.res(h, l)):
                             failures.append(f"res transitivity {h!r}>{k!r}>{l!r}")
-                        lhs = _compose(self.tr(k, h), self.tr(l, k))
+                        lhs = self.tr(k, h) * self.tr(l, k)
                         if not self.maps_equal(self.level(h), lhs, self.tr(l, h)):
                             failures.append(f"tr transitivity {h!r}>{k!r}>{l!r}")
             for k in inside:
                 for l in inside:
                     meet = k.intersect(l)
-                    lhs = _compose(self.res(h, k), self.tr(l, h))
+                    lhs = self.res(h, k) * self.tr(l, h)
                     # [H : KL] with |KL| = |K| |L| / |K & L|
-                    rhs = _compose(self.tr(meet, k), self.res(l, meet)).scale(
+                    rhs = (self.tr(meet, k) * self.res(l, meet)).scale(
                         h.order * meet.order // (k.order * l.order)
                     )
                     if not self.maps_equal(self.level(k), lhs, rhs):
@@ -235,6 +221,10 @@ def _apply_sparse(columns: Sequence[Vector], v: Sequence[int]) -> Vector:
 
 
 class GreenFunctor(MackeyFunctor):
+    """A Mackey functor with a commutative unital product at each level, given
+    by the products of basis vectors: ``basis_product(h, i, j)`` is e_i * e_j
+    at level H."""
+
     def __init__(
         self,
         group: AbelianGroup,
@@ -242,29 +232,42 @@ class GreenFunctor(MackeyFunctor):
         res: dict,
         tr: dict,
         units: dict[Subgroup, Vector],
-        multiply: Callable[[Subgroup, Sequence[int], Sequence[int]], Vector],
+        basis_product: Callable[[Subgroup, int, int], Vector],
         name: str = "",
     ):
         super().__init__(group, levels, res, tr, name)
         self._units = units
-        self._multiply = multiply
+        self._basis_product = basis_product
         self._products: dict[Subgroup, list[list[Vector]]] = {}
 
     def unit(self, h: Subgroup) -> Vector:
         return self._units[h]
 
-    def multiply(self, h: Subgroup, a: Sequence[int], b: Sequence[int]) -> Vector:
-        return self._multiply(h, a, b)
-
     def product_table(self, h: Subgroup) -> list[list[Vector]]:
-        """multiply(h, e_i, e_j) for every pair of basis vectors of the level,
-        computed once per level."""
+        """e_i * e_j for every pair of basis vectors of the level, computed
+        once per level for i <= j and mirrored."""
         table = self._products.get(h)
         if table is None:
             n = self.level(h).rank
-            basis = [_unit_vec(n, i) for i in range(n)]
-            table = self._products[h] = [[self.multiply(h, a, b) for b in basis] for a in basis]
+            table = self._products[h] = [[()] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    table[i][j] = table[j][i] = tuple(self._basis_product(h, i, j))
         return table
+
+    def multiply(self, h: Subgroup, a: Sequence[int], b: Sequence[int]) -> Vector:
+        """The bilinear extension of the basis products, summed over the
+        nonzero coefficients of a and b."""
+        table = self.product_table(h)
+        out = [0] * self.level(h).rank
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        for t, z in enumerate(table[i][j]):
+                            if z:
+                                out[t] += x * y * z
+        return tuple(out)
 
     def check_green_axioms(self) -> list[str]:
         """Restrictions are ring maps; transfers satisfy Frobenius reciprocity.
@@ -308,49 +311,79 @@ class GreenFunctor(MackeyFunctor):
 
 
 # ---------------------------------------------------------------------------
-# the Burnside Green functor
+# lattices of marks vectors: the Burnside functor and A/J
 
 
-def burnside_mackey(group: AbelianGroup) -> GreenFunctor:
+def _marks_functor(group: AbelianGroup, lattice: Callable, name: str) -> GreenFunctor:
+    """A Green functor whose level at H is a full-rank lattice of marks
+    vectors with pointwise product.
+
+    ``lattice(BurnsideRing(group, H))`` gives the column subgroups, the basis
+    rows as marks vectors and a coordinates function over those rows.  Marks
+    at a subgroup C commute with restriction, so res^H_K keeps the entries at
+    K's columns (the columns of H inside K, in the same canonical order);
+    tr^H_K scales them by [H : K] and puts 0 at the other columns of H.  The
+    unit is the all-ones marks vector.
+    """
     subs = group.subgroups()
-    rings = {h: BurnsideRing(group, h) for h in subs}
-    levels = {h: Level(subgroup=h, rank=rings[h].n) for h in subs}
+    columns, basis, coordinates = {}, {}, {}
+    for h in subs:
+        columns[h], basis[h], coordinates[h] = lattice(BurnsideRing(group, h))
+    levels = {h: Level(subgroup=h, rank=len(basis[h])) for h in subs}
+
+    def matrix(dst: Subgroup, images: Sequence[Sequence[int]]) -> IntMatrix:
+        return IntMatrix.from_columns([coordinates[dst](v) for v in images], nrows=levels[dst].rank)
+
     res: dict = {}
     tr: dict = {}
     for h in subs:
-        ring_h = rings[h]
         for k in subs:
             if not h.contains(k):
                 continue
-            ring_k = rings[k]
-            # res^H_K [H/L] = [H : KL] [K / (K & L)]
-            cols = []
-            for l in ring_h.subgroups:
-                meet = k.intersect(l)
-                col = [0] * ring_k.n
-                col[ring_k.sub_index(meet)] = h.order * meet.order // (k.order * l.order)
-                cols.append(col)
-            res[(h, k)] = IntMatrix.from_columns(cols, nrows=ring_k.n)
-            # tr^H_K [K/L] = [H/L]
-            cols = []
-            for l in ring_k.subgroups:
-                col = [0] * ring_h.n
-                col[ring_h.sub_index(l)] = 1
-                cols.append(col)
-            tr[(k, h)] = IntMatrix.from_columns(cols, nrows=ring_h.n)
+            inside = [i for i, c in enumerate(columns[h]) if k.contains(c)]
+            res[(h, k)] = matrix(k, [[b[i] for i in inside] for b in basis[h]])
+            index = h.order // k.order
+            up = []
+            for b in basis[k]:
+                v = [0] * len(columns[h])
+                for i, x in zip(inside, b):
+                    v[i] = index * x
+                up.append(v)
+            tr[(k, h)] = matrix(h, up)
 
-    def multiply(h: Subgroup, a, b) -> Vector:
-        return rings[h].multiply(a, b)
+    def basis_product(h: Subgroup, i: int, j: int) -> Vector:
+        return coordinates[h]([x * y for x, y in zip(basis[h][i], basis[h][j])])
 
-    return GreenFunctor(
-        group=group,
-        levels=levels,
-        res=res,
-        tr=tr,
-        units={h: rings[h].one for h in subs},
-        multiply=multiply,
-        name="burnside",
+    units = {h: coordinates[h]((1,) * len(columns[h])) for h in subs}
+    return GreenFunctor(group, levels, res, tr, units, basis_product, name)
+
+
+def burnside_mackey(group: AbelianGroup) -> GreenFunctor:
+    """The Burnside functor: at H, the marks of the orbit basis [H/L] (rows of
+    the table of marks) on every subgroup of H."""
+    return _marks_functor(
+        group,
+        lambda ring: (ring.subgroups, ring.table_of_marks.entries, ring.element_from_marks),
+        "burnside",
     )
+
+
+def _a_mod_j_lattice(ring: BurnsideRing):
+    q = ring.a_mod_j()
+
+    def coordinates(marks: Sequence[int]) -> Vector:
+        coords = q.coordinates(marks)
+        if coords is None:
+            raise ArithmeticError(f"marks {tuple(marks)} lie outside A/J at {ring.level!r}")
+        return coords
+
+    return q.cyclic_subgroups, q.basis, coordinates
+
+
+def a_mod_j_mackey(group: AbelianGroup) -> GreenFunctor:
+    """Levelwise quotient by the cyclically-vanishing ideal: at H, the image of
+    the marks on the cyclic subgroups of H, in its canonical Hermite basis."""
+    return _marks_functor(group, _a_mod_j_lattice, "a_mod_j")
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +415,12 @@ def ru_mackey(group: AbelianGroup) -> GreenFunctor:
                 cols[d_k.index_of(a)][i] = 1
             tr[(k, h)] = IntMatrix.from_columns(cols, nrows=d_h.size)
 
-    def multiply(h: Subgroup, v, w) -> Vector:
-        return dual_multiply(duals[h], v, w)
+    def basis_product(h: Subgroup, i: int, j: int) -> Vector:
+        d = duals[h]
+        return _unit_vec(d.size, d.index_of(d.add(d.reps[i], d.reps[j])))
 
-    units = {}
-    for h in subs:
-        units[h] = _unit_vec(duals[h].size, duals[h].index_of(group.identity))
-
-    return GreenFunctor(
-        group=group,
-        levels=levels,
-        res=res,
-        tr=tr,
-        units=units,
-        multiply=multiply,
-        name="ru",
-    )
+    units = {h: _unit_vec(duals[h].size, duals[h].index_of(group.identity)) for h in subs}
+    return GreenFunctor(group, levels, res, tr, units, basis_product, "ru")
 
 
 # ---------------------------------------------------------------------------
@@ -438,26 +461,25 @@ def linearization_check(group: AbelianGroup) -> LinearizationCheck:
         for k in subs:
             if not h.contains(k):
                 continue
-            lhs = _compose(lam[k], a_fun.res(h, k))
-            rhs = _compose(ru_fun.res(h, k), lam[h])
+            lhs = lam[k] * a_fun.res(h, k)
+            rhs = ru_fun.res(h, k) * lam[h]
             if lhs != rhs:
                 res_ok = False
-            lhs = _compose(lam[h], a_fun.tr(k, h))
-            rhs = _compose(ru_fun.tr(k, h), lam[k])
+            lhs = lam[h] * a_fun.tr(k, h)
+            rhs = ru_fun.tr(k, h) * lam[k]
             if lhs != rhs:
                 tr_ok = False
 
     unital = mult_ok = True
     for h in subs:
-        ring = rings[h]
-        if lam[h].apply(ring.one) != ru_fun.unit(h):
+        if lam[h].apply(a_fun.unit(h)) != ru_fun.unit(h):
             unital = False
-        n = ring.n
-        for i in range(n):
-            for j in range(i, n):
-                lhs = lam[h].apply(ring.multiply(_unit_vec(n, i), _unit_vec(n, j)))
-                rhs = ru_fun.multiply(h, lam[h].apply(_unit_vec(n, i)), lam[h].apply(_unit_vec(n, j)))
-                if lhs != tuple(rhs):
+        # row i of the linearize matrix is the image of the i-th orbit
+        lin = rings[h].linearize_matrix.entries
+        products = a_fun.product_table(h)
+        for i in range(len(lin)):
+            for j in range(i, len(lin)):
+                if lam[h].apply(products[i][j]) != ru_fun.multiply(h, lin[i], lin[j]):
                     mult_ok = False
 
     kernel_ok = True
@@ -476,72 +498,6 @@ def linearization_check(group: AbelianGroup) -> LinearizationCheck:
         unital=unital,
         multiplicative=mult_ok,
         kernel_is_ideal_j=kernel_ok,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the quotient functor A/J
-
-
-def a_mod_j_mackey(group: AbelianGroup) -> GreenFunctor:
-    """Levelwise quotient by the cyclically-vanishing ideal, in the canonical
-    marks-image basis at every level.
-
-    A/J at H is the image of the marks on the cyclic subgroups of H.  Marks
-    at a subgroup C commute with restriction, so res^H_K keeps the entries at
-    the cyclic subgroups of K; tr^H_K scales them by [H : K] and puts 0 at
-    the other cyclic subgroups of H.
-    """
-    subs = group.subgroups()
-    quots: dict[Subgroup, AModJ] = {h: BurnsideRing(group, h).a_mod_j() for h in subs}
-
-    levels = {h: Level(subgroup=h, rank=quots[h].rank) for h in subs}
-
-    def coordinates(q: AModJ, marks: Sequence[int]) -> Vector:
-        coords = q.coordinates(marks)
-        if coords is None:
-            raise ArithmeticError(f"marks {tuple(marks)} lie outside A/J at {q.ring.level!r}")
-        return coords
-
-    def matrix(dst: Subgroup, images: Sequence[Sequence[int]]) -> IntMatrix:
-        cols = [coordinates(quots[dst], v) for v in images]
-        return IntMatrix.from_columns(cols, nrows=quots[dst].rank)
-
-    res: dict = {}
-    tr: dict = {}
-    for h in subs:
-        n_h = len(quots[h].cyclic_subgroups)
-        for k in subs:
-            if not h.contains(k):
-                continue
-            # positions of K's cyclic subgroups among H's (both canonical order)
-            inside = [i for i, c in enumerate(quots[h].cyclic_subgroups) if k.contains(c)]
-            res[(h, k)] = matrix(k, [[b[i] for i in inside] for b in quots[h].basis])
-            index = h.order // k.order
-            up = []
-            for b in quots[k].basis:
-                v = [0] * n_h
-                for i, x in zip(inside, b):
-                    v[i] = index * x
-                up.append(v)
-            tr[(k, h)] = matrix(h, up)
-
-    def multiply(h: Subgroup, a, b) -> Vector:
-        q = quots[h]
-        va = [sum(c * row[j] for c, row in zip(a, q.basis)) for j in range(len(q.cyclic_subgroups))]
-        vb = [sum(c * row[j] for c, row in zip(b, q.basis)) for j in range(len(q.cyclic_subgroups))]
-        return coordinates(q, tuple(x * y for x, y in zip(va, vb)))
-
-    units = {h: coordinates(quots[h], quots[h].one) for h in subs}
-
-    return GreenFunctor(
-        group=group,
-        levels=levels,
-        res=res,
-        tr=tr,
-        units=units,
-        multiply=multiply,
-        name="a_mod_j",
     )
 
 
@@ -700,19 +656,19 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
     subs = group.subgroups()
     ranks = {h: aj.level(h).rank for h in subs}
 
-    def multiply(h: Subgroup, a, b) -> Vector:
+    def basis_product(h: Subgroup, i: int, j: int) -> Vector:
+        # generator i is x^(i // r) * b_(i % r): b_i b_j, x b_i b_j, or x^2 = 0
         r = ranks[h]
-        a0, a1 = a[:r], a[r:]
-        b0, b1 = b[:r], b[r:]
-        free = aj.multiply(h, a0, b0)
-        x_part = tuple(
-            x + y for x, y in zip(aj.multiply(h, a0, b1), aj.multiply(h, a1, b0))
-        )
-        return tuple(free) + x_part
+        (xi, bi), (xj, bj) = divmod(i, r), divmod(j, r)
+        zero = (0,) * r
+        if xi + xj > 1:
+            return zero + zero
+        prod = aj.product_table(h)[bi][bj]
+        return prod + zero if xi + xj == 0 else zero + prod
 
     units = {h: tuple(aj.unit(h)) + (0,) * ranks[h] for h in subs}
 
-    functor = GreenFunctor(group, *_tensor(aj, (0, 2)), units=units, multiply=multiply, name="pi0")
+    functor = GreenFunctor(group, *_tensor(aj, (0, 2)), units, basis_product, name="pi0")
 
     # cross-check: at each level the linearized Burnside lattice equals the
     # degree-0 Adams kernel inside the level's representation ring

@@ -259,6 +259,17 @@ def test_pi0_json_matches_benchmark_digest(capsys, spec, ell, digest):
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
+def test_verify_all_json_matches_benchmark_digest(capsys):
+    # the verify workload's job: every check name and result is pinned; the
+    # elapsed time is the one field left out of the digest
+    digest = json.loads(BENCH_DIGESTS.read_text())["verify-all"]["-"]
+    code, out, _ = run_capture(capsys, ["verify-all", "--max-order", "27", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    payload.pop("elapsed_seconds_time_hundredths")
+    assert hashlib.sha256(canonical_json(payload).encode()).hexdigest() == digest
+
+
 def test_bott_verify(capsys):
     code, out, _ = run_capture(capsys, ["bott-verify", "--group", "C3"])
     assert code == 0

@@ -216,6 +216,35 @@ def test_intmatrix_rejects_fraction_entry():
         IntMatrix([[Fraction(1, 2)]])
 
 
+def _dense_product(a, b):
+    """The definition: entry (i, j) is the sum over t of a[i][t] * b[t][j]."""
+    return [
+        [sum(a.entries[i][t] * b.entries[t][j] for t in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+def test_intmatrix_product_matches_dense_definition():
+    rng = random.Random(SEED + 6)
+    entry = {
+        "sparse": lambda: rng.choice((0, 0, 0, 0, 1, -1)),
+        "dense": lambda: rng.randint(-9, 9),
+    }
+    for _ in range(300):
+        m, k, n = rng.randrange(0, 8), rng.randrange(0, 8), rng.randrange(0, 8)
+        a = IntMatrix([[entry[rng.choice(list(entry))]() for _ in range(k)] for _ in range(m)], cols=k)
+        b = IntMatrix([[entry[rng.choice(list(entry))]() for _ in range(n)] for _ in range(k)], cols=n)
+        product = a * b
+        assert (product.rows, product.cols) == (m, n)
+        assert [list(r) for r in product.entries] == _dense_product(a, b)
+    # empty shapes: 0 rows, 0 columns, and an empty inner dimension
+    assert (IntMatrix.zeros(0, 3) * IntMatrix.zeros(3, 4)) == IntMatrix.zeros(0, 4)
+    assert (IntMatrix.zeros(2, 3) * IntMatrix.zeros(3, 0)) == IntMatrix.zeros(2, 0)
+    assert (IntMatrix.zeros(2, 0) * IntMatrix.zeros(0, 5)) == IntMatrix.zeros(2, 5)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        IntMatrix.identity(2) * IntMatrix.identity(3)
+
+
 def test_smallest_primitive_root():
     assert smallest_primitive_root(3) == 2
     assert smallest_primitive_root(9) == 2

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +11,7 @@ from kulocal import mackey
 from kulocal.burnside import BurnsideRing
 from kulocal.exact import IntMatrix, is_primitive_root, solve_integer
 from kulocal.fiber import group_report
-from kulocal.groups import AbelianGroup, parse_group
+from kulocal.groups import AbelianGroup, DualLevel, parse_group
 from kulocal.mackey import (
     Level,
     MackeyFunctor,
@@ -21,6 +26,7 @@ from kulocal.mackey import (
     ru_mackey,
     v_h,
 )
+from kulocal.reprings import dual_multiply
 
 INSTANCES = ["C3", "C9", "C27", "C3xC3", "C5", "C25", "C7", "C3xC9"]
 
@@ -120,10 +126,49 @@ def test_a_mod_j_levels_and_axioms(spec):
     assert m.check_green_axioms() == []
 
 
+def _burnside_by_formulas(group):
+    """The Burnside functor's res, tr and units from the formulas in the orbit
+    basis: res^H_K [H/L] = [H : KL] [K/(K & L)], tr^H_K [K/L] = [H/L], and the
+    unit [H/H]."""
+    subs = group.subgroups()
+    rings = {h: BurnsideRing(group, h) for h in subs}
+    res, tr = {}, {}
+    for h in subs:
+        ring_h = rings[h]
+        for k in subs:
+            if not h.contains(k):
+                continue
+            ring_k = rings[k]
+            cols = []
+            for l in ring_h.subgroups:
+                meet = k.intersect(l)
+                # [H : KL] with |KL| = |K| |L| / |K & L|
+                index = h.order * meet.order // (k.order * l.order)
+                cols.append(ring_k.scale(index, ring_k.basis_element(meet)))
+            res[(h, k)] = IntMatrix.from_columns(cols, nrows=ring_k.n)
+            cols = [ring_h.basis_element(l) for l in ring_k.subgroups]
+            tr[(k, h)] = IntMatrix.from_columns(cols, nrows=ring_h.n)
+    units = {h: rings[h].one for h in subs}
+    return res, tr, units
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["C1", "C3", "C9", "C27", "C81", "C3xC3", "C3xC9", "C5xC25", "C9xC9", "C3xC3xC3", "C15"],
+)
+def test_burnside_functor_matches_the_formulas(spec):
+    g = parse_group(spec)
+    m = burnside_mackey(g)
+    res, tr, units = _burnside_by_formulas(g)
+    assert m._res == res
+    assert m._tr == tr
+    assert {h: m.unit(h) for h in m.subgroups} == units
+
+
 def _a_mod_j_through_burnside(group):
-    """A/J's res, tr and units by pushing the Burnside functor's maps down
-    through integer preimages of each basis row (the reference route)."""
-    a_fun = burnside_mackey(group)
+    """A/J's res, tr and units by pushing the Burnside formulas down through
+    integer preimages of each basis row (the reference route)."""
+    a_res, a_tr, a_units = _burnside_by_formulas(group)
     subs = group.subgroups()
     quots = {h: BurnsideRing(group, h).a_mod_j() for h in subs}
 
@@ -138,13 +183,9 @@ def _a_mod_j_through_burnside(group):
         cols = [q.coordinates(q.project(matrix.apply(pre))) for pre in preimages(quots[src])]
         return IntMatrix.from_columns(cols, nrows=q.rank)
 
-    res, tr = {}, {}
-    for h in subs:
-        for k in subs:
-            if h.contains(k):
-                res[(h, k)] = induced(a_fun.res(h, k), h, k)
-                tr[(k, h)] = induced(a_fun.tr(k, h), k, h)
-    units = {h: quots[h].coordinates(quots[h].project(a_fun.unit(h))) for h in subs}
+    res = {(h, k): induced(m, h, k) for (h, k), m in a_res.items()}
+    tr = {(k, h): induced(m, k, h) for (k, h), m in a_tr.items()}
+    units = {h: quots[h].coordinates(quots[h].project(a_units[h])) for h in subs}
     return res, tr, units
 
 
@@ -158,6 +199,103 @@ def test_a_mod_j_maps_match_burnside_preimage_route(spec):
     assert m._res == res
     assert m._tr == tr
     assert {h: m.unit(h) for h in m.subgroups} == units
+
+
+def _a_mod_j_product(q, a, b):
+    """A/J's product by its definition: coordinates of the pointwise product
+    of the marks vectors of a and b."""
+    marks = [[sum(c * row[t] for c, row in zip(v, q.basis)) for t in range(len(q.cyclic_subgroups))]
+             for v in (a, b)]
+    return q.coordinates([x * y for x, y in zip(*marks)])
+
+
+@pytest.mark.parametrize("spec", ["C9", "C3xC3", "C3xC9", "C5xC5"])
+def test_multiply_matches_each_functors_own_product(spec):
+    g = parse_group(spec)
+    rng = random.Random(sum(map(ord, spec)))
+    pi0 = assemble_pi0(g)
+    routes = {
+        burnside_mackey(g): lambda h, a, b: BurnsideRing(g, h).multiply(a, b),
+        ru_mackey(g): lambda h, a, b: dual_multiply(DualLevel(g, h), a, b),
+        a_mod_j_mackey(g): lambda h, a, b: _a_mod_j_product(BurnsideRing(g, h).a_mod_j(), a, b),
+    }
+
+    def pi0_route(h, a, b):
+        # (a + xc)(a' + xc') = aa' + x(ac' + a'c)
+        q = BurnsideRing(g, h).a_mod_j()
+        r = q.rank
+        free = _a_mod_j_product(q, a[:r], b[:r])
+        cross = [x + y for x, y in zip(_a_mod_j_product(q, a[:r], b[r:]), _a_mod_j_product(q, a[r:], b[:r]))]
+        return tuple(free) + tuple(cross)
+
+    routes[pi0.functor] = pi0_route
+    for functor, route in routes.items():
+        for h in functor.subgroups:
+            n = functor.level(h).rank
+            for _ in range(4):
+                a, b = ([rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(2))
+                assert functor.multiply(h, a, b) == tuple(route(h, a, b)), (functor.name, h)
+
+
+def _bumped(m, r, c):
+    """m with 1 added to entry (r, c)."""
+    rows = [list(row) for row in m.entries]
+    rows[r][c] += 1
+    return IntMatrix(rows, cols=m.cols)
+
+
+def _corrupted_functors():
+    """(functor, H, K): Burnside on C9 and pi0 on C3xC3, K a maximal subgroup of H = G."""
+    for functor in (burnside_mackey(parse_group("C9")), assemble_pi0(parse_group("C3xC3")).functor):
+        whole = functor.group.full_subgroup
+        yield functor, whole, maximal_proper_subgroups(whole)[0]
+
+
+def _failures(functor):
+    return functor.check_mackey_axioms() + functor.check_green_axioms()
+
+
+@pytest.mark.parametrize("kind", ["res", "tr", "product"])
+def test_axiom_checks_report_a_corrupted_entry(kind):
+    for functor, h, k in _corrupted_functors():
+        assert _failures(functor) == []
+        if kind == "res":
+            functor._res[(h, k)] = _bumped(functor.res(h, k), 0, 0)
+        elif kind == "tr":
+            functor._tr[(k, h)] = _bumped(functor.tr(k, h), 0, 0)
+        else:
+            table = functor.product_table(h)
+            table[0][1] = (table[0][1][0] + 1,) + table[0][1][1:]
+        failures = _failures(functor)
+        assert failures, (functor.name, kind)
+        if kind == "product":
+            assert any(repr(h) in f and "at (0,1)" in f for f in failures), failures
+        else:
+            assert any(repr(h) in f and repr(k) in f for f in failures), failures
+
+
+def test_axiom_checks_report_a_corrupted_entry_under_O():
+    # the checks return their failures; nothing depends on assert statements
+    script = (
+        "from kulocal.groups import parse_group\n"
+        "from kulocal.mackey import burnside_mackey, maximal_proper_subgroups\n"
+        "from kulocal.exact import IntMatrix\n"
+        "m = burnside_mackey(parse_group('C9'))\n"
+        "h = m.group.full_subgroup\n"
+        "k = maximal_proper_subgroups(h)[0]\n"
+        "rows = [list(r) for r in m.tr(k, h).entries]\n"
+        "rows[0][0] += 1\n"
+        "m._tr[(k, h)] = IntMatrix(rows, cols=len(rows[0]))\n"
+        "print('\\n'.join(m.check_mackey_axioms()))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    named = [f for f in proc.stdout.splitlines() if "order=9 of C9" in f and "order=3 of C9" in f]
+    assert named, proc.stdout
 
 
 def test_restriction_rule_in_a_mod_j():
