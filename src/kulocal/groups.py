@@ -98,6 +98,17 @@ class AbelianGroup:
         e = self.exponent
         return sum((e // n) * x * y for x, y, n in zip(a, g, self.factors)) % e if g else 0
 
+    def pairing_kernel(self, g: Element) -> int:
+        """The mask of {a : <a, g> = 0}.  The pairing values of all elements,
+        in index order, are built coordinate by coordinate (last coordinate
+        fastest): each factor n adds x * (e // n) * g_i for x in range(n)."""
+        e = self.exponent
+        values = [0]
+        for y, n in zip(g, self.factors):
+            w = (e // n) * y % e
+            values = [(v + x * w) % e for v in values for x in range(n)]
+        return int("".join("0" if v else "1" for v in reversed(values)), 2)
+
     # -- translation -------------------------------------------------------
 
     @cached_property
@@ -253,18 +264,15 @@ class Subgroup:
         """{a : <a, h> = 0 for all h in H} under the self-duality pairing.
 
         It is enough to pair with generators of H, picked greedily: the
-        lowest element of H outside their span, until the span is H.
+        lowest element of H outside their span, until the span is H.  The
+        annihilator is the AND of their ``pairing_kernel`` masks.
         """
         g = self.group
         gens, span = [], 1
         while span != self.mask:
             gens.append(g.elements[_lowest_index(self.mask & ~span)])
             span = g.span(span, gens[-1])
-        mask = 0
-        for i, a in enumerate(g.elements):
-            if all(g.dual_pairing(a, h) == 0 for h in gens):
-                mask |= 1 << i
-        return Subgroup(g, mask)
+        return Subgroup(g, reduce(int.__and__, map(g.pairing_kernel, gens), g.full_subgroup.mask))
 
     def __eq__(self, other) -> bool:
         return (

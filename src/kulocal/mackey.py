@@ -2,9 +2,11 @@
 
 A functor is stored levelwise: one finitely generated abelian group per
 subgroup, presented as Z^rank modulo a relation lattice, with restriction and
-transfer matrices for every containment.  Because the ambient group is
-abelian there is no conjugation data, Weyl groups are quotients, and the
-double-coset law collapses to
+transfer matrices for every containment.  The maps are built on first use
+and kept (``MapCache``), so a job that reads only the levels builds none of
+them; the axiom checks and ``to_json`` read, and so build, every one.
+Because the ambient group is abelian there is no conjugation data, Weyl
+groups are quotients, and the double-coset law collapses to
 
     res^H_K o tr^H_L = [H : KL] * tr^K_{K&L} o res^L_{K&L}.
 
@@ -95,6 +97,35 @@ class Level:
         return lattice_contains(self.relation_hnf, diff)
 
 
+class MapCache(dict):
+    """Restriction or transfer matrices keyed (source, target), each built by
+    ``build(source, target)`` on first lookup and kept.
+
+    Only a containment pair of the levels is a key: source contains target
+    for restrictions, target contains source for transfers (``up``).  Any
+    other key raises KeyError, as a dict holding every map would.
+    """
+
+    def __init__(self, levels: dict, build: Callable[[Subgroup, Subgroup], IntMatrix], up: bool):
+        super().__init__()
+        self._levels = levels
+        self._build = build
+        self._up = up
+
+    def __missing__(self, key: tuple[Subgroup, Subgroup]) -> IntMatrix:
+        src, dst = key
+        outer, inner = (dst, src) if self._up else (src, dst)
+        if outer not in self._levels or inner not in self._levels or not outer.contains(inner):
+            raise KeyError(key)
+        matrix = self[key] = self._build(src, dst)
+        return matrix
+
+
+def _lazy_maps(levels: dict, res: Callable, tr: Callable) -> tuple[MapCache, MapCache]:
+    """The restriction and transfer caches of ``res(h, k)`` and ``tr(k, h)``."""
+    return MapCache(levels, res, up=False), MapCache(levels, tr, up=True)
+
+
 class MackeyFunctor:
     def __init__(
         self,
@@ -104,6 +135,8 @@ class MackeyFunctor:
         tr: dict[tuple[Subgroup, Subgroup], IntMatrix],
         name: str = "",
     ):
+        """``res`` and ``tr`` map (H, K) and (K, H) to the matrices for
+        K <= H: a ``MapCache``, or a dict holding every containment."""
         self.group = group
         self.levels = levels
         self._res = res
@@ -187,17 +220,15 @@ class MackeyFunctor:
                 if include_mult:
                     entry["mult_tables"] = [[list(v) for v in row] for row in self.product_table(h)]
             levels.append(entry)
-        maps = []
-        for (h, k), m in self._res.items():
-            if h != k:
-                maps.append(
-                    {"from": h.order, "to": k.order, "kind": "res", "matrix": [list(r) for r in m.entries]}
-                )
-        for (k, h), m in self._tr.items():
-            if h != k:
-                maps.append(
-                    {"from": k.order, "to": h.order, "kind": "tr", "matrix": [list(r) for r in m.entries]}
-                )
+        subs = self.subgroups
+        pairs = [(h, k) for h in subs for k in subs if h != k and h.contains(k)]
+        maps = [
+            {"from": h.order, "to": k.order, "kind": "res", "matrix": [list(r) for r in self.res(h, k).entries]}
+            for h, k in pairs
+        ] + [
+            {"from": k.order, "to": h.order, "kind": "tr", "matrix": [list(r) for r in self.tr(k, h).entries]}
+            for h, k in pairs
+        ]
         return {"group": repr(self.group), "name": self.name, "levels": levels, "maps": maps}
 
 
@@ -334,28 +365,28 @@ def _marks_functor(group: AbelianGroup, lattice: Callable, name: str) -> GreenFu
     def matrix(dst: Subgroup, images: Sequence[Sequence[int]]) -> IntMatrix:
         return IntMatrix.from_columns([coordinates[dst](v) for v in images], nrows=levels[dst].rank)
 
-    res: dict = {}
-    tr: dict = {}
-    for h in subs:
-        for k in subs:
-            if not h.contains(k):
-                continue
-            inside = [i for i, c in enumerate(columns[h]) if k.contains(c)]
-            res[(h, k)] = matrix(k, [[b[i] for i in inside] for b in basis[h]])
-            index = h.order // k.order
-            up = []
-            for b in basis[k]:
-                v = [0] * len(columns[h])
-                for i, x in zip(inside, b):
-                    v[i] = index * x
-                up.append(v)
-            tr[(k, h)] = matrix(h, up)
+    def inside(h: Subgroup, k: Subgroup) -> list[int]:
+        return [i for i, c in enumerate(columns[h]) if k.contains(c)]
+
+    def res(h: Subgroup, k: Subgroup) -> IntMatrix:
+        cols = inside(h, k)
+        return matrix(k, [[b[i] for i in cols] for b in basis[h]])
+
+    def tr(k: Subgroup, h: Subgroup) -> IntMatrix:
+        cols, index = inside(h, k), h.order // k.order
+        up = []
+        for b in basis[k]:
+            v = [0] * len(columns[h])
+            for i, x in zip(cols, b):
+                v[i] = index * x
+            up.append(v)
+        return matrix(h, up)
 
     def basis_product(h: Subgroup, i: int, j: int) -> Vector:
         return coordinates[h]([x * y for x, y in zip(basis[h][i], basis[h][j])])
 
     units = {h: coordinates[h]((1,) * len(columns[h])) for h in subs}
-    return GreenFunctor(group, levels, res, tr, units, basis_product, name)
+    return GreenFunctor(group, levels, *_lazy_maps(levels, res, tr), units, basis_product, name)
 
 
 def burnside_mackey(group: AbelianGroup) -> GreenFunctor:
@@ -394,33 +425,31 @@ def ru_mackey(group: AbelianGroup) -> GreenFunctor:
     subs = group.subgroups()
     duals = {h: DualLevel(group, h) for h in subs}
     levels = {h: Level(subgroup=h, rank=duals[h].size) for h in subs}
-    res: dict = {}
-    tr: dict = {}
-    for h in subs:
-        d_h = duals[h]
-        for k in subs:
-            if not h.contains(k):
-                continue
-            d_k = duals[k]
-            # restriction: character restriction along K <= H
-            cols = []
-            for a in d_h.reps:
-                col = [0] * d_k.size
-                col[d_k.index_of(a)] = 1
-                cols.append(col)
-            res[(h, k)] = IntMatrix.from_columns(cols, nrows=d_k.size)
-            # transfer: induction; the fiber of restriction over each character
-            cols = [[0] * d_h.size for _ in range(d_k.size)]
-            for i, a in enumerate(d_h.reps):
-                cols[d_k.index_of(a)][i] = 1
-            tr[(k, h)] = IntMatrix.from_columns(cols, nrows=d_h.size)
+
+    def res(h: Subgroup, k: Subgroup) -> IntMatrix:
+        # character restriction along K <= H
+        d_h, d_k = duals[h], duals[k]
+        cols = []
+        for a in d_h.reps:
+            col = [0] * d_k.size
+            col[d_k.index_of(a)] = 1
+            cols.append(col)
+        return IntMatrix.from_columns(cols, nrows=d_k.size)
+
+    def tr(k: Subgroup, h: Subgroup) -> IntMatrix:
+        # induction: the fiber of restriction over each character
+        d_h, d_k = duals[h], duals[k]
+        cols = [[0] * d_h.size for _ in range(d_k.size)]
+        for i, a in enumerate(d_h.reps):
+            cols[d_k.index_of(a)][i] = 1
+        return IntMatrix.from_columns(cols, nrows=d_h.size)
 
     def basis_product(h: Subgroup, i: int, j: int) -> Vector:
         d = duals[h]
         return _unit_vec(d.size, d.index_of(d.add(d.reps[i], d.reps[j])))
 
     units = {h: _unit_vec(duals[h].size, duals[h].index_of(group.identity)) for h in subs}
-    return GreenFunctor(group, levels, res, tr, units, basis_product, "ru")
+    return GreenFunctor(group, levels, *_lazy_maps(levels, res, tr), units, basis_product, "ru")
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +587,8 @@ def _tensor(
     extra: dict[Subgroup, Sequence[int]] | None = None,
 ) -> tuple[dict, dict, dict]:
     """Levels, restrictions and transfers of functor tensor (+_s Z/orders[s]),
-    order 0 meaning Z, for a functor with free levels (A/J's are).
+    order 0 meaning Z, for a functor with free levels (A/J's are).  Each map
+    is built on first lookup from the same map of ``functor``.
 
     Each level has one block of generators per summand, in the order of
     ``orders``, so every map is block diagonal.  ``extra[h]`` appends cyclic
@@ -590,14 +620,13 @@ def _tensor(
         ]
         return IntMatrix(rows, cols=blocks * m.cols + n_src)
 
-    res: dict = {}
-    tr: dict = {}
-    for h in functor.subgroups:
-        for k in functor.subgroups:
-            if h.contains(k):
-                res[(h, k)] = block_diag(functor.res(h, k), h, k)
-                tr[(k, h)] = block_diag(functor.tr(k, h), k, h)
-    return levels, res, tr
+    def res(h: Subgroup, k: Subgroup) -> IntMatrix:
+        return block_diag(functor.res(h, k), h, k)
+
+    def tr(k: Subgroup, h: Subgroup) -> IntMatrix:
+        return block_diag(functor.tr(k, h), k, h)
+
+    return levels, *_lazy_maps(levels, res, tr)
 
 
 # ---------------------------------------------------------------------------

@@ -238,25 +238,41 @@ def test_src_has_no_unused_imports():
     assert unused == {}
 
 
-# The lattice workload's pi0 jobs and their output digests (BENCH_DIGESTS).
+# The lattice workload's pi0, pi1 and kernel jobs and their output digests
+# (BENCH_DIGESTS), at every recorded ell.
 LATTICE_PI0_GROUPS = ("C3xC3xC9", "C5xC25", "C9xC9", "C3xC27", "C3xC3xC3")
+LATTICE_GROUPS = LATTICE_PI0_GROUPS + ("C5xC5xC5",)
 
 
-def _lattice_pi0_cases():
+def _lattice_cases(command, groups):
     digests = json.loads(BENCH_DIGESTS.read_text())
     return [
         pytest.param(spec, ell, digest, id=f"{spec}-ell{ell}")
-        for spec in LATTICE_PI0_GROUPS
-        for ell, digest in sorted(digests[f"pi0 {spec}"].items())
+        for spec in groups
+        for ell, digest in sorted(digests[f"{command} {spec}"].items())
     ]
 
 
-@pytest.mark.parametrize("spec,ell,digest", _lattice_pi0_cases())
-def test_pi0_json_matches_benchmark_digest(capsys, spec, ell, digest):
-    code, out, _ = run_capture(capsys, ["pi0", "--group", spec, "--ell", ell, "--format", "json"])
+def _assert_json_digest(capsys, command, spec, ell, digest):
+    code, out, _ = run_capture(capsys, [command, "--group", spec, "--ell", ell, "--format", "json"])
     assert code == 0
     canonical = canonical_json(json.loads(out))
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec,ell,digest", _lattice_cases("pi0", LATTICE_PI0_GROUPS))
+def test_pi0_json_matches_benchmark_digest(capsys, spec, ell, digest):
+    _assert_json_digest(capsys, "pi0", spec, ell, digest)
+
+
+@pytest.mark.parametrize("spec,ell,digest", _lattice_cases("pi1", LATTICE_GROUPS))
+def test_pi1_json_matches_benchmark_digest(capsys, spec, ell, digest):
+    _assert_json_digest(capsys, "pi1", spec, ell, digest)
+
+
+@pytest.mark.parametrize("spec,ell,digest", _lattice_cases("kernel", LATTICE_GROUPS))
+def test_kernel_json_matches_benchmark_digest(capsys, spec, ell, digest):
+    _assert_json_digest(capsys, "kernel", spec, ell, digest)
 
 
 def test_verify_all_json_matches_benchmark_digest(capsys):

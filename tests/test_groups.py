@@ -93,6 +93,43 @@ def test_annihilators_match_all_pairs_definition(spec):
         assert h.annihilator.order * h.order == g.order
 
 
+def _generator_loop_annihilator(g, h):
+    """ann(H) as the elements a with <a, x> = 0 for each greedily picked
+    generator x of H, one dual_pairing call per element and generator."""
+    gens, span = [], 1
+    while span != h.mask:
+        rest = h.mask & ~span
+        gens.append(g.elements[(rest & -rest).bit_length() - 1])  # lowest element outside
+        span = g.span(span, gens[-1])
+    return [a for a in g.elements if all(g.dual_pairing(a, x) == 0 for x in gens)]
+
+
+@pytest.mark.parametrize("spec", ["C3xC3xC3xC3", "C9xC9xC9"])
+def test_annihilators_match_generator_loop(spec):
+    g = AbelianGroup(parse_group(spec).factors)
+    for h in g.subgroups():
+        assert h.annihilator.mask == _mask_of(g, _generator_loop_annihilator(g, h)), h.elements
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_pairing_kernel_matches_dual_pairing(spec):
+    g = parse_group(spec)
+    for x in g.elements:
+        mask = g.pairing_kernel(x)
+        for i, a in enumerate(g.elements):
+            assert (mask >> i & 1) == (g.dual_pairing(a, x) == 0), (a, x)
+        assert mask >> g.order == 0
+
+
+def test_annihilator_makes_no_dual_pairing_call(monkeypatch):
+    def refuse(self, a, g):
+        raise AssertionError("dual_pairing called")
+
+    monkeypatch.setattr(AbelianGroup, "dual_pairing", refuse)
+    g = AbelianGroup((3, 3, 9))  # fresh instance: no cached annihilators
+    assert all(h.annihilator.order * h.order == g.order for h in g.subgroups())
+
+
 @pytest.mark.parametrize("spec", ORACLE_GROUPS)
 def test_dual_levels_match_coset_sets(spec):
     g = parse_group(spec)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import random
 import subprocess
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from kulocal import mackey
+from kulocal import burnside, mackey
 from kulocal.burnside import BurnsideRing
+from kulocal.cli import canonical_json
 from kulocal.exact import IntMatrix, is_primitive_root, solve_integer
 from kulocal.fiber import group_report
 from kulocal.groups import AbelianGroup, DualLevel, parse_group
@@ -160,8 +162,8 @@ def test_burnside_functor_matches_the_formulas(spec):
     g = parse_group(spec)
     m = burnside_mackey(g)
     res, tr, units = _burnside_by_formulas(g)
-    assert m._res == res
-    assert m._tr == tr
+    assert {(h, k): m.res(h, k) for h, k in res} == res
+    assert {(k, h): m.tr(k, h) for k, h in tr} == tr
     assert {h: m.unit(h) for h in m.subgroups} == units
 
 
@@ -196,8 +198,8 @@ def test_a_mod_j_maps_match_burnside_preimage_route(spec):
     g = parse_group(spec)
     m = a_mod_j_mackey(g)
     res, tr, units = _a_mod_j_through_burnside(g)
-    assert m._res == res
-    assert m._tr == tr
+    assert {(h, k): m.res(h, k) for h, k in res} == res
+    assert {(k, h): m.tr(k, h) for k, h in tr} == tr
     assert {h: m.unit(h) for h in m.subgroups} == units
 
 
@@ -296,6 +298,159 @@ def test_axiom_checks_report_a_corrupted_entry_under_O():
     assert proc.returncode == 0, proc.stderr
     named = [f for f in proc.stdout.splitlines() if "order=9 of C9" in f and "order=3 of C9" in f]
     assert named, proc.stdout
+
+
+# -- lazy maps ------------------------------------------------------------------
+
+
+def _containments(group):
+    subs = group.subgroups()
+    return {(h, k) for h in subs for k in subs if h.contains(k)}
+
+
+@pytest.mark.parametrize("spec", ["C9", "C3xC3", "C3xC9"])
+def test_maps_of_non_containment_pairs_raise_key_error(spec):
+    g = parse_group(spec)
+    other = parse_group("C5").full_subgroup
+    functors = [burnside_mackey(g), a_mod_j_mackey(g), ru_mackey(g), assemble_pi0(g).functor]
+    pairs = _containments(g)
+    for m in functors:
+        for h in g.subgroups():
+            for k in g.subgroups():
+                if (h, k) not in pairs:
+                    with pytest.raises(KeyError):
+                        m.res(h, k)
+                    with pytest.raises(KeyError):
+                        m.tr(k, h)
+            for bad in ((h, other), (other, h)):
+                with pytest.raises(KeyError):
+                    m.res(*bad)
+                with pytest.raises(KeyError):
+                    m.tr(*bad)
+    pi1 = assemble_pi1_c3()
+    whole, triv = pi1.group.full_subgroup, pi1.group.trivial_subgroup
+    with pytest.raises(KeyError):
+        pi1.res(triv, whole)
+    with pytest.raises(KeyError):
+        pi1.tr(whole, triv)
+
+
+def test_pi0_builds_no_map_and_the_checks_build_every_one(monkeypatch):
+    calls = []
+    solve = burnside.hnf_coordinates
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(burnside, "hnf_coordinates", counted)
+    g = parse_group("C3xC3xC9")
+    assert len(g.subgroups()) == 50
+    result = assemble_pi0(g)
+    result.to_json()
+    # at most one solve per level, for its unit; no restriction or transfer
+    assert len(calls) <= 50
+    m = result.functor
+    assert not m._res and not m._tr
+
+    assert m.check_mackey_axioms() == []
+    pairs = _containments(g)
+    assert set(m._res) == pairs
+    assert set(m._tr) == {(k, h) for h, k in pairs}
+    fresh = assemble_pi0(g).functor
+    for h, k in pairs:
+        assert m.res(h, k) == fresh.res(h, k)
+        assert m.tr(k, h) == fresh.tr(k, h)
+
+
+# sha256 of canonical_json({"json": to_json(include_mult=True), "mackey":
+# check_mackey_axioms(), "green": check_green_axioms()}) for each functor: the
+# maps are built on first use, so these pin the order in which the JSON and
+# the failure lists walk them.  pi0 is left out on C1, and on C15, which has
+# no default ell.
+FUNCTOR_SHA256 = {
+    "C1 burnside": "e7b54864542cb3dfa69a7229cc3cec0e23a1a3d39b752a9f31a884d15834cd17",
+    "C1 a_mod_j": "0dd6a62507b203f4d9fa52ac8de3837434f92fb96069caa479406b43efbe3bba",
+    "C1 ru": "a80c42d1b6896710f7fca026c761be4e3c16b1cb7aa94eec8b945fac20ccc5e4",
+    "C3 burnside": "dd8d9e37269cbe47b86bc0bdc473dd3b30204f2f71a62f13a1c85733cfccb62f",
+    "C3 a_mod_j": "abc16b5bce574f956ba92a60a1868bd415292df1139a19274993e3eadb5fe266",
+    "C3 ru": "91fb286603db66eacfb7f27ae3e932e15db7cc1981ac5ef0c4d6598d3d206a6a",
+    "C3 pi0": "6f0363d6ddd4146cd917e11976c65801a88efdd1c2a496fe65e54717b95de0f5",
+    "C9 burnside": "3d4620ca0ee679841b915f82bc2bb4bce2e36486008799f053d977a2d071e9db",
+    "C9 a_mod_j": "85ee6f14a7eba37ff95343c4a67496047180a2ecf1ffe31b891d85d02e8579a4",
+    "C9 ru": "3373d4461f95afbb5411da8f4a96d198ca31157f60856654916733d484fd11c1",
+    "C9 pi0": "be337dece701e09a9d250564fb4d5fc637032c626e3f236e6e355bd366410681",
+    "C27 burnside": "c93bfc9bec2553c90692cdf3132f0486f26b6d81d6e844a0540db6a7641809e9",
+    "C27 a_mod_j": "74dc4cc9797e7bf1f7b4d003615c637ccdce57a3b035f5c9ce9504f0e85efeea",
+    "C27 ru": "5b03bb8f68b01af2d440fb3ef9ebf79db166e7b9c8134fc9c7f2b09472dc1c8d",
+    "C27 pi0": "2db0c590910bc117cd753e277ad24265b67c7d799f03f30fdda76dbdc32a9431",
+    "C81 burnside": "b196c53a157beb62636020a3e43b694dc10c689be8c23741e1d72d1e397f00b9",
+    "C81 a_mod_j": "282ad5f029c3ef13ce8999538145d125cd7ae8912fa4f9cbbd70a7e2fa0b0cbc",
+    "C81 ru": "e8f93313dabd17055763029eb482d1ff3192145556620832517aec3e891ef30c",
+    "C81 pi0": "f1b4d0a45b964b9b0701a8c000184ae71555adcaff448d4ff44e51d107afc79e",
+    "C3xC3 burnside": "162d41bd2c2574f8e0ba740efe3ed40167c7fa3a4075a48543fea1f0298692c7",
+    "C3xC3 a_mod_j": "dca34c95e5325d5f1fed139327f7ee9c51b9bd1892a22c2c2b18940516df9a41",
+    "C3xC3 ru": "16ab61c6337cc6ad38e9c9b9973c8f6c359b0ab8f5e95a4a50e8d0198079d794",
+    "C3xC3 pi0": "28d1d371b9bc3ddc2ca48d5e96fa8dc322b13b757b19e00fd2349569c0fad8a7",
+    "C3xC9 burnside": "15cc703223a26485311f12f5f9ddb5d18dff1abc40a70e9453d7f25d1b2b848e",
+    "C3xC9 a_mod_j": "8de0b3d78361fe12b0df7a5ff9af7422e1e3177d2358d004b0a63afd65f72452",
+    "C3xC9 ru": "fe852010e998f4e409e91a8cd0c2bb0a8337a3a3aabb183042d78ea6b68bd2dc",
+    "C3xC9 pi0": "ad479e696031efb2d3972565de0f26bca08d5d85b77ff90cbe11d52b6391cc5d",
+    "C5xC25 burnside": "b95b1d9199360b311d8dbe77915b007ea424d72ced3297d185bbcb604f3451fd",
+    "C5xC25 a_mod_j": "aacdf3551914924b3ccb42f3bc16e42fce9d7115bb9d8d8943c49897c1fd903b",
+    "C5xC25 ru": "fe36a4c0f82e081179be6b5c26d474b4fc4ce6801c8ee65a7ae037a763a0cf9c",
+    "C5xC25 pi0": "af4d288403be4345f7ba15dfbe6492a20d9045031aa5b6372f1ec32692e9e66b",
+    "C9xC9 burnside": "d789ffea35ae6ea44e25dc50febf3fede3730112465a66ad7b7bf8da9b9a1648",
+    "C9xC9 a_mod_j": "c19bd7164cbea1b5f971e9d88149df87bc0b6ce783fc5fbcb79766182b97f434",
+    "C9xC9 ru": "c83eefd2c0d229add9dbf3e456ffe9dc81f8533599b5021e2de19fe98cc7041f",
+    "C9xC9 pi0": "57368c93d265df9a01f4eb6c9c44c386c60b6df609fd717c184352e7eac5b503",
+    "C3xC3xC3 burnside": "56ba1cafd29113fe3294026d91433de638bb028bff6e598e23f67f214d61e87b",
+    "C3xC3xC3 a_mod_j": "2d36293784d23e68f94e98094083233a5cf66042dfa76bd23aa2a52282b56679",
+    "C3xC3xC3 ru": "707b8abe7988235db673f968c17a0cf02c26e50181253a623a11b0e55ca80fc0",
+    "C3xC3xC3 pi0": "91da3aa4273699fbb37b4cfa15ad02bd7b09a6d7305fd9140df845f44b1c6daa",
+    "C15 burnside": "1c5830090e85cbbecccbe27dcf415b50d6d752cc631858a2b0a3b52d525e0bb0",
+    "C15 a_mod_j": "49095fe40d86ae2764f772250f1ba83122c6133c421fcd6782749a77183f7194",
+    "C15 ru": "faa83f3bcdfea1329a06ddfde205152505b9f7312125f633c51ab8db6c9ec125",
+    "C5 burnside": "8dc0ae957097125aab6e7ddb83fce5db2e859a1f60769d840422e565d7a0144e",
+    "C5 a_mod_j": "8f9973462f8a003b998cea0fff40247276922319a02919585bb8f0fac0169f7a",
+    "C5 ru": "a778f1b2d9806466c34dca725ffc453a99b583619663c48a96ada8ede745834d",
+    "C5 pi0": "029f0f13b0c00b75d9c11c7480cd5237b03d82be178774d53082f75fff084f7c",
+    "C25 burnside": "ac1302dc8daed9cdbf3b67f4d113d6e6e9a954b47d20f60453764296efe923fe",
+    "C25 a_mod_j": "c79953f7f5c9ce03381e4b851a0d49ead981e902dfe338b6919e32aad6db0eb3",
+    "C25 ru": "67f61e660271ab5daf93640941d822ab81ada9bf88fa21f8c26ee2f9d614a404",
+    "C25 pi0": "cf4cc235a64dd13fae23ba85fb7ecb87f1781cf7fab3878edab6bf08a570e65d",
+}
+PI1_C3_SHA256 = "79b08f3ada847fd8da8d1d6b3831983b5cb8da2f5d5e8908a490df484848baf3"
+FUNCTOR_BUILDS = {
+    "burnside": burnside_mackey,
+    "a_mod_j": a_mod_j_mackey,
+    "ru": ru_mackey,
+    "pi0": lambda g: assemble_pi0(g).functor,
+}
+
+
+def _sha256(payload):
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", sorted({key.split()[0] for key in FUNCTOR_SHA256}))
+def test_functor_json_and_axiom_failures_pinned(spec):
+    g = parse_group(spec)
+    for name, build in FUNCTOR_BUILDS.items():
+        expected = FUNCTOR_SHA256.get(f"{spec} {name}")
+        if expected is None:
+            continue
+        m = build(g)
+        payload = {
+            "json": m.to_json(include_mult=True),
+            "mackey": m.check_mackey_axioms(),
+            "green": m.check_green_axioms(),
+        }
+        assert _sha256(payload) == expected, (spec, name)
+
+
+def test_pi1_c3_json_pinned():
+    assert _sha256(assemble_pi1_c3().to_json()) == PI1_C3_SHA256
 
 
 def test_restriction_rule_in_a_mod_j():
