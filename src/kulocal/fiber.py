@@ -11,10 +11,10 @@ to the degree-2 cokernel.  The degree-0 kernel is compared, as a lattice,
 against the image of the Burnside ring under linearization and against the
 rational representation lattice; the degree-2 cokernel is finite (nonzero
 determinant, checked via invertibility mod ell) and its invariant factors and
-q-primary part give the degree-1 homotopy levels.  ``fiber_level_data`` (per
-level) and ``group_report`` (the ``pi1`` payload) are the only producers of
-this degree-2 data; ``mackey.assemble_pi1_c3`` reads its q-parts from the
-former.  The matrices themselves
+q-primary part give the degree-1 homotopy levels.  ``fiber_level_data`` reads
+the degree-0 kernel, the degree-2 invariant factors and the determinant off
+one cycle decomposition per level; ``group_report`` (the ``pi1`` payload)
+and ``mackey.assemble_pi1_c3`` read theirs from it.  The matrices themselves
 (``adams_minus_one``) remain for the Bareiss determinant of
 ``determinant_mod_ell_check`` and for tests.
 
@@ -90,20 +90,19 @@ def _cycle_determinants(cycles: tuple[tuple[int, ...], ...], ell: int) -> list[i
     return dets
 
 
-def degree2_invariant_factors(dual: DualLevel, ell: int) -> tuple[int, ...]:
+def degree2_invariant_factors(cycles: tuple[tuple[int, ...], ...], ell: int) -> tuple[int, ...]:
     """Invariant factors of the cokernel of the degree-2 psi^ell - 1 on one
-    level.  An L-cycle block ell*C - I has cyclic cokernel
-    Z[x]/(x^L - 1, ell*x - 1) = Z/|ell^L - 1|, so L - 1 of its factors are 1,
-    and the cyclic orders of all blocks become one divisibility chain."""
-    cycles = adams_cycles(dual, ell)
+    level, from its ``adams_cycles``.  An L-cycle block ell*C - I has cyclic
+    cokernel Z[x]/(x^L - 1, ell*x - 1) = Z/|ell^L - 1|, so L - 1 of its factors
+    are 1, and the cyclic orders of all blocks become one divisibility chain."""
     orders = [abs(d) for d in _cycle_determinants(cycles, ell)]
-    return (1,) * (dual.size - len(cycles)) + divisibility_chain(orders)
+    return (1,) * (sum(map(len, cycles)) - len(cycles)) + divisibility_chain(orders)
 
 
-def degree2_determinant(dual: DualLevel, ell: int) -> int:
-    """det of the degree-2 psi^ell - 1 on one level: the product over the
-    cycles of their block determinants; a singular matrix raises."""
-    return math.prod(_cycle_determinants(adams_cycles(dual, ell), ell))
+def degree2_determinant(cycles: tuple[tuple[int, ...], ...], ell: int) -> int:
+    """det of the degree-2 psi^ell - 1 from one level's ``adams_cycles``: the
+    product over the cycles of their block determinants; a singular one raises."""
+    return math.prod(_cycle_determinants(cycles, ell))
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWi
     return KernelWitness(
         group=group,
         ell=ell,
-        kernel=adams_kernel_basis(DualLevel(group, group.full_subgroup), ell),
+        kernel=adams_kernel_basis(adams_cycles(DualLevel(group, group.full_subgroup), ell)),
         rq=rational_rep_lattices(group),
         linearized=row_hnf(ring.linearize_matrix.entries, group.order),
         cyclic_count=len(group.cyclic_subgroups()),
@@ -177,19 +176,22 @@ def determinant_mod_ell_check(group: AbelianGroup, ell: int | None = None) -> tu
     ok = (
         det % ell in (1 % ell, (ell - 1) % ell)
         and det != 0
-        and det == degree2_determinant(DualLevel(group, group.full_subgroup), ell)
+        and det == degree2_determinant(
+            adams_cycles(DualLevel(group, group.full_subgroup), ell), ell
+        )
     )
     return ok, det
 
 
 @dataclass(frozen=True)
 class FiberLevelData:
-    """Degree-0 kernel lattice and degree-2 cokernel at one subgroup level."""
+    """Degree-0 kernel lattice, degree-2 cokernel and determinant at one level."""
 
     subgroup: Subgroup
     pi0_basis: tuple[Vector, ...]  # HNF rows inside RU(H) coordinates
     pi1_invariant_factors: tuple[int, ...]
     pi1_q_part: tuple[int, ...]
+    det_degree2: int
 
     @property
     def pi0_rank(self) -> int:
@@ -197,9 +199,9 @@ class FiberLevelData:
 
 
 def fiber_level_data(group: AbelianGroup, ell: int | None = None) -> dict[Subgroup, FiberLevelData]:
-    """Per-subgroup kernel/cokernel data, with q-parts for q the smallest
-    prime dividing |G|.  psi^ell commutes with restriction, and a primitive
-    root mod exponent(G) stays primitive at every level.
+    """Each level's data off one cycle decomposition of psi^ell, q-parts for q
+    the smallest prime dividing |G|.  psi^ell commutes with restriction, and
+    a primitive root mod exponent(G) stays primitive at every level.
     A singular degree-2 level means a singular top level (its permutation
     module is a quotient of the top one), which raises ArithmeticError.
     An ell that is not a primitive root is rejected after the singular
@@ -210,13 +212,14 @@ def fiber_level_data(group: AbelianGroup, ell: int | None = None) -> dict[Subgro
     q = smallest_prime_factor(group.order)
     out = {}
     for h in group.subgroups():
-        dual = DualLevel(group, h)
-        factors = degree2_invariant_factors(dual, ell)
+        cycles = adams_cycles(DualLevel(group, h), ell)
+        factors = degree2_invariant_factors(cycles, ell)
         out[h] = FiberLevelData(
             subgroup=h,
-            pi0_basis=adams_kernel_basis(dual, ell),
+            pi0_basis=adams_kernel_basis(cycles),
             pi1_invariant_factors=factors,
             pi1_q_part=primary_part(factors, q),
+            det_degree2=degree2_determinant(cycles, ell),
         )
     _require_primitive(group, ell)
     return out
@@ -238,7 +241,7 @@ def group_report(group: AbelianGroup, ell: int | None = None) -> dict:
         "pi0_basis": [list(r) for r in top.pi0_basis],
         "pi1_invariant_factors": list(top.pi1_invariant_factors),
         "pi1_q_part": list(top.pi1_q_part),
-        "det_degree2": degree2_determinant(DualLevel(group, group.full_subgroup), ell),
+        "det_degree2": top.det_degree2,
         "levels": [
             {
                 "subgroup": h.order,

@@ -5,10 +5,10 @@ mixed radix (``itertools.product``: the last coordinate varies fastest).
 Subgroups, cosets and H-set points are bitmasks over that index.  One
 primitive shifts them: ``translate(mask, g)``, the mask of S + g, is one block
 rotation per nonzero coordinate of g; ``span`` (H + <g>, by doubling),
-subgroup generation, the lattice, joins and cosets are built on it.  Only
-abelian groups are supported: every explicit computation downstream lives on
-cyclic groups and products of two or three of them, where conjugation is
-trivial and Weyl groups are quotients.
+subgroup generation, the lattice (one fold over the cyclic subgroups), joins
+and cosets are built on it.  Only abelian groups are supported: every explicit
+computation downstream lives on cyclic groups and products of two or three of
+them, where conjugation is trivial and Weyl groups are quotients.
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ class AbelianGroup:
     def subgroups(self, bound: int = SUBGROUP_ENUM_BOUND) -> tuple["Subgroup", ...]:
         """All subgroups, in the canonical (order, element-index-tuple) order.
 
-        Computed as the closure of the cyclic subgroups under H -> H + <g>;
-        every subgroup of a finite abelian group is a join of cyclic ones.
+        A fold over the cyclic subgroups, of which every subgroup is a join:
+        after the i-th, the set holds every join of the first i.
         """
         if self.order > bound:
             raise ValueError(
@@ -177,20 +177,15 @@ class AbelianGroup:
         return self._subgroups_cached
 
     @cached_property
+    def _cyclics(self) -> dict[int, Element]:
+        """Each cyclic subgroup's mask, with a generator (index 0 is the identity)."""
+        return {1: self.identity} | {self.span(1, g): g for g in self.elements[1:]}
+
+    @cached_property
     def _subgroups_cached(self) -> tuple["Subgroup", ...]:
-        cyclics = {self.span(1, g): g for g in self.elements}
-        masks = set(cyclics)
-        frontier = list(cyclics)
-        while frontier:
-            new = []
-            for h in frontier:
-                for c, g in cyclics.items():
-                    if c & ~h:
-                        joined = self.span(h, g)
-                        if joined not in masks:
-                            masks.add(joined)
-                            new.append(joined)
-            frontier = new
+        masks = {1}
+        for c, g in self._cyclics.items():
+            masks |= {self.span(h, g) for h in masks if c & ~h}
         subs = [Subgroup(self, m) for m in masks]
         subs.sort(key=lambda h: h.sort_key)
         return tuple(subs)
@@ -243,9 +238,9 @@ class Subgroup:
     def sort_key(self) -> tuple:
         return (self.order, self.element_indices)
 
-    @cached_property
+    @property
     def is_cyclic(self) -> bool:
-        return any(self.group.element_order(g) == self.order for g in self.elements)
+        return self.mask in self.group._cyclics
 
     def contains_element(self, g: Element) -> bool:
         return bool(self.mask >> self.group.index_of(g) & 1)

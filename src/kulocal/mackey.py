@@ -700,12 +700,12 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
     functor = GreenFunctor(group, *_tensor(aj, (0, 2)), units, basis_product, name="pi0")
 
     # cross-check: at each level the linearized Burnside lattice equals the
-    # degree-0 Adams kernel inside the level's representation ring
+    # degree-0 Adams kernel in RU(H), whose cycle indicators are canonical HNF
     level_data = fiber_level_data(group, ell)
     cross = True
     for h in subs:
         ring = BurnsideRing(group, h)
-        if not lattice_equal(ring.linearize_matrix.entries, level_data[h].pi0_basis, ring.dual.size):
+        if row_hnf(ring.linearize_matrix.entries, ring.dual.size) != level_data[h].pi0_basis:
             cross = False
         if len(level_data[h].pi0_basis) != ranks[h]:
             cross = False

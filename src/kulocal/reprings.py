@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .burnside import BurnsideRing
-from .exact import Cyclotomic, IntMatrix, row_hnf
+from .exact import Cyclotomic, IntMatrix
 from .groups import AbelianGroup, DualLevel, ExplicitHSet, Subgroup, map_set_orbits
 
 Vector = tuple
@@ -94,17 +94,13 @@ def adams_cycles(dual: DualLevel, ell: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def adams_kernel_basis(dual: DualLevel, ell: int) -> tuple[Vector, ...]:
-    """ker(psi^ell - 1) in degree 0 on the given dual level, as canonical HNF
-    rows: a vector fixed by a permutation is constant on its cycles, so the
-    cycle indicators span the kernel."""
-    rows = []
-    for cycle in adams_cycles(dual, ell):
-        row = [0] * dual.size
-        for i in cycle:
-            row[i] = 1
-        rows.append(row)
-    return row_hnf(rows, dual.size)
+def adams_kernel_basis(cycles: tuple[tuple[int, ...], ...]) -> tuple[Vector, ...]:
+    """ker(psi^ell - 1) in degree 0 on one level, from its ``adams_cycles``: a
+    vector fixed by a permutation is constant on its cycles, so the cycle
+    indicators span the kernel.  Disjoint 0/1 rows listed by first index,
+    they are already canonical HNF (each pivot a 1 with zeros above it)."""
+    size = sum(map(len, cycles))
+    return tuple(tuple(1 if i in cycle else 0 for i in range(size)) for cycle in map(set, cycles))
 
 
 class RURing:
@@ -276,7 +272,8 @@ def rational_rep_lattices(group: AbelianGroup) -> tuple[Vector, ...]:
     """The rational representation lattice of RU(G), as canonical HNF rows.
 
     It is spanned by the Galois orbit sums: one indicator per orbit of the
-    unit group mod the exponent acting by a -> u*a on the dual basis.
+    unit group mod the exponent acting by a -> u*a on the dual basis.  Found
+    from their lowest indices, these disjoint rows are already canonical HNF.
     """
     dual = DualLevel(group, group.full_subgroup)
     e = group.exponent
@@ -288,8 +285,8 @@ def rational_rep_lattices(group: AbelianGroup) -> tuple[Vector, ...]:
             continue
         orbit = {dual.index_of(dual.scale(u, a)) for u in units}
         seen |= orbit
-        sums.append([1 if j in orbit else 0 for j in range(dual.size)])
-    return row_hnf(sums, dual.size)
+        sums.append(tuple(1 if j in orbit else 0 for j in range(dual.size)))
+    return tuple(sums)
 
 
 def ru_element_json(group: AbelianGroup, v: Sequence[int]) -> dict:

@@ -238,8 +238,9 @@ def test_src_has_no_unused_imports():
     assert unused == {}
 
 
-# The lattice workload's pi0, pi1 and kernel jobs and their output digests
-# (BENCH_DIGESTS), at every recorded ell.
+# The lattice and cyclic workloads' pi0, pi1 and kernel jobs and their output
+# digests (BENCH_DIGESTS), at every recorded ell.
+CYCLIC_GROUPS = ("C243", "C81", "C27")
 LATTICE_PI0_GROUPS = ("C3xC3xC9", "C5xC25", "C9xC9", "C3xC27", "C3xC3xC3")
 LATTICE_GROUPS = LATTICE_PI0_GROUPS + ("C5xC5xC5",)
 
@@ -260,17 +261,17 @@ def _assert_json_digest(capsys, command, spec, ell, digest):
     assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("spec,ell,digest", _lattice_cases("pi0", LATTICE_PI0_GROUPS))
+@pytest.mark.parametrize("spec,ell,digest", _lattice_cases("pi0", LATTICE_PI0_GROUPS + CYCLIC_GROUPS))
 def test_pi0_json_matches_benchmark_digest(capsys, spec, ell, digest):
     _assert_json_digest(capsys, "pi0", spec, ell, digest)
 
 
-@pytest.mark.parametrize("spec,ell,digest", _lattice_cases("pi1", LATTICE_GROUPS))
+@pytest.mark.parametrize("spec,ell,digest", _lattice_cases("pi1", LATTICE_GROUPS + CYCLIC_GROUPS))
 def test_pi1_json_matches_benchmark_digest(capsys, spec, ell, digest):
     _assert_json_digest(capsys, "pi1", spec, ell, digest)
 
 
-@pytest.mark.parametrize("spec,ell,digest", _lattice_cases("kernel", LATTICE_GROUPS))
+@pytest.mark.parametrize("spec,ell,digest", _lattice_cases("kernel", LATTICE_GROUPS + CYCLIC_GROUPS))
 def test_kernel_json_matches_benchmark_digest(capsys, spec, ell, digest):
     _assert_json_digest(capsys, "kernel", spec, ell, digest)
 

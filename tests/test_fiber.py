@@ -27,7 +27,7 @@ from kulocal.fiber import (
     restriction_commutes_with_adams,
 )
 from kulocal.groups import DualLevel, parse_group
-from kulocal.reprings import adams_kernel_basis, adams_minus_one_on
+from kulocal.reprings import adams_cycles, adams_kernel_basis, adams_minus_one_on
 
 
 def admissible_ells(g, count=3):
@@ -176,8 +176,29 @@ def test_determinant_check_requires_the_cycle_product(monkeypatch):
     g = parse_group("C9")
     ok, det = determinant_mod_ell_check(g, 2)
     assert ok
-    monkeypatch.setattr(fiber, "degree2_determinant", lambda dual, ell: -det)
+    monkeypatch.setattr(fiber, "degree2_determinant", lambda cycles, ell: -det)
     assert determinant_mod_ell_check(g, 2) == (False, det)
+
+
+@pytest.mark.parametrize("command", ["pi0", "pi1"])
+def test_one_cycle_decomposition_per_level(monkeypatch, command):
+    import kulocal.fiber as fiber
+    import kulocal.reprings as reprings
+    from kulocal.mackey import assemble_pi0
+
+    decomposed = []
+    original = reprings.adams_cycles
+
+    def counting(dual, ell):
+        decomposed.append(dual.subgroup)
+        return original(dual, ell)
+
+    for module in (fiber, reprings):
+        monkeypatch.setattr(module, "adams_cycles", counting)
+    g = parse_group("C3xC3xC9")
+    (assemble_pi0 if command == "pi0" else group_report)(g)
+    assert len(decomposed) == len(g.subgroups()) == 50
+    assert set(decomposed) == set(g.subgroups())
 
 
 def test_fiber_levels_c9():
@@ -201,9 +222,10 @@ def test_cycle_closed_form_matches_matrix_oracle(spec):
         for h in g.subgroups():
             dual = DualLevel(g, h)
             factors, det, kernel = matrix_oracle(dual, ell)
-            assert degree2_invariant_factors(dual, ell) == factors, (spec, ell, h.order)
-            assert degree2_determinant(dual, ell) == det, (spec, ell, h.order)
-            assert adams_kernel_basis(dual, ell) == kernel, (spec, ell, h.order)
+            cycles = adams_cycles(dual, ell)
+            assert degree2_invariant_factors(cycles, ell) == factors, (spec, ell, h.order)
+            assert degree2_determinant(cycles, ell) == det, (spec, ell, h.order)
+            assert adams_kernel_basis(cycles) == kernel, (spec, ell, h.order)
 
 
 @pytest.mark.parametrize("spec", ["C3", "C9", "C3xC3", "C5xC25"])
@@ -213,8 +235,8 @@ def test_singular_ell_raises_at_every_entry_point(spec, ell):
     top = DualLevel(g, g.full_subgroup)
     assert adams_minus_one_on(top, ell, 2).det() == 0
     for call in (
-        lambda: degree2_invariant_factors(top, ell),
-        lambda: degree2_determinant(top, ell),
+        lambda: degree2_invariant_factors(adams_cycles(top, ell), ell),
+        lambda: degree2_determinant(adams_cycles(top, ell), ell),
         lambda: fiber_level_data(g, ell),
         lambda: group_report(g, ell),
     ):

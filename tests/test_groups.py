@@ -86,6 +86,31 @@ def test_subgroups_match_element_sum_closure(spec):
 
 
 @pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_is_cyclic_matches_element_orders(spec):
+    # H is cyclic iff one of its elements has order |H|
+    g = parse_group(spec)
+    for h in g.subgroups():
+        assert h.is_cyclic == any(g.element_order(x) == h.order for x in h.elements), h.elements
+    assert g.cyclic_subgroups() == tuple(h for h in g.subgroups() if h.is_cyclic)
+
+
+def test_subgroup_fold_span_count(monkeypatch):
+    # one span per non-identity element for the cyclic subgroups, then one
+    # per (join so far, cyclic subgroup not inside it) pair of the fold
+    calls = []
+    original = AbelianGroup.span
+
+    def counting(self, mask, x):
+        calls.append(x)
+        return original(self, mask, x)
+
+    monkeypatch.setattr(AbelianGroup, "span", counting)
+    g = AbelianGroup((3, 3, 3, 3))  # fresh instance: no cached lattice
+    assert len(g.subgroups()) == 212
+    assert len(calls) == 4068
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
 def test_annihilators_match_all_pairs_definition(spec):
     g = parse_group(spec)
     for h in g.subgroups():

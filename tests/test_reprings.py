@@ -5,7 +5,7 @@ import random
 import pytest
 
 from kulocal.burnside import BurnsideRing
-from kulocal.exact import Cyclotomic, is_primitive_root
+from kulocal.exact import Cyclotomic, is_primitive_root, row_hnf
 from kulocal.groups import DualLevel, parse_group
 from kulocal.reprings import (
     RURing,
@@ -18,6 +18,7 @@ from kulocal.reprings import (
     permute,
     rational_rep_lattices,
 )
+from test_groups import ORACLE_GROUPS
 
 SEED = int(os.environ.get("TEST_SEED", "20240801"))
 
@@ -209,7 +210,27 @@ def test_adams_kernel_is_the_rational_lattice_for_every_primitive_root(spec):
     assert ells
     lat = rational_rep_lattices(g)
     for ell in ells:
-        assert adams_kernel_basis(dual, ell) == lat
+        assert adams_kernel_basis(adams_cycles(dual, ell)) == lat
+
+
+def _unit_ells(g):
+    """Every ell in 1..exp(G) coprime to |G| (psi^ell depends only on ell mod
+    the exponent, so these are all of them), then the first such ell <= -2."""
+    positive = [ell for ell in range(1, g.exponent + 1) if math.gcd(ell, g.order) == 1]
+    return positive + [next(ell for ell in range(-2, -g.order - 3, -1) if math.gcd(ell, g.order) == 1)]
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_cycle_indicators_are_canonical_hnf(spec):
+    # row_hnf is the oracle: it must return the indicator rows unchanged
+    g = parse_group(spec)
+    for h in g.subgroups():
+        dual = DualLevel(g, h)
+        for ell in _unit_ells(g):
+            rows = adams_kernel_basis(adams_cycles(dual, ell))
+            assert row_hnf(rows, dual.size) == rows, (spec, h.order, ell)
+    rows = rational_rep_lattices(g)
+    assert row_hnf(rows, g.order) == rows
 
 
 @pytest.mark.parametrize("spec", ["C3", "C9", "C3xC3"])
