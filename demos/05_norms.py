@@ -28,6 +28,8 @@ for q in (3, 5, 7):
 print()
 
 # composing two tower steps: N from the bottom to C9 of x_0 stays nonzero
+# the result is a pi0 vector: the Burnside part, then the x part
 result = norm_on_monomial(t, 0, 2, t.ring(0).one, 1)
-print("N_0^2(x_0) in the C9 tower: burnside part", result[0],
-      "x-part (mod 2)", result[1])
+n = t.ring(2).n
+print("N_0^2(x_0) in the C9 tower: burnside part", result[:n],
+      "x-part (mod 2)", result[n:])

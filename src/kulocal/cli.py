@@ -195,7 +195,7 @@ def cmd_bott_verify(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, s
         "bott_values": [
             {"g": list(g), "scalar": s, "beta_power": b} for g, (s, b) in values.items()
         ],
-        "adams_identity": witness.to_json()["pass"],
+        "adams_identity": witness.ok,
         "cyclotomic_products": {str(k): bool(v) for k, v in products.items()},
     }
     lines = [f"Bott character for {group!r} (ell = {ell})"]

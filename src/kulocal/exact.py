@@ -423,20 +423,17 @@ class IntMatrix:
         return IntMatrix(out, cols=other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
+        return self._entrywise(other, 1)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._entrywise(other, -1)
+
+    def _entrywise(self, other: "IntMatrix", sign: int) -> "IntMatrix":
+        """self + sign * other, for matrices of the same shape."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
         return IntMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
+            [[a + sign * b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
             cols=self.cols,
         )
 

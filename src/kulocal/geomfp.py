@@ -342,28 +342,7 @@ def bott_character(group: AbelianGroup) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class AdamsBottWitness:
-    group: AbelianGroup
-    ell: int
-    per_element: tuple
-    ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "check_name": "adams_on_bott",
-            "parameters": {"group": repr(self.group), "ell": self.ell},
-            "witness": {
-                "per_element": [
-                    {"g": list(g), "lhs": lhs, "rhs": rhs}
-                    for g, lhs, rhs in self.per_element
-                ]
-            },
-            "pass": self.ok,
-        }
-
-
-def verify_adams_on_bott(group: AbelianGroup, ell: int) -> AdamsBottWitness:
+def verify_adams_on_bott(group: AbelianGroup, ell: int) -> Witness:
     """The Adams operation scales the Bott character by the character of the
     tensor-power permutation representation:
 
@@ -398,5 +377,10 @@ def verify_adams_on_bott(group: AbelianGroup, ell: int) -> AdamsBottWitness:
         rhs = chi_val.rational_value() * scalar
         if lhs != rhs or beta != m:
             ok = False
-        rows.append((g, lhs, rhs))
-    return AdamsBottWitness(group=group, ell=ell, per_element=tuple(rows), ok=ok)
+        rows.append({"g": list(g), "lhs": lhs, "rhs": rhs})
+    return Witness(
+        check_name="adams_on_bott",
+        parameters={"group": repr(group), "ell": ell},
+        witness={"per_element": rows},
+        ok=ok,
+    )

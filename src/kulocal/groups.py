@@ -229,11 +229,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.element_indices)
 
-    @property
-    def index(self) -> int:
-        """[G : H] in the ambient group."""
-        return self.group.order // self.order
-
     @cached_property
     def sort_key(self) -> tuple:
         return (self.order, self.element_indices)

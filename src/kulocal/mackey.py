@@ -20,12 +20,14 @@ construction (``_marks_functor``: restriction keeps the marks at the subgroups
 of K, transfer scales them by [H : K], the product is pointwise); the
 representation-ring functor; and two answers built by one construction, A/J
 tensored with a sum of cyclic groups (``_tensor``): the degree-0 homotopy of
-the K-theoretic localization (A/J tensored with Z[x]/(2x, x^2)) and the
-degree-1 answer for the order-3 cyclic group (A/J tensored with (Z/2)^2, plus
-the q-part of the degree-2 cokernel that ``fiber.fiber_level_data`` computes
-at each level).  The geometric piece at a subgroup (level modulo transfers
-from proper subgroups) and its rank bookkeeping against the idempotent
-splitting are computed for any functor.
+the K-theoretic localization (``adjoin_x``: A/J tensored with the ring
+Z[x]/(2x, x^2); ``tambara.CyclicTower`` applies it to the Burnside functor
+of a cyclic group, where J = 0) and the degree-1 answer for the order-3
+cyclic group (A/J tensored with (Z/2)^2, plus the q-part of the degree-2
+cokernel that ``fiber.fiber_level_data`` computes at each level).  The
+geometric piece at a subgroup (level modulo transfers from proper
+subgroups) and its rank bookkeeping against the idempotent splitting are
+computed for any functor.
 """
 
 from __future__ import annotations
@@ -667,15 +669,35 @@ class Pi0Result:
         }
 
 
-def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
-    """Tensor the quotient functor with Z[x]/(2x, x^2) = Z + Z/2 and
-    cross-check its free part against the degree-0 Adams kernel at every level.
+def adjoin_x(functor: GreenFunctor, name: str) -> GreenFunctor:
+    """functor tensor Z[x]/(2x, x^2) = Z + Z/2, for a Green functor with free
+    levels.
 
-    Generators at each level: the quotient basis b_i followed by the torsion
-    classes x*b_i with relations 2(x*b_i) = 0.  Restrictions and transfers
-    act by the same integer matrix on both blocks; multiplication is
-    (a + xc)(a' + xc') = aa' + x(ac' + a'c).
+    Generators at each level: the basis b_0 .. b_(r-1) of ``functor``
+    followed by the torsion classes x*b_0 .. x*b_(r-1), with relations
+    2(x*b_i) = 0.  Restrictions and transfers act by the same integer matrix
+    on both blocks; multiplication is (a + xc)(a' + xc') = aa' + x(ac' + a'c),
+    so a basis product is b_i b_j, x b_i b_j or x^2 = 0.  The unit is
+    (unit, 0).
     """
+    ranks = {h: functor.level(h).rank for h in functor.subgroups}
+
+    def basis_product(h: Subgroup, i: int, j: int) -> Vector:
+        r = ranks[h]
+        (xi, bi), (xj, bj) = divmod(i, r), divmod(j, r)
+        zero = (0,) * r
+        if xi + xj > 1:
+            return zero + zero
+        prod = functor.product_table(h)[bi][bj]
+        return prod + zero if xi + xj == 0 else zero + prod
+
+    units = {h: tuple(functor.unit(h)) + (0,) * r for h, r in ranks.items()}
+    return GreenFunctor(functor.group, *_tensor(functor, (0, 2)), units, basis_product, name)
+
+
+def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
+    """The quotient functor with x adjoined (``adjoin_x``), its free part
+    cross-checked against the degree-0 Adams kernel at every level."""
     if group.order % 2 == 0:
         raise ValueError("the assembled answer requires a group of odd order")
     if ell is None:
@@ -684,20 +706,7 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
     aj = a_mod_j_mackey(group)
     subs = group.subgroups()
     ranks = {h: aj.level(h).rank for h in subs}
-
-    def basis_product(h: Subgroup, i: int, j: int) -> Vector:
-        # generator i is x^(i // r) * b_(i % r): b_i b_j, x b_i b_j, or x^2 = 0
-        r = ranks[h]
-        (xi, bi), (xj, bj) = divmod(i, r), divmod(j, r)
-        zero = (0,) * r
-        if xi + xj > 1:
-            return zero + zero
-        prod = aj.product_table(h)[bi][bj]
-        return prod + zero if xi + xj == 0 else zero + prod
-
-    units = {h: tuple(aj.unit(h)) + (0,) * ranks[h] for h in subs}
-
-    functor = GreenFunctor(group, *_tensor(aj, (0, 2)), units, basis_product, name="pi0")
+    functor = adjoin_x(aj, "pi0")
 
     # cross-check: at each level the linearized Burnside lattice equals the
     # degree-0 Adams kernel in RU(H), whose cycle indicators are canonical HNF

@@ -5,9 +5,14 @@ The tower of a cyclic group of odd prime-power order q^k has level rings
 
     A(C_{q^i})[x_i] / (2 x_i, x_i^2),
 
-with Burnside generators y_j = [C_{q^i} / C_{q^j}].  The norm of an actual
-Burnside element is the class of the H-equivariant map set (multiplicative
-induction), computed from the marks law
+with Burnside generators y_j = [C_{q^i} / C_{q^j}].  These are the levels of
+pi0 of the tower's group: every subgroup of a cyclic group is cyclic, so
+J = 0, and ``CyclicTower.pi0`` is ``mackey.adjoin_x`` of the Burnside
+functor.  A level-ring element is a pi0 vector, the Burnside part followed
+by the x part, compared with the level's ``elements_equal`` (2x = 0).
+
+The norm of an actual Burnside element is the class of the H-equivariant map
+set (multiplicative induction), computed from the marks law
 
     m_L(N_H^K(X)) = |X^{H & L}|^{[K : HL]}
 
@@ -32,7 +37,7 @@ from typing import Sequence
 from .burnside import BurnsideRing
 from .exact import is_prime
 from .groups import ExplicitHSet, Subgroup, abelian_group, map_set_orbits
-from .mackey import GreenFunctor, burnside_mackey
+from .mackey import GreenFunctor, adjoin_x, burnside_mackey
 
 Vector = tuple
 
@@ -107,47 +112,37 @@ class CyclicTower:
             coeffs[dst.sub_index(stab)] = count
         return tuple(coeffs)
 
-    # -- level-ring elements (burnside part, x part mod 2) ---------------------
+    # -- level-ring elements: vectors of pi0 ----------------------------------
 
-    def monomial(self, i: int, a: Sequence[int], eps: int) -> tuple[Vector, Vector]:
+    @cached_property
+    def pi0(self) -> GreenFunctor:
+        """The level rings as one Green functor: pi0 of the tower's group,
+        where A/J = A."""
+        return adjoin_x(self.burnside, "pi0")
+
+    def monomial(self, i: int, a: Sequence[int], eps: int) -> Vector:
+        """a * x_i^eps as a pi0 vector, with the x part's 0/1 lift."""
         n = self.ring(i).n
         if eps not in (0, 1):
             raise ValueError("eps must be 0 or 1")
         if eps == 0:
-            return (tuple(a), (0,) * n)
-        return ((0,) * n, tuple(c % 2 for c in a))
+            return tuple(a) + (0,) * n
+        return (0,) * n + tuple(c % 2 for c in a)
 
-    def multiply(self, i: int, u: tuple[Vector, Vector], v: tuple[Vector, Vector]) -> tuple[Vector, Vector]:
-        """(b + x c)(b' + x c') = b b' + x (b c' + b' c); x^2 = 0, 2x = 0."""
-        ring = self.ring(i)
-        b, c = u
-        b2, c2 = v
-        free = ring.multiply(b, b2)
-        cross1 = ring.multiply(b, c2)
-        cross2 = ring.multiply(b2, c)
-        xpart = tuple((p + r) % 2 for p, r in zip(cross1, cross2))
-        return (free, xpart)
-
-    def restrict(self, i_from: int, i_to: int, u: tuple[Vector, Vector]) -> tuple[Vector, Vector]:
+    def restrict(self, i_from: int, i_to: int, u: Sequence[int]) -> Vector:
         """Restriction along the tower; x restricts to x."""
         if not 0 <= i_to <= i_from <= self.k:
             raise ValueError("bad levels")
-        mat = self.burnside.res(self.levels[i_from], self.levels[i_to])
-        b, c = u
-        return (mat.apply(b), tuple(v % 2 for v in mat.apply(c)))
+        return self.pi0.res(self.levels[i_from], self.levels[i_to]).apply(u)
 
-    def x_power(self, i: int, n: int) -> tuple[Vector, Vector]:
+    def x_power(self, i: int, n: int) -> Vector:
         """x_i^n computed by honest ring multiplication."""
-        ring = self.ring(i)
-        out = self.monomial(i, ring.one, 0)
-        x = self.monomial(i, ring.one, 1)
+        h = self.levels[i]
+        out = self.pi0.unit(h)
+        x = self.monomial(i, self.ring(i).one, 1)
         for _ in range(n):
-            out = self.multiply(i, out, x)
+            out = self.pi0.multiply(h, out, x)
         return out
-
-    def is_zero(self, u: tuple[Vector, Vector]) -> bool:
-        b, c = u
-        return not any(b) and not any(c)
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +221,21 @@ def derive_norm_on_x(q: int, k: int, i: int) -> NormDerivation:
     if not 0 <= i < k:
         raise ValueError("need 0 <= i < k")
     tower = CyclicTower(q, k)
-    upper = tower.ring(i + 1)
+    lower = tower.pi0.level(tower.levels[i])
+    upper = tower.pi0.level(tower.levels[i + 1])
 
     target = tower.x_power(i, q)  # x_i^q, honestly multiplied out (= 0)
-    if not tower.is_zero(target):
+    if not lower.elements_equal(target, (0,) * lower.rank):
         raise ArithmeticError(f"x_{i}^{q} = {target} is not zero")
 
     survivors = []
     survivors_loose = []
     for bits_int in range(2 ** (i + 2)):
         bits = tuple((bits_int >> j) & 1 for j in range(i + 2))
-        coeff = [0] * upper.n
-        for j, b in enumerate(bits):
-            coeff[j] = b
-        candidate = tower.monomial(i + 1, coeff, 1)
-        restricted = tower.restrict(i + 1, i, candidate)
-        if tuple(restricted[1]) == tuple(target[1]) and not any(restricted[0]):
+        candidate = tower.monomial(i + 1, bits, 1)
+        if lower.elements_equal(tower.restrict(i + 1, i, candidate), target):
             survivors_loose.append(bits)
-            if not tower.is_zero(candidate):
+            if not upper.elements_equal(candidate, (0,) * upper.rank):
                 survivors.append(bits)
     if len(survivors) != 1:
         raise ArithmeticError(
@@ -259,22 +251,17 @@ def derive_norm_on_x(q: int, k: int, i: int) -> NormDerivation:
     )
 
 
-def norm_of_x(tower: CyclicTower, i: int) -> tuple[Vector, Vector]:
+def norm_of_x(tower: CyclicTower, i: int) -> Vector:
     """N from level i to i+1 of x_i: the derived x_{i+1}(1 + y_i)."""
     derivation = derive_norm_on_x(tower.q, tower.k, i)
-    bits = derivation.survivors[0]
-    upper = tower.ring(i + 1)
-    coeff = [0] * upper.n
-    for j, b in enumerate(bits):
-        coeff[j] = b
-    return tower.monomial(i + 1, coeff, 1)
+    return tower.monomial(i + 1, derivation.survivors[0], 1)
 
 
 def norm_on_monomial(
     tower: CyclicTower, i: int, j: int, a: Sequence[int], eps: int
-) -> tuple[Vector, Vector]:
-    """N from level i to level j of the monomial a * x_i^eps, composing one
-    tower step at a time: N(a x^eps) = N(a) N(x)^eps.
+) -> Vector:
+    """N from level i to level j of the monomial a * x_i^eps as a pi0 vector,
+    composing one tower step at a time: N(a x^eps) = N(a) N(x)^eps.
 
     The x part stays a monomial with an actual coefficient at every step (the
     canonical 0/1 lift is normed; any lift congruent mod 2 gives the same
@@ -297,10 +284,11 @@ def norm_on_monomial(
         normed = tower.norm_burnside(level, level + 1, coeff)
         if eps == 1:
             nx = norm_of_x(tower, level)  # x_{level+1} * (1 + y_level)
-            prod = tower.multiply(
-                level + 1, tower.monomial(level + 1, normed, 0), nx
+            prod = tower.pi0.multiply(
+                tower.levels[level + 1], tower.monomial(level + 1, normed, 0), nx
             )
-            coeff = prod[1]  # still a monomial: x * (that coefficient)
+            # still a monomial: x * (that coefficient), lifted to 0/1
+            coeff = tuple(c % 2 for c in prod[len(normed):])
         else:
             coeff = normed
         level += 1

@@ -245,6 +245,18 @@ def test_intmatrix_product_matches_dense_definition():
         IntMatrix.identity(2) * IntMatrix.identity(3)
 
 
+def test_intmatrix_sum_and_difference_need_equal_shapes():
+    a = IntMatrix([[1, 2], [3, 4]])
+    assert a + a == IntMatrix([[2, 4], [6, 8]])
+    assert a - a == IntMatrix.zeros(2, 2)
+    # zip would truncate to [[2, 4]] and [[0, 0]]
+    for other in (IntMatrix([[1, 2, 3]]), IntMatrix([[1], [2]]), IntMatrix.zeros(0, 2)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            a + other
+        with pytest.raises(ValueError, match="shape mismatch"):
+            a - other
+
+
 def test_smallest_primitive_root():
     assert smallest_primitive_root(3) == 2
     assert smallest_primitive_root(9) == 2

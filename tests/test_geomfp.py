@@ -212,7 +212,9 @@ def test_adams_on_bott_examples():
     g = parse_group("C3")
     w = verify_adams_on_bott(g, 2)
     assert w.ok
-    by_el = {tuple(e[0]): (e[1], e[2]) for e in w.per_element}
+    assert w.check_name == "adams_on_bott"
+    assert w.parameters == {"group": repr(g), "ell": 2}
+    by_el = {tuple(e["g"]): (e["lhs"], e["rhs"]) for e in w.witness["per_element"]}
     assert by_el[(1,)] == (6, 6)
     assert by_el[(0,)] == (8, 8)
 

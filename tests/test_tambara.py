@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -6,6 +7,7 @@ from kulocal import tambara
 from kulocal.burnside import BurnsideRing
 from kulocal.geomfp import verify_q_unit_identity
 from kulocal.groups import AbelianGroup
+from kulocal.mackey import assemble_pi0
 from kulocal.tambara import (
     CyclicTower,
     derive_norm_on_x,
@@ -45,7 +47,7 @@ def test_norm_refuses_a_negative_orbit_count(monkeypatch):
 
 
 def test_derivation_refuses_a_nonzero_x_power(monkeypatch):
-    monkeypatch.setattr(CyclicTower, "x_power", lambda self, i, n: ((1, 0), (0, 0)))
+    monkeypatch.setattr(CyclicTower, "x_power", lambda self, i, n: (1, 0))
     with pytest.raises(ArithmeticError, match="is not zero"):
         derive_norm_on_x(3, 1, 0)
 
@@ -64,7 +66,6 @@ def test_norm_matches_bruteforce(q, k):
         src = t.ring(i)
         candidates = []
         # all actual elements with at most 3 points
-        import itertools
 
         for coeffs in itertools.product(range(4), repeat=src.n):
             size = sum(
@@ -88,7 +89,6 @@ def test_norm_matches_bruteforce(q, k):
 
 def test_norm_multiplicative():
     t = CyclicTower(3, 2)
-    import itertools
 
     for i in range(2):
         for j in range(i, 3):
@@ -105,7 +105,6 @@ def test_res_after_norm_is_power():
     # R^K_H N_H^K(X) = X^{[K:H]} on Burnside elements
     t = CyclicTower(3, 2)
     m_res = None
-    import itertools
 
     from kulocal.mackey import burnside_mackey
 
@@ -162,33 +161,136 @@ def test_derive_norm_unique_survivor(q, k, i):
 def test_derived_norm_squares_to_zero():
     t = CyclicTower(3, 2)
     for i in range(2):
+        h = t.levels[i + 1]
         nx = norm_of_x(t, i)
-        sq = t.multiply(i + 1, nx, nx)
-        assert t.is_zero(sq)
+        sq = t.pi0.multiply(h, nx, nx)
+        assert t.pi0.level(h).elements_equal(sq, (0,) * len(sq))
 
 
 def test_norm_on_monomial_examples():
     t = CyclicTower(3, 1)
     # N_0^1(x_0) = x_1 (1 + y_0)
     out = norm_on_monomial(t, 0, 1, t.ring(0).one, 1)
-    assert out == ((0, 0), (1, 1))
+    assert out == (0, 0, 1, 1)
     # N_0^1(1) = 1
     out = norm_on_monomial(t, 0, 1, t.ring(0).one, 0)
-    assert out == ((0, 1), (0, 0))
+    assert out == (0, 1, 0, 0)
 
 
 def test_norm_on_monomial_composite_nonzero():
     # N_0^2(x_0) in the q=3 tower: compose two steps; nonzero
     t = CyclicTower(3, 2)
     out = norm_on_monomial(t, 0, 2, t.ring(0).one, 1)
-    bur, xpart = out
+    n = t.ring(2).n
+    bur, xpart = out[:n], out[n:]
     assert not any(bur)
     assert any(xpart)
     # and it is divisible by x_2 by construction; also N_1^2 of the one-step
     # answer agrees with the two-step composition
     step1 = norm_on_monomial(t, 0, 1, t.ring(0).one, 1)
-    again = norm_on_monomial(t, 1, 2, step1[1], 1)
+    again = norm_on_monomial(t, 1, 2, step1[t.ring(1).n:], 1)
     assert again == out
+
+
+@pytest.mark.parametrize("q,k", [(3, 2), (3, 3), (5, 2)])
+def test_tower_pi0_is_a_green_functor(q, k):
+    pi0 = CyclicTower(q, k).pi0
+    assert pi0.check_mackey_axioms() == []
+    assert pi0.check_green_axioms() == []
+
+
+@pytest.mark.parametrize("q,k", [(3, 2), (3, 3), (5, 2)])
+def test_tower_pi0_has_the_levels_of_assemble_pi0(q, k):
+    # every subgroup of a cyclic group is cyclic, so A/J = A
+    t = CyclicTower(q, k)
+    assembled = assemble_pi0(t.group).functor
+    for h in t.levels:
+        ours, theirs = t.pi0.level(h), assembled.level(h)
+        assert (ours.free_rank, ours.primary_torsion) == (theirs.free_rank, theirs.primary_torsion)
+
+
+# N_i^j(a * x_i^eps) keyed (q, k, i, j, eps): one pi0 vector (Burnside part,
+# then x part) per a in itertools.product(range(3), repeat=i + 1)
+NORM_ON_MONOMIAL_PINS = {
+    (3, 2, 0, 0, 0): [(0, 0), (1, 0), (2, 0)],
+    (3, 2, 0, 0, 1): [(0, 0), (0, 1), (0, 0)],
+    (3, 2, 0, 1, 0): [(0, 0, 0, 0), (0, 1, 0, 0), (2, 2, 0, 0)],
+    (3, 2, 0, 1, 1): [(0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)],
+    (3, 2, 0, 2, 0): [(0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (56, 2, 2, 0, 0, 0)],
+    (3, 2, 0, 2, 1): [(0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 0, 0)],
+    (3, 2, 1, 1, 0): [
+        (0, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0),
+        (2, 0, 0, 0), (2, 1, 0, 0), (2, 2, 0, 0),
+    ],
+    (3, 2, 1, 1, 1): [
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 1, 0),
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0),
+    ],
+    (3, 2, 1, 2, 0): [
+        (0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 2, 2, 0, 0, 0), (3, 0, 0, 0, 0, 0),
+        (7, 0, 1, 0, 0, 0), (13, 2, 2, 0, 0, 0), (24, 0, 0, 0, 0, 0), (38, 0, 1, 0, 0, 0),
+        (56, 2, 2, 0, 0, 0),
+    ],
+    (3, 2, 1, 2, 1): [
+        (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1),
+        (0, 0, 0, 0, 0, 0),
+    ],
+    (3, 2, 2, 2, 0): [
+        (0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 2, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+        (0, 1, 1, 0, 0, 0), (0, 1, 2, 0, 0, 0), (0, 2, 0, 0, 0, 0), (0, 2, 1, 0, 0, 0),
+        (0, 2, 2, 0, 0, 0), (1, 0, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0), (1, 0, 2, 0, 0, 0),
+        (1, 1, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0), (1, 1, 2, 0, 0, 0), (1, 2, 0, 0, 0, 0),
+        (1, 2, 1, 0, 0, 0), (1, 2, 2, 0, 0, 0), (2, 0, 0, 0, 0, 0), (2, 0, 1, 0, 0, 0),
+        (2, 0, 2, 0, 0, 0), (2, 1, 0, 0, 0, 0), (2, 1, 1, 0, 0, 0), (2, 1, 2, 0, 0, 0),
+        (2, 2, 0, 0, 0, 0), (2, 2, 1, 0, 0, 0), (2, 2, 2, 0, 0, 0),
+    ],
+    (3, 2, 2, 2, 1): [
+        (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 1, 0, 1), (0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 1, 1, 0), (0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 1, 0), (0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 1, 0, 1), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 1, 1), (0, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0),
+    ],
+    (5, 1, 0, 0, 0): [(0, 0), (1, 0), (2, 0)],
+    (5, 1, 0, 0, 1): [(0, 0), (0, 1), (0, 0)],
+    (5, 1, 0, 1, 0): [(0, 0, 0, 0), (0, 1, 0, 0), (6, 2, 0, 0)],
+    (5, 1, 0, 1, 1): [(0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)],
+    (5, 1, 1, 1, 0): [
+        (0, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0),
+        (2, 0, 0, 0), (2, 1, 0, 0), (2, 2, 0, 0),
+    ],
+    (5, 1, 1, 1, 1): [
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 1, 0),
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0),
+    ],
+}
+
+
+def test_norm_on_monomial_pinned():
+    towers = {(3, 2): CyclicTower(3, 2), (5, 1): CyclicTower(5, 1)}
+    for (q, k, i, j, eps), expected in NORM_ON_MONOMIAL_PINS.items():
+        got = [
+            norm_on_monomial(towers[q, k], i, j, a, eps)
+            for a in itertools.product(range(3), repeat=i + 1)
+        ]
+        assert got == expected, (q, k, i, j, eps)
+    assert sum(map(len, NORM_ON_MONOMIAL_PINS.values())) == 138
+
+
+@pytest.mark.parametrize("q,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])
+def test_norm_of_a_lift_depends_only_on_its_parity(q, k):
+    # norm_on_monomial norms the 0/1 lift of the x part; any lift congruent
+    # mod 2 must give the same class mod 2
+    t = CyclicTower(q, k)
+    for i in range(k):
+        for j in range(i + 1, k + 1):
+            for a in itertools.product(range(4), repeat=i + 1):
+                lift = tuple(c % 2 for c in a)
+                normed, normed_lift = t.norm_burnside(i, j, a), t.norm_burnside(i, j, lift)
+                assert [c % 2 for c in normed] == [c % 2 for c in normed_lift], (i, j, a)
 
 
 def test_norm_rejects_sums():
