@@ -10,7 +10,8 @@ vector that is not integral.  Multiplication is the pointwise product of
 marks, carried back.  The p-local idempotent e_H is (1/|G|) times the inverse
 of |G| times the indicator of H, integral by Gluck's denominator bound.  The
 ideal J of cyclically-vanishing virtual sets is the kernel of the marks on the
-cyclic subgroups; the quotient A/J is their image, in those coordinates.
+cyclic subgroups; the quotient A/J is their image, in those coordinates,
+spanned by the rows mark(K, C) of the orbits [level/K] at the cyclic C.
 
 ``BurnsideRing(G, level)`` works inside a subgroup ``level`` so that Mackey
 functor levels can reuse everything; the default level is the whole group.
@@ -28,7 +29,6 @@ from .exact import (
     hnf_coordinates,
     is_prime,
     kernel_lattice,
-    lattice_contains,
     row_hnf,
 )
 from .groups import AbelianGroup, DualLevel, Subgroup
@@ -105,15 +105,12 @@ class BurnsideRing:
         out[self.sub_index(k)] = 1
         return tuple(out)
 
-    def add(self, a: Sequence[int], b: Sequence[int]) -> Vector:
-        return tuple(x + y for x, y in zip(a, b))
-
     def scale(self, c: int, a: Sequence[int]) -> Vector:
         return tuple(c * x for x in a)
 
     def multiply(self, a: Sequence[int], b: Sequence[int]) -> Vector:
         ma, mb = self.marks(a), self.marks(b)
-        return self.element_from_marks([x * y for x, y in zip(ma, mb)])
+        return self.element_from_marks([x * y for x, y in zip(ma, mb, strict=True)])
 
     # -- linearization and the cyclically-vanishing ideal ------------------------
 
@@ -152,14 +149,12 @@ class BurnsideRing:
     def cyclic_subgroups(self) -> tuple[Subgroup, ...]:
         return tuple(k for k in self.subgroups if k.is_cyclic)
 
-    def marks_on_cyclic(self, coeffs: Sequence[int]) -> Vector:
-        full = self.marks(coeffs)
-        return tuple(full[i] for i, k in enumerate(self.subgroups) if k.is_cyclic)
-
     @cached_property
     def _cyclic_marks_rows(self) -> tuple[Vector, ...]:
-        """Row K = the marks of [level/K] on the cyclic subgroups."""
-        return tuple(self.marks_on_cyclic(self.basis_element(k)) for k in self.subgroups)
+        """Row K = the marks of [level/K] on the cyclic subgroups C: [level : K]
+        if C <= K, else 0."""
+        cyc = self.cyclic_subgroups()
+        return tuple(tuple(self.mark(k, c) for c in cyc) for k in self.subgroups)
 
     def a_mod_j(self) -> "AModJ":
         """A/J presented as the image of marks restricted to cyclic columns.
@@ -211,24 +206,6 @@ class AModJ:
     cyclic_subgroups: tuple[Subgroup, ...]
     basis: tuple[Vector, ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-    def contains(self, marks_vec: Sequence[int]) -> bool:
-        return lattice_contains(self.basis, marks_vec)
-
-    def project(self, coeffs: Sequence[int]) -> Vector:
-        """Image of a Burnside element: its marks on cyclic subgroups."""
-        return self.ring.marks_on_cyclic(coeffs)
-
-    def multiply(self, a: Sequence[int], b: Sequence[int]) -> Vector:
-        return tuple(x * y for x, y in zip(a, b))
-
-    @property
-    def one(self) -> Vector:
-        return (1,) * len(self.cyclic_subgroups)
-
     def coordinates(self, marks_vec: Sequence[int]) -> Vector | None:
         """Coefficients over the canonical basis, or None if not in the lattice."""
         return hnf_coordinates(self.basis, marks_vec)
@@ -249,6 +226,6 @@ def marks_text(group: AbelianGroup) -> str:
     lines = [f"table of marks for {group!r} (rows [G/K], columns H, canonical order)"]
     header = "        " + " ".join(f"{k.order:>5}" for k in ring.subgroups)
     lines.append(header)
-    for k, row in zip(ring.subgroups, ring.table_of_marks.entries):
+    for k, row in zip(ring.subgroups, ring.table_of_marks.entries, strict=True):
         lines.append(f"[G/{k.order:>3}] " + " ".join(f"{x:>5}" for x in row))
     return "\n".join(lines)

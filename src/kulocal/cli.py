@@ -274,7 +274,7 @@ def cmd_verify_all(max_order: int, test_seed: int) -> tuple[bool, dict, str]:
         record(f"{g!r}: RU Mackey axioms", not ru.check_mackey_axioms())
         record(f"{g!r}: RU Green axioms", not ru.check_green_axioms())
         record(f"{g!r}: A/J Mackey axioms", not amj.check_mackey_axioms())
-        record(f"{g!r}: linearization is a Green map", linearization_check(g).ok)
+        record(f"{g!r}: linearization is a Green map", linearization_check(burn, ru).ok)
         record(f"{g!r}: splitting rank bookkeeping (A)", idempotent_splitting_check(burn, 2))
         record(f"{g!r}: splitting rank bookkeeping (A/J)", idempotent_splitting_check(amj, 2))
         ring = BurnsideRing(g)

@@ -287,13 +287,13 @@ class Cyclotomic:
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
         return Cyclotomic(
-            self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)]
+            self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)]
         )
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check(other)
         return Cyclotomic(
-            self.conductor, [a - b for a, b in zip(self.coeffs, other.coeffs)]
+            self.conductor, [a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)]
         )
 
     def __neg__(self) -> "Cyclotomic":
@@ -325,7 +325,7 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return self.conductor == other.conductor and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
+            a == b for a, b in zip(self.coeffs, other.coeffs, strict=True)
         )
 
     def __hash__(self):
@@ -414,7 +414,7 @@ class IntMatrix:
         out = []
         for row in self.entries:
             acc = [0] * other.cols
-            for a, brow in zip(row, other.entries):
+            for a, brow in zip(row, other.entries, strict=True):
                 if a:
                     for j, b in enumerate(brow):
                         if b:
@@ -433,7 +433,10 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return IntMatrix(
-            [[a + sign * b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
+            [
+                [a + sign * b for a, b in zip(r1, r2, strict=True)]
+                for r1, r2 in zip(self.entries, other.entries, strict=True)
+            ],
             cols=self.cols,
         )
 
@@ -446,7 +449,7 @@ class IntMatrix:
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
+        return tuple(sum(a * x for a, x in zip(row, v, strict=True)) for row in self.entries)
 
     def __eq__(self, other) -> bool:
         return (

@@ -14,9 +14,10 @@ determinant, checked via invertibility mod ell) and its invariant factors and
 q-primary part give the degree-1 homotopy levels.  ``fiber_level_data`` reads
 the degree-0 kernel, the degree-2 invariant factors and the determinant off
 one cycle decomposition per level; ``group_report`` (the ``pi1`` payload)
-and ``mackey.assemble_pi1_c3`` read theirs from it.  The matrices themselves
-(``adams_minus_one``) remain for the Bareiss determinant of
-``determinant_mod_ell_check`` and for tests.
+and ``mackey.assemble_pi1_c3`` read theirs from it.  The matrix itself
+(``reprings.adams_minus_one_on``) remains for the Bareiss determinant of
+``determinant_mod_ell_check``, which builds it and the cycles from one dual
+level; ``adams_minus_one`` exports it for the whole group.
 
 q-completion never manipulates q-adic numbers: the cokernels are finite, so
 the q-part of the torsion is the exact completed answer, and the free part of
@@ -40,12 +41,9 @@ from .exact import (
 )
 from .groups import AbelianGroup, DualLevel, Subgroup
 from .reprings import (
-    RURing,
     adams_cycles,
     adams_kernel_basis,
     adams_minus_one_on,
-    dual_permutation,
-    permute,
     rational_rep_lattices,
 )
 
@@ -158,7 +156,7 @@ def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWi
     return KernelWitness(
         group=group,
         ell=ell,
-        kernel=adams_kernel_basis(adams_cycles(DualLevel(group, group.full_subgroup), ell)),
+        kernel=adams_kernel_basis(adams_cycles(ring.dual, ell)),
         rq=rational_rep_lattices(group),
         linearized=row_hnf(ring.linearize_matrix.entries, group.order),
         cyclic_count=len(group.cyclic_subgroups()),
@@ -172,13 +170,12 @@ def determinant_mod_ell_check(group: AbelianGroup, ell: int | None = None) -> tu
     if ell is None:
         ell = default_ell(group)
     _require_coprime(group, ell)
-    det = adams_minus_one(group, ell, 2).det()
+    dual = DualLevel(group, group.full_subgroup)
+    det = adams_minus_one_on(dual, ell, 2).det()
     ok = (
         det % ell in (1 % ell, (ell - 1) % ell)
         and det != 0
-        and det == degree2_determinant(
-            adams_cycles(DualLevel(group, group.full_subgroup), ell), ell
-        )
+        and det == degree2_determinant(adams_cycles(dual, ell), ell)
     )
     return ok, det
 
@@ -258,16 +255,3 @@ def pi1_level(group: AbelianGroup, ell: int | None = None) -> dict:
     nothing in the package calls it."""
     return group_report(group, ell)
 
-
-def restriction_commutes_with_adams(group: AbelianGroup, ell: int) -> bool:
-    """res o psi^ell = psi^ell o res on every level (kernel functoriality)."""
-    ru = RURing(group)
-    top = dual_permutation(ru.dual, ell)
-    for h in group.subgroups():
-        dual = DualLevel(group, h)
-        perm = dual_permutation(dual, ell)
-        for a in ru.dual.reps:
-            v = ru.basis_element(a)
-            if ru.restrict(permute(top, v), dual) != permute(perm, ru.restrict(v, dual)):
-                return False
-    return True

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property, lru_cache, reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 SUBGROUP_ENUM_BOUND = 1024
 MAP_SET_BOUND = 10 ** 6
@@ -75,19 +75,19 @@ class AbelianGroup:
         return (0,) * len(self.factors)
 
     def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
+        return tuple((x + y) % n for x, y, n in zip(a, b, self.factors, strict=True))
 
     def neg(self, a: Element) -> Element:
-        return tuple((-x) % n for x, n in zip(a, self.factors))
+        return tuple((-x) % n for x, n in zip(a, self.factors, strict=True))
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
 
     def scale(self, k: int, a: Element) -> Element:
-        return tuple((k * x) % n for x, n in zip(a, self.factors))
+        return tuple((k * x) % n for x, n in zip(a, self.factors, strict=True))
 
     def element_order(self, g: Element) -> int:
-        return math.lcm(*(n // math.gcd(n, x) for x, n in zip(g, self.factors))) if g else 1
+        return math.lcm(*(n // math.gcd(n, x) for x, n in zip(g, self.factors, strict=True)))
 
     def dual_pairing(self, a: Element, g: Element) -> int:
         """<a, g> mod exponent; biadditive and nondegenerate.
@@ -96,7 +96,7 @@ class AbelianGroup:
         chi_a(g) = zeta_e ** dual_pairing(a, g) with e the exponent.
         """
         e = self.exponent
-        return sum((e // n) * x * y for x, y, n in zip(a, g, self.factors)) % e if g else 0
+        return sum((e // n) * x * y for x, y, n in zip(a, g, self.factors, strict=True)) % e
 
     def pairing_kernel(self, g: Element) -> int:
         """The mask of {a : <a, g> = 0}.  The pairing values of all elements,
@@ -104,7 +104,7 @@ class AbelianGroup:
         fastest): each factor n adds x * (e // n) * g_i for x in range(n)."""
         e = self.exponent
         values = [0]
-        for y, n in zip(g, self.factors):
+        for y, n in zip(g, self.factors, strict=True):
             w = (e // n) * y % e
             values = [(v + x * w) % e for v in values for x in range(n)]
         return int("".join("0" if v else "1" for v in reversed(values)), 2)
@@ -126,7 +126,7 @@ class AbelianGroup:
     def translate(self, mask: int, g: Element) -> int:
         """The mask of S + g for S the subset ``mask``: coordinate by
         coordinate, blocks below n - c move up by c, the rest wrap down."""
-        for c, (n, stride, below) in zip(g, self._shifts):
+        for c, (n, stride, below) in zip(g, self._shifts, strict=True):
             c %= n
             if c:
                 keep = mask & below[n - c]
@@ -152,9 +152,6 @@ class AbelianGroup:
         return out
 
     # -- subgroups ----------------------------------------------------------
-
-    def generated_subgroup(self, gens: Iterable[Element]) -> "Subgroup":
-        return Subgroup(self, reduce(self.span, gens, 1))  # identity has index 0
 
     @property
     def trivial_subgroup(self) -> "Subgroup":
@@ -236,9 +233,6 @@ class Subgroup:
     @property
     def is_cyclic(self) -> bool:
         return self.mask in self.group._cyclics
-
-    def contains_element(self, g: Element) -> bool:
-        return bool(self.mask >> self.group.index_of(g) & 1)
 
     def contains(self, other: "Subgroup") -> bool:
         return other.mask & ~self.mask == 0
@@ -361,20 +355,8 @@ class ExplicitHSet:
 
         return cls(subgroup, points, act)
 
-    @classmethod
-    def trivial_points(cls, subgroup: Subgroup, n: int) -> "ExplicitHSet":
-        return cls(subgroup, tuple(range(n)), lambda h, p: p)
-
     def act(self, h: Element, point):
         return self._act(h, point)
-
-    def fixed_points(self, k: Subgroup) -> int:
-        """|X^K| for K <= H."""
-        return sum(
-            1
-            for p in self.points
-            if all(self.act(h, p) == p for h in k.elements)
-        )
 
     def size(self) -> int:
         return len(self.points)

@@ -4,7 +4,7 @@ A functor is stored levelwise: one finitely generated abelian group per
 subgroup, presented as Z^rank modulo a relation lattice, with restriction and
 transfer matrices for every containment.  The maps are built on first use
 and kept (``MapCache``), so a job that reads only the levels builds none of
-them; the axiom checks and ``to_json`` read, and so build, every one.
+them; the axiom checks read, and so build, every one.
 Because the ambient group is abelian there is no conjugation data, Weyl
 groups are quotients, and the double-coset law collapses to
 
@@ -18,7 +18,9 @@ Provided functors: the Burnside functor and its levelwise quotient A/J by the
 cyclically-vanishing ideal, both lattices of marks vectors built by one
 construction (``_marks_functor``: restriction keeps the marks at the subgroups
 of K, transfer scales them by [H : K], the product is pointwise); the
-representation-ring functor; and two answers built by one construction, A/J
+representation-ring functor (``linearization_check`` takes a Burnside and a
+representation-ring functor already built and checks the linearization
+between them); and two answers built by one construction, A/J
 tensored with a sum of cyclic groups (``_tensor``): the degree-0 homotopy of
 the K-theoretic localization (``adjoin_x``: A/J tensored with the ring
 Z[x]/(2x, x^2); ``tambara.CyclicTower`` applies it to the Burnside functor
@@ -93,7 +95,8 @@ class Level:
         ))
 
     def elements_equal(self, a: Sequence[int], b: Sequence[int]) -> bool:
-        diff = tuple(x - y for x, y in zip(a, b))
+        """a == b in the level; vectors of unequal length raise ValueError."""
+        diff = tuple(x - y for x, y in zip(a, b, strict=True))
         if not any(diff):
             return True
         return lattice_contains(self.relation_hnf, diff)
@@ -207,31 +210,6 @@ class MackeyFunctor:
                     if not self.maps_equal(self.level(k), lhs, rhs):
                         failures.append(f"double coset at {h!r}: K={k!r} L={l!r}")
         return failures
-
-    def to_json(self, include_mult: bool = False) -> dict:
-        levels = []
-        for h in self.subgroups:
-            lvl = self.level(h)
-            entry = {
-                "subgroup": h.order,
-                "free_rank": lvl.free_rank,
-                "torsion": list(lvl.primary_torsion),
-            }
-            if isinstance(self, GreenFunctor):
-                entry["unit"] = list(self.unit(h))
-                if include_mult:
-                    entry["mult_tables"] = [[list(v) for v in row] for row in self.product_table(h)]
-            levels.append(entry)
-        subs = self.subgroups
-        pairs = [(h, k) for h in subs for k in subs if h != k and h.contains(k)]
-        maps = [
-            {"from": h.order, "to": k.order, "kind": "res", "matrix": [list(r) for r in self.res(h, k).entries]}
-            for h, k in pairs
-        ] + [
-            {"from": k.order, "to": h.order, "kind": "tr", "matrix": [list(r) for r in self.tr(k, h).entries]}
-            for h, k in pairs
-        ]
-        return {"group": repr(self.group), "name": self.name, "levels": levels, "maps": maps}
 
 
 def _unit_vec(n: int, i: int) -> Vector:
@@ -379,13 +357,13 @@ def _marks_functor(group: AbelianGroup, lattice: Callable, name: str) -> GreenFu
         up = []
         for b in basis[k]:
             v = [0] * len(columns[h])
-            for i, x in zip(cols, b):
+            for i, x in zip(cols, b, strict=True):
                 v[i] = index * x
             up.append(v)
         return matrix(h, up)
 
     def basis_product(h: Subgroup, i: int, j: int) -> Vector:
-        return coordinates[h]([x * y for x, y in zip(basis[h][i], basis[h][j])])
+        return coordinates[h]([x * y for x, y in zip(basis[h][i], basis[h][j], strict=True)])
 
     units = {h: coordinates[h]((1,) * len(columns[h])) for h in subs}
     return GreenFunctor(group, levels, *_lazy_maps(levels, res, tr), units, basis_product, name)
@@ -478,11 +456,11 @@ class LinearizationCheck:
         )
 
 
-def linearization_check(group: AbelianGroup) -> LinearizationCheck:
-    """The levelwise permutation-representation map is a map of Green
-    functors whose kernel is the cyclically-vanishing ideal."""
-    a_fun = burnside_mackey(group)
-    ru_fun = ru_mackey(group)
+def linearization_check(a_fun: GreenFunctor, ru_fun: GreenFunctor) -> LinearizationCheck:
+    """The levelwise permutation-representation map from the Burnside functor
+    ``a_fun`` to the representation-ring functor ``ru_fun`` of the same group
+    is a map of Green functors whose kernel is the cyclically-vanishing ideal."""
+    group = a_fun.group
     subs = group.subgroups()
     rings = {h: BurnsideRing(group, h) for h in subs}
     lam = {h: rings[h].linearize_matrix.transpose() for h in subs}

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .burnside import BurnsideRing
 from .exact import Cyclotomic, IntMatrix
-from .groups import AbelianGroup, DualLevel, ExplicitHSet, Subgroup, map_set_orbits
+from .groups import AbelianGroup, DualLevel, Subgroup
 
 Vector = tuple
 
@@ -123,23 +123,13 @@ class RURing:
         return tuple(out)
 
     def add(self, v: Sequence[int], w: Sequence[int]) -> Vector:
-        return tuple(x + y for x, y in zip(v, w))
+        return tuple(x + y for x, y in zip(v, w, strict=True))
 
     def scale(self, c: int, v: Sequence[int]) -> Vector:
         return tuple(c * x for x in v)
 
     def multiply(self, v: Sequence[int], w: Sequence[int]) -> Vector:
         return dual_multiply(self.dual, v, w)
-
-    def power(self, v: Sequence[int], k: int) -> Vector:
-        result = self.one
-        base = tuple(v)
-        while k > 0:
-            if k & 1:
-                result = self.multiply(result, base)
-            base = self.multiply(base, base)
-            k >>= 1
-        return result
 
     @property
     def regular_rep(self) -> Vector:
@@ -153,7 +143,7 @@ class RURing:
         values = []
         for g in self.group.elements:
             counts = [0] * e
-            for a, c in zip(self.dual.reps, v):
+            for a, c in zip(self.dual.reps, v, strict=True):
                 if c:
                     counts[self.dual.pairing(a, g)] += c
             values.append(Cyclotomic.from_poly(e, tuple(counts)))
@@ -172,23 +162,14 @@ class RURing:
         if any(c < 0 for c in v):
             raise ValueError("Euler classes exist only for actual representations")
         result = self.one
-        for a, c in zip(self.dual.reps, v):
+        for a, c in zip(self.dual.reps, v, strict=True):
             if c:
                 factor = tuple(
-                    x - y for x, y in zip(self.basis_element(a), self.one)
+                    x - y for x, y in zip(self.basis_element(a), self.one, strict=True)
                 )
                 for _ in range(c):
                     result = self.multiply(result, factor)
         return result
-
-    # -- restriction to a subgroup (character restriction)
-
-    def restrict(self, v: Sequence[int], sub_dual: DualLevel) -> Vector:
-        out = [0] * sub_dual.size
-        for a, c in zip(self.dual.reps, v):
-            if c:
-                out[sub_dual.index_of(a)] += c
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +188,6 @@ class ClassFunction:
 
     def rational_values(self) -> tuple:
         return tuple(v.rational_value() for v in self.values)
-
-    def to_json(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "values": [[str(c) for c in v.coeffs] for v in self.values],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -233,35 +208,16 @@ def perm_rep_orbit_counts(group: AbelianGroup, ell: int) -> dict[Subgroup, int]:
     coeffs = ring.element_from_marks(marks)
     if any(c < 0 for c in coeffs):
         raise ArithmeticError(f"orbit counts {coeffs} of the map set are not all nonnegative")
-    return {h: c for h, c in zip(ring.subgroups, coeffs) if c}
-
-
-def perm_rep_orbit_counts_enumerated(group: AbelianGroup, ell: int) -> dict[Subgroup, int]:
-    """The same decomposition by honest enumeration (oracle; bounded by
-    ``map_set_orbits``, which refuses more than MAP_SET_BOUND maps)."""
-    x = ExplicitHSet.trivial_points(group.trivial_subgroup, ell)
-    orbits = map_set_orbits(group.full_subgroup, group.trivial_subgroup, x)
-    return {h: c for h, c in orbits.items() if c}
-
-
-PERM_REP_INLINE_ENUM_BOUND = 10 ** 5
+    return {h: c for h, c in zip(ring.subgroups, coeffs, strict=True) if c}
 
 
 def perm_rep(group: AbelianGroup, ell: int) -> Vector:
-    """ell^{tensor G} in RU(G): the linearization of the function G-set.
-
-    Its character value at g is ell^{|G|/|g|}.  Below the enumeration bound
-    the G-set is decomposed by honest enumeration and the fixed-point-count
-    route is asserted to agree; above it, the count route alone is used
-    (tests compare the two across the overlap as well).
-    """
+    """ell^{tensor G} in RU(G): the linearization of the function G-set, from
+    its orbit counts (``perm_rep_orbit_counts``).  Its character value at g is
+    ell^{|G|/|g|}."""
     ring = BurnsideRing(group)
     counts = perm_rep_orbit_counts(group, ell)
-    if ell ** group.order <= PERM_REP_INLINE_ENUM_BOUND:
-        enumerated = perm_rep_orbit_counts_enumerated(group, ell)
-        assert enumerated == counts
-    coeffs = [counts.get(h, 0) for h in ring.subgroups]
-    return ring.linearize(coeffs)
+    return ring.linearize([counts.get(h, 0) for h in ring.subgroups])
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +244,3 @@ def rational_rep_lattices(group: AbelianGroup) -> tuple[Vector, ...]:
         sums.append(tuple(1 if j in orbit else 0 for j in range(dual.size)))
     return tuple(sums)
 
-
-def ru_element_json(group: AbelianGroup, v: Sequence[int]) -> dict:
-    ru = RURing(group)
-    return {
-        "group": repr(group),
-        "coeffs_by_dual_element": {
-            "-".join(map(str, a)) if a else "0": c
-            for a, c in zip(ru.dual.reps, v)
-            if c
-        },
-    }

@@ -103,7 +103,7 @@ class CyclicTower:
         src_sub = self.levels[i]
         dst_sub = self.levels[j]
         src = self.ring(i)
-        orbits = [(k_sub, c) for k_sub, c in zip(src.subgroups, a)]
+        orbits = [(k_sub, c) for k_sub, c in zip(src.subgroups, a, strict=True)]
         x = ExplicitHSet.from_orbits(src_sub, orbits)
         decomposition = map_set_orbits(dst_sub, src_sub, x)
         dst = self.ring(j)

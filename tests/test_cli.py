@@ -181,7 +181,6 @@ def test_geomfp_verify_json_pinned_under_O():
 # check must raise explicitly.
 ASSERT_ALLOWLIST = {
     ("groups", "map_set_orbits"): (2, "brute-force oracle; checks its own enumeration"),
-    ("reprings", "perm_rep"): (1, "inline enumeration oracle, kept while the benchmark counts it"),
 }
 
 
@@ -236,6 +235,155 @@ def test_src_has_no_unused_imports():
         if names:
             unused[path.stem] = names
     assert unused == {}
+
+
+def test_src_zips_are_strict():
+    # every zip in src pairs vectors or coordinates that must have equal
+    # length; a non-strict zip would truncate the longer one silently
+    src = Path(__file__).resolve().parent.parent / "src" / "kulocal"
+    loose = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "zip"
+        and not any(
+            k.arg == "strict" and getattr(k.value, "value", None) is True for k in node.keywords
+        )
+    ]
+    assert loose == []
+
+
+def _length_mismatches():
+    from kulocal.reprings import RURing
+    from kulocal.tambara import CyclicTower
+
+    g = parse_group("C3xC3")
+    c3 = parse_group("C3")
+    ru = RURing(c3)
+    top = CyclicTower(3, 1).pi0.level(c3.full_subgroup)  # rank 4
+    return {
+        "Level.elements_equal short": lambda: top.elements_equal((1,), (1, 2, 3, 4)),
+        "Level.elements_equal long": lambda: top.elements_equal((0, 0, 0, 0), (0, 0, 0, 0, 7)),
+        "AbelianGroup.add": lambda: g.add((1,), (1, 1)),
+        "AbelianGroup.neg": lambda: g.neg((1,)),
+        "AbelianGroup.scale": lambda: g.scale(2, (1,)),
+        "AbelianGroup.element_order": lambda: g.element_order((1,)),
+        "AbelianGroup.dual_pairing": lambda: g.dual_pairing((1, 1), (1,)),
+        "AbelianGroup.pairing_kernel": lambda: g.pairing_kernel((1,)),
+        "AbelianGroup.translate": lambda: g.translate(1, (1,)),
+        "RURing.add": lambda: ru.add((1, 0), (0, 1, 0)),
+        "RURing.character": lambda: ru.character((1, 0, 0, 1)),
+        "RURing.euler_class": lambda: ru.euler_class((0, 1)),
+        "CyclicTower.norm_burnside_bruteforce": (
+            lambda: CyclicTower(3, 2).norm_burnside_bruteforce(0, 1, (2, 5))
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_length_mismatches()))
+def test_length_mismatch_raises(entry):
+    # each of these truncated the longer operand and returned a value before
+    # its zip was made strict, e.g. elements_equal((1,), (1, 2, 3, 4)) was True
+    with pytest.raises(ValueError, match="zip"):
+        _length_mismatches()[entry]()
+
+
+# Every def in src/kulocal that no subcommand and no demo calls, with why it
+# stays in src.  Code that only the tests run lives in tests/oracles.py.
+UNREACHED_ALLOWLIST = {
+    "cli.main": "console-script entry point; it only calls run",
+    "exact.solve_integer": "perfbench/tracer.py wraps it by name",
+    "fiber.pi1_level": "perfbench/tracer.py wraps it by name",
+    "groups.Subgroup.join": "perfbench/tracer.py wraps it by name",
+    "exact.reduce_root_of_unity_sum": "exported in kulocal.__all__",
+    "fiber.adams_minus_one": "exported in kulocal.__all__",
+    "exact.IntMatrix.__add__": "matrix arithmetic; raises on a shape mismatch",
+    "exact.IntMatrix.__sub__": "matrix arithmetic; raises on a shape mismatch",
+    "exact.IntMatrix._entrywise": "the one body of __add__ and __sub__",
+    "exact.IntMatrix.__neg__": "matrix arithmetic",
+    "exact.IntMatrix.zeros": "small API: the zero matrix of a shape",
+    "exact.IntMatrix.__hash__": "data model: a matrix is a hashable value",
+    "exact.IntMatrix.__repr__": "data model",
+    "exact.Cyclotomic.__hash__": "data model: a cyclotomic number is a hashable value",
+    "exact.Cyclotomic.__repr__": "data model",
+    "groups.AbelianGroup.__eq__": "data model: groups compare by their factors",
+    "groups.AbelianGroup.__hash__": "data model: groups compare by their factors",
+    "groups.Subgroup.__repr__": "names subgroups in axiom-failure messages, which a green run never builds",
+    "groups.AbelianGroup.neg": "small API: group arithmetic beside add and scale",
+    "groups.AbelianGroup.sub": "small API: group arithmetic beside add and scale",
+    "groups.ExplicitHSet.size": "small API: the number of points",
+    "reprings.RURing.scale": "small API: ring arithmetic beside add and multiply",
+}
+
+# Runs every subcommand once on small groups, then every demo, in a fresh
+# interpreter (so no cache warmed by another test hides a call), and prints
+# (module, first line, name) of each src function it entered.
+REACH_SCRIPT = """
+import contextlib, io, json, runpy, sys
+from pathlib import Path
+
+src, demos = Path(sys.argv[1]), sorted(Path(sys.argv[2]).glob("*.py"))
+codes = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+
+from kulocal.cli import run
+
+jobs = [[cmd, "--group", spec] for cmd in ("pi0", "pi1", "kernel", "idempotents", "marks", "bott-verify")
+        for spec in ("C9", "C3xC3")]
+jobs += [["norms", "--group", "C9"], ["geomfp-verify", "--max-order", "9"],
+         ["verify-all", "--max-order", "9"]]
+sys.setprofile(profile)
+with contextlib.redirect_stdout(io.StringIO()):
+    exit_codes = [run([*job, "--format", "json"]) for job in jobs]
+    for demo in demos:
+        runpy.run_path(str(demo), run_name="__main__")
+sys.setprofile(None)
+called = [(Path(c.co_filename).stem, c.co_firstlineno, c.co_name)
+          for c in codes if Path(c.co_filename).parent == src]
+print(json.dumps({"exit_codes": exit_codes, "called": sorted(called)}))
+"""
+
+
+def _src_defs(src):
+    """{(module, first line, name): qualified name} of every def in src, the
+    first line being that of its first decorator, as in its code object."""
+    defs = {}
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                if not isinstance(child, ast.ClassDef):
+                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    defs[(module, line, child.name)] = ".".join((module,) + inner)
+                visit(child, module, inner)
+            else:
+                visit(child, module, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    return defs
+
+
+def test_src_defs_are_reached():
+    root = Path(__file__).resolve().parent.parent
+    src = root / "src" / "kulocal"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", REACH_SCRIPT, str(src), str(root / "demos")],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["exit_codes"] == [0] * len(result["exit_codes"])
+    called = {tuple(key) for key in result["called"]}
+    unreached = {name for key, name in _src_defs(src).items() if key not in called}
+    assert unreached == set(UNREACHED_ALLOWLIST)
 
 
 # The lattice and cyclic workloads' pi0, pi1 and kernel jobs and their output

@@ -24,10 +24,10 @@ from kulocal.fiber import (
     fiber_level_data,
     group_report,
     kernel_equals_AmodJ,
-    restriction_commutes_with_adams,
 )
 from kulocal.groups import DualLevel, parse_group
 from kulocal.reprings import adams_cycles, adams_kernel_basis, adams_minus_one_on
+from oracles import restriction_commutes_with_adams
 
 
 def admissible_ells(g, count=3):

@@ -25,6 +25,7 @@ from kulocal.geomfp import (
     verify_regular_factorization,
 )
 from kulocal.groups import AbelianGroup, parse_group
+from oracles import generated_subgroup, ru_restrict
 
 PRIME_POWER_RANGE = [(q, k) for q in (3, 5, 7) for k in range(1, 5) if q ** k <= 125]
 
@@ -200,9 +201,9 @@ def test_bott_character_product_group_factorization():
     ru = RURing(g)
     values = bott_character(g)
     for x in g.elements:
-        cyc = g.generated_subgroup([x])
+        cyc = generated_subgroup(g, [x])
         dual = DualLevel(g, cyc)
-        restricted = ru.restrict(ru.regular_rep, dual)
+        restricted = ru_restrict(ru, ru.regular_rep, dual)
         m = g.order // cyc.order
         assert all(c == m for c in restricted)
         assert values[x] == (cyc.order ** m, m)
