@@ -77,16 +77,16 @@ class BurnsideRing:
         return tuple(self.level.order // k.order for k in self.subgroups)
 
     def marks(self, coeffs: Sequence[int]) -> Vector:
-        idx = self._indices
-        return tuple(sum(coeffs[j] * idx[j] for j in above) for above in self._above)
+        weighted = [c * i for c, i in zip(coeffs, self._indices, strict=True)]
+        return tuple(sum(weighted[j] for j in above) for above in self._above)
 
     def element_from_marks(self, marks: Sequence[int]) -> Vector:
         """Invert the marks map by back-substitution; refuses a vector that is
         not integral over the orbit basis."""
         idx = self._indices
         coeffs = [0] * self.n
-        for i in reversed(range(self.n)):
-            acc = marks[i] - sum(coeffs[j] * idx[j] for j in self._above[i][1:])
+        for i, (mark, above) in reversed(list(enumerate(zip(marks, self._above, strict=True)))):
+            acc = mark - sum(coeffs[j] * idx[j] for j in above[1:])
             coeffs[i], rem = divmod(acc, idx[i])
             if rem:
                 raise ValueError(f"marks vector {marks} is not integral over the orbit basis")
@@ -132,10 +132,9 @@ class BurnsideRing:
         )
 
     def linearize(self, coeffs: Sequence[int]) -> Vector:
-        lin = self.linearize_matrix
         return tuple(
-            sum(c * lin.entries[i][j] for i, c in enumerate(coeffs))
-            for j in range(lin.cols)
+            sum(c * x for c, x in zip(coeffs, col, strict=True))
+            for col in zip(*self.linearize_matrix.entries, strict=True)
         )
 
     @cached_property

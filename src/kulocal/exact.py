@@ -13,7 +13,7 @@ Main contents:
   representation does not); with int coefficients it is the ring Z[zeta_e],
   which is every quotient Z[x]/rho(k-1) that geomfp builds (e = q^k),
 * ``IntMatrix`` with exact Bareiss determinants,
-* Smith normal form with full unimodular witnesses U, S, V (A = U*S*V),
+* Smith normal form with unimodular witnesses U^-1, V^-1 (U^-1*A*V^-1 = S),
   integer kernel lattices, integer linear solving, and row Hermite normal
   form for canonical lattice comparison,
 * the invariant factors of a direct sum of cyclic groups
@@ -500,16 +500,16 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """A = U * S * V with U, V unimodular and S diagonal, d_i | d_{i+1}.
+    """U^-1 * A * V^-1 = S with U^-1, V^-1 unimodular and S diagonal,
+    d_i | d_{i+1}.
 
-    u_inv and v_inv are carried along because kernel and solving use them;
-    they are exact inverses of u and v by construction.
+    Since U^-1 and V^-1 have determinant +-1, their inverses U and V are
+    integral and A = U * S * V; only the inverses are kept, because kernel
+    and solving read them.
     """
 
     a: IntMatrix
-    u: IntMatrix
     s: IntMatrix
-    v: IntMatrix
     u_inv: IntMatrix
     v_inv: IntMatrix
 
@@ -529,12 +529,9 @@ class SmithDecomposition:
         return self.a.rows - self.rank, torsion
 
     def verify(self) -> bool:
-        if self.u * self.s * self.v != self.a:
+        if self.u_inv * self.a * self.v_inv != self.s:
             return False
-        if not (self.u.is_unimodular() and self.v.is_unimodular()):
-            return False
-        if (self.u * self.u_inv != IntMatrix.identity(self.a.rows)
-                or self.v * self.v_inv != IntMatrix.identity(self.a.cols)):
+        if not (self.u_inv.is_unimodular() and self.v_inv.is_unimodular()):
             return False
         facs = self.invariant_factors
         if any(d <= 0 for d in facs):
@@ -552,146 +549,85 @@ class SmithDecomposition:
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Elementary row/column reduction with min-|pivot| selection.
 
-    Pivot ties break at the lowest row, then the lowest column.  Column and
-    row clearing use 2x2 unimodular gcd combinations, which keeps coefficient
-    growth tame at the sizes this package handles (<= ~125 square).
+    One elimination on W = [[A, I_m], [I_n, 0]]: row operations act on the
+    top m rows and column operations on the left n columns, so W ends as
+    [[S, U^-1], [V^-1, 0]].  Pivots come from the A block only; ties break
+    at the lowest row, then the lowest column.  Column and row clearing use
+    2x2 unimodular gcd combinations, which keeps coefficient growth tame at
+    the sizes this package handles (up to 243 square in the tests).
     """
     m, n = a.rows, a.cols
-    s = [list(r) for r in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    uinv = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    w = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(a.entries)]
+    w += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
 
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        uinv[i], uinv[j] = uinv[j], uinv[i]
-        for r in range(m):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
+    def rows(i, j, aa, bb, cc, dd):
+        # (W_i, W_j) <- (aa*W_i + bb*W_j, cc*W_i + dd*W_j) for i, j < m,
+        # with aa*dd - bb*cc = +-1; W_j is left alone when (cc, dd) = (0, 1)
+        wi, wj = w[i], w[j]
+        w[i] = [aa * x + bb * y for x, y in zip(wi, wj, strict=True)]
+        if cc or dd != 1:
+            w[j] = [cc * x + dd * y for x, y in zip(wi, wj, strict=True)]
 
-    def row_add(i, j, c):  # row_i += c * row_j
-        si, sj = s[i], s[j]
-        for t in range(n):
-            si[t] += c * sj[t]
-        ui, uj = uinv[i], uinv[j]
-        for t in range(m):
-            ui[t] += c * uj[t]
-        for r in range(m):
-            u[r][j] -= c * u[r][i]
-
-    def row_negate(i):
-        s[i] = [-x for x in s[i]]
-        uinv[i] = [-x for x in uinv[i]]
-        for r in range(m):
-            u[r][i] = -u[r][i]
-
-    def row_combine(i, j, aa, bb, cc, dd):
-        # (row_i, row_j) <- (aa*row_i + bb*row_j, cc*row_i + dd*row_j),
-        # with aa*dd - bb*cc = 1
-        si, sj = s[i], s[j]
-        for t in range(n):
-            si[t], sj[t] = aa * si[t] + bb * sj[t], cc * si[t] + dd * sj[t]
-        ui, uj = uinv[i], uinv[j]
-        for t in range(m):
-            ui[t], uj[t] = aa * ui[t] + bb * uj[t], cc * ui[t] + dd * uj[t]
-        for r in range(m):
-            ur = u[r]
-            ur[i], ur[j] = dd * ur[i] - cc * ur[j], -bb * ur[i] + aa * ur[j]
-
-    def col_swap(i, j):
-        for r in range(m):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-        for r in range(n):
-            vinv[r][i], vinv[r][j] = vinv[r][j], vinv[r][i]
-        v[i], v[j] = v[j], v[i]
-
-    def col_add(i, j, c):  # col_i += c * col_j
-        for r in range(m):
-            s[r][i] += c * s[r][j]
-        for r in range(n):
-            vinv[r][i] += c * vinv[r][j]
-        vj, vi = v[j], v[i]
-        for t in range(n):
-            vj[t] -= c * vi[t]
-
-    def col_combine(i, j, aa, bb, cc, dd):
-        # (col_i, col_j) <- (aa*col_i + bb*col_j, cc*col_i + dd*col_j),
-        # with aa*dd - bb*cc = 1
-        for r in range(m):
-            sr = s[r]
-            sr[i], sr[j] = aa * sr[i] + bb * sr[j], cc * sr[i] + dd * sr[j]
-        for r in range(n):
-            vr = vinv[r]
-            vr[i], vr[j] = aa * vr[i] + bb * vr[j], cc * vr[i] + dd * vr[j]
-        vi, vj = v[i], v[j]
-        for t in range(n):
-            vi[t], vj[t] = dd * vi[t] - cc * vj[t], -bb * vi[t] + aa * vj[t]
+    def cols(i, j, aa, bb, cc, dd):
+        # the same combination of columns i, j < n
+        for r in w:
+            r[i], r[j] = aa * r[i] + bb * r[j], cc * r[i] + dd * r[j]
 
     t = 0
     while t < min(m, n):
-        # pick the minimal-absolute-value nonzero entry of the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            row = s[i]
-            for j in range(t, n):
-                x = row[j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
+        # the minimal-absolute-value nonzero entry of the trailing block
+        pivot = min(
+            ((abs(x), i, j) for i in range(t, m) for j, x in enumerate(w[i][t:n], t) if x),
+            default=None,
+        )
         if pivot is None:
             break
-        if pivot[0] != t:
-            row_swap(t, pivot[0])
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
-        if s[t][t] < 0:
-            row_negate(t)
+        _, pi, pj = pivot
+        if pi != t:
+            rows(t, pi, 0, 1, 1, 0)
+        if pj != t:
+            cols(t, pj, 0, 1, 1, 0)
+        if w[t][t] < 0:
+            w[t] = [-x for x in w[t]]
 
         while True:
             # clear column t below the pivot, accumulating gcds at the pivot
             for i in range(t + 1, m):
-                if s[i][t]:
-                    p, x = s[t][t], s[i][t]
+                if w[i][t]:
+                    p, x = w[t][t], w[i][t]
                     if x % p == 0:
-                        row_add(i, t, -(x // p))
+                        rows(i, t, 1, -(x // p), 0, 1)
                     else:
                         g, aa, bb = xgcd(p, x)
-                        row_combine(t, i, aa, bb, -(x // g), p // g)
+                        rows(t, i, aa, bb, -(x // g), p // g)
             # clear row t to the right of the pivot
             for j in range(t + 1, n):
-                if s[t][j]:
-                    p, x = s[t][t], s[t][j]
+                if w[t][j]:
+                    p, x = w[t][t], w[t][j]
                     if x % p == 0:
-                        col_add(j, t, -(x // p))
+                        cols(j, t, 1, -(x // p), 0, 1)
                     else:
                         g, aa, bb = xgcd(p, x)
-                        col_combine(t, j, aa, bb, -(x // g), p // g)
-            if all(s[i][t] == 0 for i in range(t + 1, m)) and all(
-                s[t][j] == 0 for j in range(t + 1, n)
+                        cols(t, j, aa, bb, -(x // g), p // g)
+            if all(w[i][t] == 0 for i in range(t + 1, m)) and all(
+                w[t][j] == 0 for j in range(t + 1, n)
             ):
-                d = s[t][t]
-                offender = None
-                for i in range(t + 1, m):
-                    row = s[i]
-                    for j in range(t + 1, n):
-                        if row[j] % d:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
+                # the first row with an entry the pivot does not divide; a
+                # pivot of 1 divides every entry
+                d = w[t][t]
+                offender = d != 1 and next(
+                    (i for i in range(t + 1, m) if any(x % d for x in w[i][t + 1:n])), None
+                )
+                if not offender:
                     break
-                row_add(t, offender, 1)
+                rows(t, offender, 1, 1, 0, 1)
         t += 1
 
     return SmithDecomposition(
         a=a,
-        u=IntMatrix(u, cols=m),
-        s=IntMatrix(s, cols=n),
-        v=IntMatrix(v, cols=n),
-        u_inv=IntMatrix(uinv, cols=m),
-        v_inv=IntMatrix(vinv, cols=n),
+        s=IntMatrix([r[:n] for r in w[:m]], cols=n),
+        u_inv=IntMatrix([r[n:] for r in w[:m]], cols=m),
+        v_inv=IntMatrix([r[:n] for r in w[m:]], cols=n),
     )
 
 

@@ -98,16 +98,20 @@ class AbelianGroup:
         e = self.exponent
         return sum((e // n) * x * y for x, y, n in zip(a, g, self.factors, strict=True)) % e
 
-    def pairing_kernel(self, g: Element) -> int:
-        """The mask of {a : <a, g> = 0}.  The pairing values of all elements,
-        in index order, are built coordinate by coordinate (last coordinate
-        fastest): each factor n adds x * (e // n) * g_i for x in range(n)."""
+    def pairing_row(self, g: Element) -> list[int]:
+        """<a, g> for every element a, in index order, built coordinate by
+        coordinate (last coordinate fastest): each factor n adds
+        x * (e // n) * g_i for x in range(n)."""
         e = self.exponent
         values = [0]
         for y, n in zip(g, self.factors, strict=True):
             w = (e // n) * y % e
             values = [(v + x * w) % e for v in values for x in range(n)]
-        return int("".join("0" if v else "1" for v in reversed(values)), 2)
+        return values
+
+    def pairing_kernel(self, g: Element) -> int:
+        """The mask of {a : <a, g> = 0}: the zeros of ``pairing_row``."""
+        return int("".join("0" if v else "1" for v in reversed(self.pairing_row(g))), 2)
 
     # -- translation -------------------------------------------------------
 
@@ -313,10 +317,6 @@ class DualLevel:
 
     def scale(self, k: int, a: Element) -> Element:
         return self.canon(self.group.scale(k, a))
-
-    def pairing(self, a: Element, h: Element) -> int:
-        """<a, h> mod exponent(G), well defined for h in H."""
-        return self.group.dual_pairing(a, h)
 
 
 # ---------------------------------------------------------------------------

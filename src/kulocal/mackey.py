@@ -751,6 +751,5 @@ def lewis_diagram(functor: MackeyFunctor) -> str:
             desc += (" + " if desc else "") + f"Z/{d}"
         lines.append(f"  M(G/{'G' if h.order == functor.group.order else h.order}) = {desc or '0'}")
         if idx + 1 < len(subs):
-            k = subs[idx + 1]
             lines.append("    | res v   ^ tr")
     return "\n".join(lines)

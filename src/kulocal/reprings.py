@@ -138,14 +138,16 @@ class RURing:
     # -- characters
 
     def character(self, v: Sequence[int]) -> "ClassFunction":
-        """chi(v)(g) = sum_a v_a zeta_e^{<a,g>}, exact mod the cyclotomic polynomial."""
+        """chi(v)(g) = sum_a v_a zeta_e^{<a,g>}, exact mod the cyclotomic
+        polynomial.  The dual basis of the full level is the group's elements
+        in index order, so v pairs entry by entry with ``pairing_row(g)``."""
         e = self.group.exponent
         values = []
         for g in self.group.elements:
             counts = [0] * e
-            for a, c in zip(self.dual.reps, v, strict=True):
+            for c, p in zip(v, self.group.pairing_row(g), strict=True):
                 if c:
-                    counts[self.dual.pairing(a, g)] += c
+                    counts[p] += c
             values.append(Cyclotomic.from_poly(e, tuple(counts)))
         return ClassFunction(self.group, e, tuple(values))
 

@@ -155,7 +155,6 @@ def restriction_rule_check(q: int, k: int) -> bool:
     _check_odd_prime(q)
     tower = CyclicTower(q, k)
     for i in range(k):
-        upper = tower.ring(i + 1)
         lower = tower.ring(i)
         mat = tower.burnside.res(tower.levels[i + 1], tower.levels[i])
         for j in range(i + 2):

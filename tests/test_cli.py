@@ -237,6 +237,39 @@ def test_src_has_no_unused_imports():
     assert unused == {}
 
 
+def _unused_locals(func: ast.AST) -> list[str]:
+    """Names that func's own body binds and nothing in func (nested closures
+    included) reads; parameters, ``_``-names and global/nonlocal names are
+    not counted."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    own, stack = [], list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        own.append(node)
+        if not isinstance(node, scopes):
+            stack.extend(ast.iter_child_nodes(node))
+    declared = {n for node in own if isinstance(node, (ast.Global, ast.Nonlocal)) for n in node.names}
+    bound = {
+        node.id for node in own if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    read = {
+        node.id for node in ast.walk(func) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(n for n in bound - read - declared if not n.startswith("_"))
+
+
+def test_src_has_no_unused_locals():
+    src = Path(__file__).resolve().parent.parent / "src" / "kulocal"
+    unused = {
+        f"{path.stem}.{node.name}": names
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (names := _unused_locals(node))
+    }
+    assert unused == {}
+
+
 def test_src_zips_are_strict():
     # every zip in src pairs vectors or coordinates that must have equal
     # length; a non-strict zip would truncate the longer one silently
@@ -256,6 +289,7 @@ def test_src_zips_are_strict():
 
 
 def _length_mismatches():
+    from kulocal.burnside import BurnsideRing
     from kulocal.reprings import RURing
     from kulocal.tambara import CyclicTower
 
@@ -263,7 +297,11 @@ def _length_mismatches():
     c3 = parse_group("C3")
     ru = RURing(c3)
     top = CyclicTower(3, 1).pi0.level(c3.full_subgroup)  # rank 4
+    a9 = BurnsideRing(parse_group("C9"))  # rank 3
     return {
+        "BurnsideRing.marks": lambda: a9.marks((1, 0, 0, 5)),
+        "BurnsideRing.element_from_marks": lambda: a9.element_from_marks((9, 0, 0, 7)),
+        "BurnsideRing.linearize": lambda: a9.linearize((1,)),
         "Level.elements_equal short": lambda: top.elements_equal((1,), (1, 2, 3, 4)),
         "Level.elements_equal long": lambda: top.elements_equal((0, 0, 0, 0), (0, 0, 0, 0, 7)),
         "AbelianGroup.add": lambda: g.add((1,), (1, 1)),
@@ -311,6 +349,7 @@ UNREACHED_ALLOWLIST = {
     "groups.AbelianGroup.__eq__": "data model: groups compare by their factors",
     "groups.AbelianGroup.__hash__": "data model: groups compare by their factors",
     "groups.Subgroup.__repr__": "names subgroups in axiom-failure messages, which a green run never builds",
+    "groups.AbelianGroup.dual_pairing": "the pairing's definition; tests hold pairing_row and the characters to it",
     "groups.AbelianGroup.neg": "small API: group arithmetic beside add and scale",
     "groups.AbelianGroup.sub": "small API: group arithmetic beside add and scale",
     "groups.ExplicitHSet.size": "small API: the number of points",

@@ -1,5 +1,6 @@
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,23 @@ def test_smith_paper_cokernel_matrix():
     assert dec.invariant_factors == (1, 1, 3)
     free, torsion = dec.cokernel_invariants()
     assert free == 0 and torsion == [3]
+
+
+def test_smith_verify_rejects_bad_witnesses():
+    a = IntMatrix([[1, 0, 0], [0, -1, 2], [0, 2, -1]])
+    dec = smith_normal_form(a)
+    assert dec.verify() and dec.invariant_factors == (1, 1, 3)
+    s = [list(r) for r in dec.s.entries]
+    s[2][2] += 1  # (1, 1, 4) is a chain, but U^-1 A V^-1 != S
+    assert not replace(dec, s=IntMatrix(s)).verify()
+    # 2 U^-1 A V^-1 = 2 S holds, but det(2 U^-1) = +-8
+    assert not replace(dec, u_inv=dec.u_inv.scale(2), s=dec.s.scale(2)).verify()
+    # each below is its own witness with U^-1 = V^-1 = I
+    ident = IntMatrix.identity(2)
+    for b in (IntMatrix([[2, 0], [0, 3]]), IntMatrix([[1, 1], [0, 1]])):
+        dec = smith_normal_form(b)
+        assert dec.verify()
+        assert not replace(dec, s=b, u_inv=ident, v_inv=ident).verify(), b
 
 
 def test_smith_random_matrices():

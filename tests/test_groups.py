@@ -142,6 +142,7 @@ def test_pairing_kernel_matches_dual_pairing(spec):
     g = parse_group(spec)
     for x in g.elements:
         mask = g.pairing_kernel(x)
+        assert g.pairing_row(x) == [g.dual_pairing(a, x) for a in g.elements], x
         for i, a in enumerate(g.elements):
             assert (mask >> i & 1) == (g.dual_pairing(a, x) == 0), (a, x)
         assert mask >> g.order == 0

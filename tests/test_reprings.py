@@ -48,6 +48,23 @@ def test_character_x_plus_x2():
     assert chi.values[2] == -1
 
 
+@pytest.mark.parametrize("spec", ["C9", "C3xC9", "C5xC5", "C15"])
+def test_character_matches_pairing_definition(spec):
+    # chi(v)(g) = sum_a v_a zeta_e^<a, g>, one dual_pairing per (a, g)
+    rng = random.Random(SEED)
+    g = parse_group(spec)
+    ru = RURing(g)
+    e = g.exponent
+    v = tuple(rng.randint(-3, 3) for _ in range(ru.n))
+    expected = []
+    for x in g.elements:
+        counts = [0] * e
+        for a, c in zip(ru.dual.reps, v, strict=True):
+            counts[g.dual_pairing(a, x)] += c
+        expected.append(Cyclotomic.from_poly(e, tuple(counts)))
+    assert ru.character(v).values == tuple(expected)
+
+
 @pytest.mark.parametrize("spec", ["C3", "C9", "C3xC3"])
 def test_character_injective_ring_hom(spec):
     rng = random.Random(SEED)
