@@ -56,7 +56,7 @@ from .mackey import (
 )
 from .tambara import derive_norm_on_x, restriction_rule_check
 
-DEFAULT_INSTANCES = ["C3", "C9", "C27", "C3xC3", "C5", "C25", "C7", "C3xC9"]
+DEFAULT_INSTANCES = ["C3", "C9", "C27", "C3xC3", "C5", "C25", "C7", "C3xC9", "C81", "C9xC9"]
 GEOMFP_PRIMES = (3, 5, 7)
 GEOMFP_MAX_ORDER = 125
 

@@ -384,6 +384,16 @@ class IntMatrix:
         self.entries = rows
 
     @classmethod
+    def _of(cls, rows: Sequence[Sequence[int]], cols: int) -> "IntMatrix":
+        """Rows that arithmetic built from int entries: an int combined with
+        an int is an int, so no entry is checked again."""
+        m = object.__new__(cls)
+        m.entries = tuple(map(tuple, rows))
+        m.rows = len(m.entries)
+        m.cols = cols
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -420,7 +430,7 @@ class IntMatrix:
                         if b:
                             acc[j] += a * b
             out.append(acc)
-        return IntMatrix(out, cols=other.cols)
+        return IntMatrix._of(out, other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         return self._entrywise(other, 1)
@@ -432,19 +442,22 @@ class IntMatrix:
         """self + sign * other, for matrices of the same shape."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(
+        return IntMatrix._of(
             [
                 [a + sign * b for a, b in zip(r1, r2, strict=True)]
                 for r1, r2 in zip(self.entries, other.entries, strict=True)
             ],
-            cols=self.cols,
+            self.cols,
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in r] for r in self.entries], cols=self.cols)
+        return IntMatrix._of([[-a for a in r] for r in self.entries], self.cols)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * a for a in r] for r in self.entries], cols=self.cols)
+        """c times the matrix; c must be an int, as an entry must."""
+        if type(c) is not int:
+            raise ValueError(f"IntMatrix scalar {c!r} is not an int")
+        return IntMatrix._of([[c * a for a in r] for r in self.entries], self.cols)
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -733,11 +746,19 @@ def lattice_equal(rows_a, rows_b, ncols: int) -> bool:
 def mult_matrix(a: Cyclotomic) -> IntMatrix:
     """Matrix of multiplication by a on the basis 1, zeta, .., zeta^{phi(e)-1}.
 
-    Only integral elements have an integer matrix; IntMatrix rejects a
-    Fraction coefficient rather than truncating it.
+    Column j is zeta^j * a, so column j+1 is column j shifted up one degree
+    and reduced once by the monic Phi_e: its top coefficient c becomes
+    -c * (Phi_e - x^phi(e)).  Only integral elements have an integer matrix;
+    IntMatrix rejects a Fraction coefficient rather than truncating it.
     """
     d = len(a.coeffs)
-    cols = [(a * Cyclotomic.zeta_power(a.conductor, j)).coeffs for j in range(d)]
+    low = [(t, b) for t, b in enumerate(cyclotomic_polynomial(a.conductor)[:-1]) if b]
+    cols = [list(a.coeffs)]
+    while len(cols) < d:
+        top, col = cols[-1][-1], [0] + cols[-1][:-1]
+        for t, b in low:
+            col[t] -= top * b
+        cols.append(col)
     return IntMatrix.from_columns(cols, nrows=d)
 
 

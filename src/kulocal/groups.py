@@ -216,6 +216,7 @@ class Subgroup:
     def __init__(self, group: AbelianGroup, mask: int):
         self.group = group
         self.mask = mask
+        self._hash = hash((group.factors, mask))
 
     @cached_property
     def element_indices(self) -> tuple[int, ...]:
@@ -270,7 +271,7 @@ class Subgroup:
         )
 
     def __hash__(self):
-        return hash((self.group.factors, self.mask))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.group!r})"

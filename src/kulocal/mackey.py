@@ -11,8 +11,13 @@ groups are quotients, and the double-coset law collapses to
     res^H_K o tr^H_L = [H : KL] * tr^K_{K&L} o res^L_{K&L}.
 
 A Green functor is given by the products of basis vectors at each level
-(``basis_product``); every functor here is commutative, and ``multiply`` is
-the one bilinear extension of those products.
+(``basis_product``), stored once as their nonzero (index, coefficient)
+pairs; every functor here is commutative, and ``multiply`` is the one
+bilinear extension of those products.
+
+The axiom checks compare the cheap thing first: two maps are equal at once
+when their matrices are, two elements when their vectors are; only a
+difference is tested against the relation lattice of the target level.
 
 Provided functors: the Burnside functor and its levelwise quotient A/J by the
 cyclically-vanishing ideal, both lattices of marks vectors built by one
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .burnside import BurnsideRing
 from .exact import (
@@ -95,11 +100,16 @@ class Level:
         ))
 
     def elements_equal(self, a: Sequence[int], b: Sequence[int]) -> bool:
-        """a == b in the level; vectors of unequal length raise ValueError."""
+        """a == b in the level: equal vectors are equal at once; otherwise
+        a - b must lie in the relation lattice, so on a level without
+        relations any difference answers False.  Vectors of unequal length
+        raise ValueError."""
+        if a == b:
+            return True
         diff = tuple(x - y for x, y in zip(a, b, strict=True))
         if not any(diff):
             return True
-        return lattice_contains(self.relation_hnf, diff)
+        return bool(self.relations) and lattice_contains(self.relation_hnf, diff)
 
 
 class MapCache(dict):
@@ -166,12 +176,13 @@ class MackeyFunctor:
     # -- axiom validation ----------------------------------------------------
 
     def maps_equal(self, target: Level, m1: IntMatrix, m2: IntMatrix) -> bool:
+        """m1 == m2 as maps into ``target``: equal matrices are equal at once;
+        otherwise every column must be equal as an element of the level."""
         if m1.cols != m2.cols or m1.rows != m2.rows:
             return False
-        for j in range(m1.cols):
-            if not target.elements_equal(m1.column(j), m2.column(j)):
-                return False
-        return True
+        if m1.entries == m2.entries:
+            return True
+        return all(target.elements_equal(m1.column(j), m2.column(j)) for j in range(m1.cols))
 
     def check_mackey_axioms(self) -> list[str]:
         """Exhaustive identity/transitivity/double-coset validation.
@@ -218,16 +229,20 @@ def _unit_vec(n: int, i: int) -> Vector:
     return tuple(v)
 
 
-def _apply_sparse(columns: Sequence[Vector], v: Sequence[int]) -> Vector:
-    """sum_i v_i * columns[i], skipping zero coefficients."""
-    nrows = len(columns[0]) if columns else 0
-    out = [0] * nrows
-    for i, c in enumerate(v):
-        if c:
-            col = columns[i]
-            for r in range(nrows):
-                if col[r]:
-                    out[r] += c * col[r]
+Pairs = tuple  # the nonzero (index, coefficient) pairs of a vector, by index
+
+
+def _pairs(v: Sequence[int]) -> Pairs:
+    return tuple((i, c) for i, c in enumerate(v) if c)
+
+
+def _apply_sparse(n: int, terms: Iterable[tuple[int, Pairs]]) -> Vector:
+    """sum of c * v over (c, v) in ``terms``, each v given by its pairs, as a
+    vector of length n; ``_apply_sparse(n, [(1, v)])`` is v itself."""
+    out = [0] * n
+    for c, v in terms:
+        for t, z in v:
+            out[t] += c * z
     return tuple(out)
 
 
@@ -249,73 +264,72 @@ class GreenFunctor(MackeyFunctor):
         super().__init__(group, levels, res, tr, name)
         self._units = units
         self._basis_product = basis_product
-        self._products: dict[Subgroup, list[list[Vector]]] = {}
+        self._products: dict[Subgroup, list[list[Pairs]]] = {}
 
     def unit(self, h: Subgroup) -> Vector:
         return self._units[h]
 
-    def product_table(self, h: Subgroup) -> list[list[Vector]]:
-        """e_i * e_j for every pair of basis vectors of the level, computed
-        once per level for i <= j and mirrored."""
+    def product_table(self, h: Subgroup) -> list[list[Pairs]]:
+        """e_i * e_j for every pair of basis vectors of the level, as its
+        nonzero (index, coefficient) pairs, computed once per level for
+        i <= j and mirrored."""
         table = self._products.get(h)
         if table is None:
             n = self.level(h).rank
             table = self._products[h] = [[()] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
-                    table[i][j] = table[j][i] = tuple(self._basis_product(h, i, j))
+                    table[i][j] = table[j][i] = _pairs(self._basis_product(h, i, j))
         return table
+
+    def _product(self, h: Subgroup, a: Pairs, b: Pairs) -> Vector:
+        table = self.product_table(h)
+        return _apply_sparse(self.level(h).rank, ((x * y, table[i][j]) for i, x in a for j, y in b))
 
     def multiply(self, h: Subgroup, a: Sequence[int], b: Sequence[int]) -> Vector:
         """The bilinear extension of the basis products, summed over the
         nonzero coefficients of a and b."""
-        table = self.product_table(h)
-        out = [0] * self.level(h).rank
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        for t, z in enumerate(table[i][j]):
-                            if z:
-                                out[t] += x * y * z
-        return tuple(out)
+        return self._product(h, _pairs(a), _pairs(b))
 
     def check_green_axioms(self) -> list[str]:
         """Restrictions are ring maps; transfers satisfy Frobenius reciprocity.
 
-        Applies maps through column lookups and sparse sums so the exhaustive
-        basis-pair loops stay cheap on the larger representation-ring levels.
+        Each identity is checked on basis vectors.  Maps act through their
+        columns and products through the stored basis products, all as
+        nonzero pairs, so each side is a sum over nonzero terms only; the two
+        sides are then compared as elements of the target level, equal vectors
+        first (``Level.elements_equal``).
         """
         failures: list[str] = []
         subs = self.subgroups
         for h in subs:
             lvl_h = self.level(h)
             n_h = lvl_h.rank
+            prod_h = self.product_table(h)
             for k in subs:
                 if not h.contains(k) or k == h:
                     continue
                 lvl_k = self.level(k)
-                res = self.res(h, k)
-                tr = self.tr(k, h)
-                products = self.product_table(h)
-                res_cols = [res.column(j) for j in range(res.cols)]
-                tr_cols = [tr.column(j) for j in range(tr.cols)]
-                if not lvl_k.elements_equal(_apply_sparse(res_cols, self.unit(h)), self.unit(k)):
+                n_k = lvl_k.rank
+                prod_k = self.product_table(k)
+                res, tr = self.res(h, k), self.tr(k, h)
+                res_cols = [_pairs(res.column(j)) for j in range(res.cols)]
+                tr_cols = [_pairs(tr.column(j)) for j in range(tr.cols)]
+                unit = _apply_sparse(n_k, ((c, res_cols[i]) for i, c in _pairs(self.unit(h))))
+                if not lvl_k.elements_equal(unit, self.unit(k)):
                     failures.append(f"res not unital {h!r}->{k!r}")
                 for i in range(n_h):
                     for j in range(i, n_h):
-                        lhs = _apply_sparse(res_cols, products[i][j])
-                        rhs = self.multiply(k, res_cols[i], res_cols[j])
+                        lhs = _apply_sparse(n_k, ((c, res_cols[t]) for t, c in prod_h[i][j]))
+                        rhs = self._product(k, res_cols[i], res_cols[j])
                         if not lvl_k.elements_equal(lhs, rhs):
                             failures.append(f"res not multiplicative {h!r}->{k!r} at ({i},{j})")
-                # Frobenius: tr(a) * b = tr(a * res(b))
-                n_k = lvl_k.rank
+                # Frobenius: tr(e_i) * e_j = tr(e_i * res(e_j))
                 for i in range(n_k):
-                    a = _unit_vec(n_k, i)
                     for j in range(n_h):
-                        b = _unit_vec(n_h, j)
-                        lhs = self.multiply(h, tr_cols[i], b)
-                        rhs = _apply_sparse(tr_cols, self.multiply(k, a, res_cols[j]))
+                        lhs = _apply_sparse(n_h, ((c, prod_h[t][j]) for t, c in tr_cols[i]))
+                        down = _apply_sparse(n_k, ((c, prod_k[i][s]) for s, c in res_cols[j]))
+                        rhs = _apply_sparse(n_h, ((c, tr_cols[u]) for u, c in enumerate(down) if c))
                         if not lvl_h.elements_equal(lhs, rhs):
                             failures.append(f"Frobenius fails {k!r}<={h!r} at ({i},{j})")
         return failures
@@ -486,9 +500,11 @@ def linearization_check(a_fun: GreenFunctor, ru_fun: GreenFunctor) -> Linearizat
         # row i of the linearize matrix is the image of the i-th orbit
         lin = rings[h].linearize_matrix.entries
         products = a_fun.product_table(h)
-        for i in range(len(lin)):
-            for j in range(i, len(lin)):
-                if lam[h].apply(products[i][j]) != ru_fun.multiply(h, lin[i], lin[j]):
+        n = len(lin)
+        for i in range(n):
+            for j in range(i, n):
+                image = lam[h].apply(_apply_sparse(n, [(1, products[i][j])]))
+                if image != ru_fun.multiply(h, lin[i], lin[j]):
                     mult_ok = False
 
     kernel_ok = True
@@ -666,7 +682,7 @@ def adjoin_x(functor: GreenFunctor, name: str) -> GreenFunctor:
         zero = (0,) * r
         if xi + xj > 1:
             return zero + zero
-        prod = functor.product_table(h)[bi][bj]
+        prod = _apply_sparse(r, [(1, functor.product_table(h)[bi][bj])])
         return prod + zero if xi + xj == 0 else zero + prod
 
     units = {h: tuple(functor.unit(h)) + (0,) * r for h, r in ranks.items()}

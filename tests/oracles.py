@@ -8,9 +8,21 @@ they live beside the tests rather than in ``kulocal``.
 from functools import reduce
 
 from kulocal.burnside import BurnsideRing
+from kulocal.exact import Cyclotomic, IntMatrix
 from kulocal.groups import AbelianGroup, DualLevel, ExplicitHSet, Subgroup, map_set_orbits
-from kulocal.mackey import GreenFunctor, MackeyFunctor
+from kulocal.mackey import GreenFunctor, MackeyFunctor, _apply_sparse
 from kulocal.reprings import ClassFunction, RURing, dual_permutation, permute
+
+# -- exact arithmetic --------------------------------------------------------
+
+
+def mult_matrix_by_products(a: Cyclotomic) -> IntMatrix:
+    """Multiplication by a on the power basis by its definition: column j is
+    the cyclotomic product a * zeta^j."""
+    d = len(a.coeffs)
+    cols = [(a * Cyclotomic.zeta_power(a.conductor, j)).coeffs for j in range(d)]
+    return IntMatrix.from_columns(cols, nrows=d)
+
 
 # -- groups and explicit H-sets ----------------------------------------------
 
@@ -115,7 +127,9 @@ def functor_json(functor: MackeyFunctor, include_mult: bool = False) -> dict:
         if isinstance(functor, GreenFunctor):
             entry["unit"] = list(functor.unit(h))
             if include_mult:
-                entry["mult_tables"] = [[list(v) for v in row] for row in functor.product_table(h)]
+                entry["mult_tables"] = [
+                    [list(_apply_sparse(lvl.rank, [(1, v)])) for v in row] for row in functor.product_table(h)
+                ]
         levels.append(entry)
     subs = functor.subgroups
     pairs = [(h, k) for h in subs for k in subs if h != k and h.contains(k)]

@@ -216,7 +216,7 @@ def test_criterion_8_norm_derivation():
 
 
 def test_criterion_9_property_suites():
-    for spec in DEFAULT_INSTANCES + ["C81"]:
+    for spec in DEFAULT_INSTANCES:
         g = parse_group(spec)
         assert g.order <= 81
         for functor in (burnside_mackey(g), ru_mackey(g)):

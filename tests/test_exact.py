@@ -34,6 +34,7 @@ from kulocal.exact import (
     solve_integer,
     xgcd,
 )
+from oracles import mult_matrix_by_products
 
 SEED = int(os.environ.get("TEST_SEED", "20240801"))
 
@@ -263,6 +264,41 @@ def test_intmatrix_product_matches_dense_definition():
         IntMatrix.identity(2) * IntMatrix.identity(3)
 
 
+def _random_matrix(rng, m, n):
+    pick = (
+        lambda: rng.choice((0, 0, 1, -1)),
+        lambda: rng.randint(-9, 9),
+        lambda: rng.randint(-10**30, 10**30),
+    )
+    return IntMatrix([[rng.choice(pick)() for _ in range(n)] for _ in range(m)], cols=n)
+
+
+def test_intmatrix_arithmetic_matches_the_validating_constructor():
+    # the results of *, +, -, unary minus and scale skip the per-entry type
+    # check; each must equal the matrix the checking constructor builds
+    rng = random.Random(SEED + 7)
+    for _ in range(200):
+        m, k, n = rng.randrange(0, 6), rng.randrange(0, 6), rng.randrange(0, 6)
+        a, b, c = _random_matrix(rng, m, k), _random_matrix(rng, m, k), _random_matrix(rng, k, n)
+        s = rng.choice((0, 1, -1, rng.randint(-9, 9), 10**20))
+        cases = [
+            (a * c, _dense_product(a, c), n),
+            (a + b, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.entries, b.entries)], k),
+            (a - b, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a.entries, b.entries)], k),
+            (-a, [[-x for x in r] for r in a.entries], k),
+            (a.scale(s), [[s * x for x in r] for r in a.entries], k),
+        ]
+        for got, rows, cols in cases:
+            want = IntMatrix(rows, cols=cols)
+            assert (got.rows, got.cols, got.entries) == (want.rows, want.cols, want.entries)
+            assert got == want and hash(got) == hash(want)
+            assert type(got.entries) is tuple and all(type(r) is tuple for r in got.entries)
+            assert all(type(x) is int for r in got.entries for x in r)
+    for scalar in (Fraction(1, 2), Fraction(2), 0.5, 2.0):
+        with pytest.raises(ValueError, match="scalar"):
+            IntMatrix([[1, 2], [3, 4]]).scale(scalar)
+
+
 def test_intmatrix_sum_and_difference_need_equal_shapes():
     a = IntMatrix([[1, 2], [3, 4]])
     assert a + a == IntMatrix([[2, 4], [6, 8]])
@@ -281,6 +317,26 @@ def test_smallest_primitive_root():
     assert smallest_primitive_root(7) == 3
     assert smallest_primitive_root(25) == 2
     assert smallest_primitive_root(1) == 2
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 9, 27, 81, 243, 5, 25, 125, 7, 49, 12, 15, 45])
+def test_mult_matrix_matches_column_by_column_products(e):
+    # mult_matrix builds column j+1 as a shift of column j reduced by Phi_e;
+    # the oracle multiplies by zeta^j in Z[zeta_e] for each column
+    rng = random.Random(SEED + e)
+    phi = euler_phi(e)
+    elements = [Cyclotomic.one(e), Cyclotomic.zeta_power(e, 1), Cyclotomic.zeta_power(e, e - 1)]
+    for _ in range(4):
+        elements.append(Cyclotomic(e, [rng.choice((0, rng.randint(-9, 9))) for _ in range(phi)]))
+        elements.append(Cyclotomic(e, [rng.randint(-10**12, 10**12) for _ in range(phi)]))
+    for a in elements:
+        m = mult_matrix(a)
+        assert (m.rows, m.cols) == (phi, phi)
+        assert m.entries == mult_matrix_by_products(a).entries, a
+    coeffs = [rng.randint(-9, 9) for _ in range(phi)]
+    coeffs[rng.randrange(phi)] = Fraction(1, 2)
+    with pytest.raises(ValueError, match="not an int"):
+        mult_matrix(Cyclotomic(e, coeffs))
 
 
 def test_mult_matrix_shape():

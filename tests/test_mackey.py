@@ -268,8 +268,12 @@ def test_axiom_checks_report_a_corrupted_entry(kind):
         elif kind == "tr":
             functor._tr[(k, h)] = _bumped(functor.tr(k, h), 0, 0)
         else:
+            # e_0 * e_1 at H, stored as its nonzero pairs, with 1 added to
+            # its coordinate 0
             table = functor.product_table(h)
-            table[0][1] = (table[0][1][0] + 1,) + table[0][1][1:]
+            bumped = dict(table[0][1])
+            bumped[0] = bumped.get(0, 0) + 1
+            table[0][1] = tuple(sorted((t, z) for t, z in bumped.items() if z))
         failures = _failures(functor)
         assert failures, (functor.name, kind)
         if kind == "product":
@@ -308,6 +312,61 @@ def test_axiom_checks_report_a_corrupted_entry_under_O():
 def _containments(group):
     subs = group.subgroups()
     return {(h, k) for h in subs for k in subs if h.contains(k)}
+
+
+def test_equality_fast_paths_stay_exact():
+    # equal vectors and matrices compare True at once; anything else must
+    # still be decided by the relation lattice of the target level.  pi0 of
+    # C3xC3 has 2*(x b_i) = 0 at each level; A/J has no relations.
+    g = parse_group("C3xC3")
+    rng = random.Random(33)
+    pi0, aj = assemble_pi0(g).functor, a_mod_j_mackey(g)
+    whole = g.full_subgroup
+    k = maximal_proper_subgroups(whole)[0]
+
+    def shifted(v, w, c=1):
+        return tuple(x + c * y for x, y in zip(v, w, strict=True))
+
+    def in_lattice(lvl):
+        # a nonzero integer combination of the relations
+        while True:
+            w = (0,) * lvl.rank
+            for rel in lvl.relations:
+                w = shifted(w, rel, rng.randint(-3, 3))
+            if any(w):
+                return w
+
+    def unit(n):
+        i = rng.randrange(n)
+        return tuple(int(t == i) for t in range(n))
+
+    def column_shifted(m, j, w):
+        cols = [shifted(m.column(c), w) if c == j else m.column(c) for c in range(m.cols)]
+        return IntMatrix.from_columns(cols, nrows=m.rows)
+
+    for h in (whole, k):
+        lvl = pi0.level(h)
+        assert lvl.relations
+        for _ in range(10):
+            v = tuple(rng.randint(-5, 5) for _ in range(lvl.rank))
+            rel, e = in_lattice(lvl), unit(lvl.rank)
+            assert lvl.elements_equal(v, shifted(v, rel)) and lvl.elements_equal(shifted(v, rel), v)
+            assert not lvl.elements_equal(v, shifted(shifted(v, rel), e))
+    lvl_k, res = pi0.level(k), pi0.res(whole, k)
+    for j in range(res.cols):
+        assert pi0.maps_equal(lvl_k, res, column_shifted(res, j, in_lattice(lvl_k)))
+        e = unit(lvl_k.rank)
+        assert not pi0.maps_equal(lvl_k, res, column_shifted(res, j, shifted(in_lattice(lvl_k), e)))
+
+    lvl_k, res = aj.level(k), aj.res(whole, k)
+    assert not lvl_k.relations
+    for _ in range(10):
+        v = tuple(rng.randint(-5, 5) for _ in range(lvl_k.rank))
+        w = shifted(tuple(rng.randint(-1, 1) for _ in range(lvl_k.rank)), unit(lvl_k.rank))
+        if not any(w):
+            continue
+        assert not lvl_k.elements_equal(v, shifted(v, w))
+        assert not aj.maps_equal(lvl_k, res, column_shifted(res, rng.randrange(res.cols), w))
 
 
 @pytest.mark.parametrize("spec", ["C9", "C3xC3", "C3xC9"])
