@@ -10,7 +10,8 @@ survivor, x_{i+1}(1 + y_i).
 
 from kulocal import CyclicTower, derive_norm_on_x, norm_on_monomial
 
-t = CyclicTower(3, 2)
+towers = {(q, k): CyclicTower(q, k) for q in (3, 5, 7) for k in (1, 2)}
+t = towers[3, 2]
 
 # two points normed from the trivial level to C3: 2 fixed + 2 free orbits
 out = t.norm_burnside(0, 1, (2,))
@@ -18,13 +19,12 @@ print("N(2 points) from e to C3:", out, "with marks", t.ring(1).marks(out))
 print("brute force agrees:      ", t.norm_burnside_bruteforce(0, 1, (2,)))
 print()
 
-for q in (3, 5, 7):
-    for k in (1, 2):
-        for i in range(k):
-            d = derive_norm_on_x(q, k, i)
-            bits = d.survivors[0]
-            print(f"q={q} k={k} i={i}: unique survivor bits {bits}"
-                  f"  =>  N(x_{i}) = x_{i+1}(1 + y_{i})")
+for (q, k), tower in towers.items():
+    for i in range(k):
+        d = derive_norm_on_x(tower, i)
+        bits = d.survivors[0]
+        print(f"q={q} k={k} i={i}: unique survivor bits {bits}"
+              f"  =>  N(x_{i}) = x_{i+1}(1 + y_{i})")
 print()
 
 # composing two tower steps: N from the bottom to C9 of x_0 stays nonzero

@@ -54,7 +54,7 @@ from .mackey import (
     ru_mackey,
     v_h,
 )
-from .tambara import derive_norm_on_x, restriction_rule_check
+from .tambara import CyclicTower, derive_norm_on_x, restriction_rule_check
 
 DEFAULT_INSTANCES = ["C3", "C9", "C27", "C3xC3", "C5", "C25", "C7", "C3xC9", "C81", "C9xC9"]
 GEOMFP_PRIMES = (3, 5, 7)
@@ -227,10 +227,11 @@ def cmd_norms(group: AbelianGroup | None) -> tuple[bool, dict, str]:
     reports = []
     ok = True
     for q, k in towers:
-        rule = restriction_rule_check(q, k)
+        tower = CyclicTower(q, k)
+        rule = restriction_rule_check(tower)
         ok = ok and rule
         for i in range(k):
-            d = derive_norm_on_x(q, k, i)
+            d = derive_norm_on_x(tower, i)
             ok = ok and d.formula_matches
             entry = d.to_json()
             entry["restriction_rule"] = rule

@@ -107,6 +107,11 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_factors(n) == [n]
 
 
+def require_odd_prime(q: int) -> None:
+    if q == 2 or not is_prime(q):
+        raise ValueError("q must be an odd prime")
+
+
 def smallest_prime_factor(n: int) -> int:
     """The least prime dividing n; 1 for n = 1."""
     return (prime_factors(n) or [1])[0]
@@ -588,11 +593,15 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     t = 0
     while t < min(m, n):
-        # the minimal-absolute-value nonzero entry of the trailing block
-        pivot = min(
-            ((abs(x), i, j) for i in range(t, m) for j, x in enumerate(w[i][t:n], t) if x),
-            default=None,
-        )
+        # the minimal-absolute-value nonzero entry of the trailing block; no
+        # later row can beat the first row that holds a +-1
+        pivot = None
+        for i in range(t, m):
+            best = min(((abs(x), i, j) for j, x in enumerate(w[i][t:n], t) if x), default=None)
+            if best and (pivot is None or best < pivot):
+                pivot = best
+                if best[0] == 1:
+                    break
         if pivot is None:
             break
         _, pi, pj = pivot

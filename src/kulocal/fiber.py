@@ -60,7 +60,8 @@ def _require_coprime(group: AbelianGroup, ell: int) -> None:
         raise ValueError(f"ell={ell} is not coprime to |G|={group.order}")
 
 
-def _require_primitive(group: AbelianGroup, ell: int) -> None:
+def require_primitive(group: AbelianGroup, ell: int) -> None:
+    """The one admissibility rule for ell: a primitive root mod exponent(G)."""
     if not is_primitive_root(ell, group.exponent):
         raise ValueError(
             f"ell={ell} is not a primitive root mod exponent(G)={group.exponent}"
@@ -150,7 +151,7 @@ def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWi
     if ell is None:
         ell = default_ell(group)
     _require_coprime(group, ell)
-    _require_primitive(group, ell)
+    require_primitive(group, ell)
 
     ring = BurnsideRing(group)
     return KernelWitness(
@@ -218,7 +219,7 @@ def fiber_level_data(group: AbelianGroup, ell: int | None = None) -> dict[Subgro
             pi1_q_part=primary_part(factors, q),
             det_degree2=degree2_determinant(cycles, ell),
         )
-    _require_primitive(group, ell)
+    require_primitive(group, ell)
     return out
 
 

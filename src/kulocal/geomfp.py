@@ -37,13 +37,14 @@ from .exact import (
     Cyclotomic,
     IntMatrix,
     is_prime,
-    is_primitive_root,
     mult_matrix,
     mult_matrix_determinant,
     poly_mul,
     poly_sub,
     poly_x_power,
+    require_odd_prime,
 )
+from .fiber import require_primitive
 from .groups import AbelianGroup
 from .reprings import RURing, perm_rep
 
@@ -60,11 +61,9 @@ def trunc_regular_poly(q: int, k: int) -> tuple:
     return tuple(coeffs)
 
 
-def _check_q_k(q: int, k: int) -> None:
+def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not is_prime(q):
-        raise ValueError("q must be prime")
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,9 @@ class Witness:
 
 def verify_regular_factorization(q: int, k: int) -> Witness:
     """x^{q^k} - 1 = (x^{q^{k-1}} - 1) * rho(k-1) as integer polynomials."""
-    _check_q_k(q, k)
+    _check_k(k)
+    if not is_prime(q):
+        raise ValueError("q must be prime")
     lhs = poly_sub(poly_x_power(q ** k), (1,))
     left = poly_sub(poly_x_power(q ** (k - 1)), (1,))
     rho = trunc_regular_poly(q, k)
@@ -128,9 +129,8 @@ def verify_q_unit_identity(q: int, k: int) -> Witness:
     (1 - y)(y^{q-2} + 2 y^{q-3} + ... + (q-2) y + (q-1)) = q, and (y-1)^q is
     divisible by q; so inverting y - 1 and inverting q agree.
     """
-    _check_q_k(q, k)
-    if q == 2:
-        raise ValueError("q must be odd")
+    require_odd_prime(q)
+    _check_k(k)
     e = q ** k
     step = q ** (k - 1)
     y = Cyclotomic.zeta_power(e, step)
@@ -170,9 +170,8 @@ def verify_euler_localization(q: int, k: int) -> Witness:
         +- a positive power of q, computed exactly from the block structure
         of the multiplication matrix over Z[y]/(1 + y + ... + y^{q-1}).
     """
-    _check_q_k(q, k)
-    if q == 2:
-        raise ValueError("q must be odd")
+    require_odd_prime(q)
+    _check_k(k)
     n = q ** k
     step = q ** (k - 1)
     witness: dict = {"q": q, "k": k}
@@ -259,9 +258,7 @@ def verify_CqxCq_vanishing(q: int) -> Witness:
     the bivariate quotient where y^q = 1: the localization inverting all of
     them is the zero ring.
     """
-    _check_q_k(q, 1)
-    if q == 2:
-        raise ValueError("q must be odd")
+    require_odd_prime(q)
     zero, one = Cyclotomic.zero(q), Cyclotomic.one(q)
 
     def poly_y_mul(f: list, g: list) -> list:
@@ -352,11 +349,7 @@ def verify_adams_on_bott(group: AbelianGroup, ell: int) -> Witness:
     from honest fixed-point counts; |g| = |g^ell| because ell is a primitive
     root mod the exponent (checked; rejected otherwise).
     """
-    if not is_primitive_root(ell, group.exponent):
-        raise ValueError(
-            f"ell={ell} is not a primitive root mod exponent(G)={group.exponent}; "
-            f"required so that g and g^ell generate the same subgroup"
-        )
+    require_primitive(group, ell)
     ru = RURing(group)
     chi_tensor = ru.character(perm_rep(group, ell))
     bott = bott_character(group)

@@ -165,16 +165,15 @@ class AbelianGroup:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, (1 << self.order) - 1)
 
-    def subgroups(self, bound: int = SUBGROUP_ENUM_BOUND) -> tuple["Subgroup", ...]:
+    def subgroups(self) -> tuple["Subgroup", ...]:
         """All subgroups, in the canonical (order, element-index-tuple) order.
 
         A fold over the cyclic subgroups, of which every subgroup is a join:
         after the i-th, the set holds every join of the first i.
         """
-        if self.order > bound:
-            raise ValueError(
-                f"group of order {self.order} exceeds subgroup enumeration bound {bound}"
-            )
+        if self.order > SUBGROUP_ENUM_BOUND:
+            raise ValueError(f"group of order {self.order} exceeds subgroup "
+                             f"enumeration bound {SUBGROUP_ENUM_BOUND}")
         return self._subgroups_cached
 
     @cached_property
@@ -367,7 +366,6 @@ def map_set_orbits(
     ambient: Subgroup,
     h: Subgroup,
     x: ExplicitHSet,
-    bound: int = MAP_SET_BOUND,
 ) -> dict[Subgroup, int]:
     """Decompose the K-set of H-equivariant maps K -> X into orbits.
 
@@ -397,8 +395,8 @@ def map_set_orbits(
     n_reps = len(reps)
 
     total = npoints ** n_reps
-    if total > bound:
-        raise ValueError(f"map-set enumeration of size {total} exceeds bound {bound}")
+    if total > MAP_SET_BOUND:
+        raise ValueError(f"map-set enumeration of size {total} exceeds bound {MAP_SET_BOUND}")
 
     def extend(assignment: tuple[int, ...]) -> tuple[int, ...]:
         out = []

@@ -11,6 +11,9 @@ J = 0, and ``CyclicTower.pi0`` is ``mackey.adjoin_x`` of the Burnside
 functor.  A level-ring element is a pi0 vector, the Burnside part followed
 by the x part, compared with the level's ``elements_equal`` (2x = 0).
 
+``CyclicTower(q, k)`` is the one entry point (its constructor alone checks
+q); every function below works on the tower it is given.
+
 The norm of an actual Burnside element is the class of the H-equivariant map
 set (multiplicative induction), computed from the marks law
 
@@ -35,23 +38,18 @@ from functools import cached_property
 from typing import Sequence
 
 from .burnside import BurnsideRing
-from .exact import is_prime
+from .exact import require_odd_prime
 from .groups import ExplicitHSet, Subgroup, abelian_group, map_set_orbits
 from .mackey import GreenFunctor, adjoin_x, burnside_mackey
 
 Vector = tuple
 
 
-def _check_odd_prime(q: int) -> None:
-    if q == 2 or not is_prime(q):
-        raise ValueError("q must be an odd prime")
-
-
 class CyclicTower:
     """The subgroup chain of a cyclic group of order q^k with its level rings."""
 
     def __init__(self, q: int, k: int):
-        _check_odd_prime(q)
+        require_odd_prime(q)
         if k < 0:
             raise ValueError("k must be >= 0")
         self.q = q
@@ -149,12 +147,10 @@ class CyclicTower:
 # the restriction rule on the tower
 
 
-def restriction_rule_check(q: int, k: int) -> bool:
+def restriction_rule_check(tower: CyclicTower) -> bool:
     """res [C_{q^{i+1}} / C_{q^j}] = q [C_{q^i} / C_{q^j}] for j <= i, and the
     unit restricts to the unit; checked against the Burnside functor matrices."""
-    _check_odd_prime(q)
-    tower = CyclicTower(q, k)
-    for i in range(k):
+    for i in range(tower.k):
         lower = tower.ring(i)
         mat = tower.burnside.res(tower.levels[i + 1], tower.levels[i])
         for j in range(i + 2):
@@ -162,7 +158,7 @@ def restriction_rule_check(q: int, k: int) -> bool:
             if j == i + 1:  # the unit
                 expected = lower.one
             else:
-                expected = lower.scale(q, lower.basis_element(lower.subgroups[j]))
+                expected = lower.scale(tower.q, lower.basis_element(lower.subgroups[j]))
             if col != expected:
                 return False
     return True
@@ -208,7 +204,7 @@ class NormDerivation:
         }
 
 
-def derive_norm_on_x(q: int, k: int, i: int) -> NormDerivation:
+def derive_norm_on_x(tower: CyclicTower, i: int) -> NormDerivation:
     """Search all 2^{i+2} candidates N(x_i) = x_{i+1}(a_{i+1} + sum a_j y_j).
 
     Constraints, evaluated through the actual level rings:
@@ -217,15 +213,14 @@ def derive_norm_on_x(q: int, k: int, i: int) -> NormDerivation:
     A unique survivor contradicting neither is required; zero or several
     survivors is a hard failure.
     """
-    if not 0 <= i < k:
+    if not 0 <= i < tower.k:
         raise ValueError("need 0 <= i < k")
-    tower = CyclicTower(q, k)
     lower = tower.pi0.level(tower.levels[i])
     upper = tower.pi0.level(tower.levels[i + 1])
 
-    target = tower.x_power(i, q)  # x_i^q, honestly multiplied out (= 0)
+    target = tower.x_power(i, tower.q)  # x_i^q, honestly multiplied out (= 0)
     if not lower.elements_equal(target, (0,) * lower.rank):
-        raise ArithmeticError(f"x_{i}^{q} = {target} is not zero")
+        raise ArithmeticError(f"x_{i}^{tower.q} = {target} is not zero")
 
     survivors = []
     survivors_loose = []
@@ -242,8 +237,8 @@ def derive_norm_on_x(q: int, k: int, i: int) -> NormDerivation:
             f"{survivors}"
         )
     return NormDerivation(
-        q=q,
-        k=k,
+        q=tower.q,
+        k=tower.k,
         i=i,
         survivors=tuple(survivors),
         survivors_without_nonvanishing=tuple(survivors_loose),
@@ -252,7 +247,7 @@ def derive_norm_on_x(q: int, k: int, i: int) -> NormDerivation:
 
 def norm_of_x(tower: CyclicTower, i: int) -> Vector:
     """N from level i to i+1 of x_i: the derived x_{i+1}(1 + y_i)."""
-    derivation = derive_norm_on_x(tower.q, tower.k, i)
+    derivation = derive_norm_on_x(tower, i)
     return tower.monomial(i + 1, derivation.survivors[0], 1)
 
 

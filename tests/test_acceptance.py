@@ -185,8 +185,9 @@ def test_criterion_8_norm_derivation():
     t0 = time.perf_counter()
     for q in (3, 5, 7):
         for k in (1, 2, 3):
+            tower = CyclicTower(q, k)
             for i in range(k):
-                d = derive_norm_on_x(q, k, i)
+                d = derive_norm_on_x(tower, i)
                 assert d.unique and d.formula_matches, (q, k, i)
     # marks law vs brute force on towers of order <= 27 with |X| <= 3
     checked = 0

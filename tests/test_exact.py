@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 from dataclasses import replace
@@ -147,6 +148,28 @@ def test_smith_random_matrices():
         a = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
         dec = smith_normal_form(a)
         assert dec.verify(), f"bad decomposition for {a!r}"
+
+
+# sha256 of repr([(S, U^-1, V^-1) entries]) over the batch below, recorded
+# before the pivot search learned to stop at the first row holding a +-1: the
+# lowest such row already holds the pivot a full scan picks (least |x|, then
+# lowest row, then lowest column), so no witness may change
+SMITH_WITNESS_SHA256 = "2b5ad5d2800396d5a04842fdb79b997138b777e24f0b38e57cd90517473b07d7"
+
+
+def test_smith_witnesses_are_pinned():
+    rng = random.Random(2024)
+    non_units = (-12, -10, -6, -4, -3, -2, 0, 0, 2, 3, 4, 6, 10, 12)
+    witnesses = []
+    for k in range(400):
+        m, n = rng.randrange(1, 10), rng.randrange(1, 10)
+        if k % 2:  # no unit entry: the first pivots come from a full scan
+            rows = [[rng.choice(non_units) for _ in range(n)] for _ in range(m)]
+        else:
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        dec = smith_normal_form(IntMatrix(rows))
+        witnesses.append((dec.s.entries, dec.u_inv.entries, dec.v_inv.entries))
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == SMITH_WITNESS_SHA256
 
 
 def test_kernel_lattice_basics():

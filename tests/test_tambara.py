@@ -5,8 +5,13 @@ import pytest
 
 from kulocal import tambara
 from kulocal.burnside import BurnsideRing
-from kulocal.geomfp import verify_q_unit_identity
-from kulocal.groups import AbelianGroup
+from kulocal.cli import cmd_norms
+from kulocal.geomfp import (
+    verify_CqxCq_vanishing,
+    verify_euler_localization,
+    verify_q_unit_identity,
+)
+from kulocal.groups import AbelianGroup, parse_group
 from kulocal.mackey import assemble_pi0
 from kulocal.tambara import (
     CyclicTower,
@@ -49,7 +54,7 @@ def test_norm_refuses_a_negative_orbit_count(monkeypatch):
 def test_derivation_refuses_a_nonzero_x_power(monkeypatch):
     monkeypatch.setattr(CyclicTower, "x_power", lambda self, i, n: (1, 0))
     with pytest.raises(ArithmeticError, match="is not zero"):
-        derive_norm_on_x(3, 1, 0)
+        derive_norm_on_x(CyclicTower(3, 1), 0)
 
 
 def test_norm_rejects_virtual():
@@ -123,7 +128,7 @@ def test_res_after_norm_is_power():
 
 @pytest.mark.parametrize("q,k", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
 def test_restriction_rule(q, k):
-    assert restriction_rule_check(q, k)
+    assert restriction_rule_check(CyclicTower(q, k))
 
 
 def test_tower_raises_when_the_subgroups_are_not_a_chain(monkeypatch):
@@ -142,8 +147,25 @@ def test_tower_builds_burnside_functor_once(monkeypatch):
         return original(group)
 
     monkeypatch.setattr(tambara, "burnside_mackey", counting)
-    derive_norm_on_x(3, 3, 2)
+    derive_norm_on_x(CyclicTower(3, 3), 2)
     assert len(built) == 1
+    # the report on C27 checks the restriction rule and derives N(x_0),
+    # N(x_1), N(x_2), all on one tower
+    built.clear()
+    cmd_norms(parse_group("C27"))
+    assert len(built) == 1
+    # each step of a composite norm derives N(x_i) on the tower it is given
+    tower = CyclicTower(3, 2)
+    towers = []
+    original_init = CyclicTower.__init__
+
+    def counting_init(self, q, k):
+        towers.append((q, k))
+        original_init(self, q, k)
+
+    monkeypatch.setattr(CyclicTower, "__init__", counting_init)
+    norm_on_monomial(tower, 0, 2, (1,), 1)
+    assert towers == []
 
 
 @pytest.mark.parametrize(
@@ -151,7 +173,7 @@ def test_tower_builds_burnside_functor_once(monkeypatch):
     [(q, k, i) for q in (3, 5, 7) for k in (1, 2, 3) for i in range(k)],
 )
 def test_derive_norm_unique_survivor(q, k, i):
-    d = derive_norm_on_x(q, k, i)
+    d = derive_norm_on_x(CyclicTower(q, k), i)
     assert d.unique and d.formula_matches
     # dropping nonvanishing admits exactly one extra candidate: zero
     assert len(d.survivors_without_nonvanishing) == 2
@@ -305,14 +327,19 @@ def test_derivation_suite_is_fast():
     start = time.perf_counter()
     for q in (3, 5, 7):
         for k in (1, 2, 3):
+            tower = CyclicTower(q, k)
             for i in range(k):
-                assert derive_norm_on_x(q, k, i).formula_matches
+                assert derive_norm_on_x(tower, i).formula_matches
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"derivation suite took {elapsed:.1f}s"
 
 
 @pytest.mark.parametrize("q", [0, 1, 2, 4, 9, 15])
-@pytest.mark.parametrize("check", [verify_q_unit_identity, CyclicTower, restriction_rule_check])
+@pytest.mark.parametrize(
+    "check",
+    [verify_q_unit_identity, verify_euler_localization, verify_CqxCq_vanishing, CyclicTower],
+)
 def test_rejects_q_not_an_odd_prime(check, q):
-    with pytest.raises(ValueError):
-        check(q, 1)
+    args = (q,) if check is verify_CqxCq_vanishing else (q, 1)
+    with pytest.raises(ValueError, match="q must be an odd prime"):
+        check(*args)
