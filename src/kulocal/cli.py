@@ -25,7 +25,7 @@ import sys
 import time
 
 from .burnside import BurnsideRing, marks_json, marks_text
-from .exact import IntMatrix, prime_factors, smith_normal_form
+from .exact import IntMatrix, primary_part, prime_factors, smith_normal_form
 from .fiber import (
     default_ell,
     determinant_mod_ell_check,
@@ -120,6 +120,10 @@ def cmd_pi1(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, str]:
             "    level G:  " + " + ".join(f"Z/{d}" for d in payload["assembled_c3"]["top"])
         )
         ok = ok and payload["assembled_c3"] == PI1_C3_TORSION
+        assembled_q = list(primary_part(payload["assembled_c3"]["top"], 3))
+        if payload["pi1_q_part"] != assembled_q:
+            ok = False
+            lines.append(f"  FAIL  top q-part differs from {assembled_q}, the assembled 3-part")
     return ok, payload, "\n".join(lines)
 
 
@@ -248,10 +252,13 @@ def cmd_norms(group: AbelianGroup | None) -> tuple[bool, dict, str]:
 
 def cmd_verify_all(max_order: int, test_seed: int) -> tuple[bool, dict, str]:
     t0 = time.perf_counter()
-    results: list[tuple[str, bool]] = []
+    results: list[tuple[str, list[str]]] = []
 
-    def record(name: str, ok: bool) -> None:
-        results.append((name, bool(ok)))
+    def record(name: str, failures: list[str]) -> None:
+        results.append((name, failures))
+
+    def unless(ok: bool, failure: str) -> list[str]:
+        return [] if ok else [failure]
 
     instances = [
         parse_group(spec)
@@ -260,80 +267,83 @@ def cmd_verify_all(max_order: int, test_seed: int) -> tuple[bool, dict, str]:
     ]
     for g in instances:
         ell = default_ell(g)
-        record(f"{g!r}: kernel identification", kernel_equals_AmodJ(g, ell).ok)
+        record(f"{g!r}: kernel identification", unless(kernel_equals_AmodJ(g, ell).ok, "lattices differ"))
         pi0 = assemble_pi0(g, ell)
-        record(f"{g!r}: pi0 assembly cross-check", pi0.kernel_cross_check)
-        record(f"{g!r}: pi0 Mackey axioms", not pi0.functor.check_mackey_axioms())
-        record(f"{g!r}: pi0 Green axioms", not pi0.functor.check_green_axioms())
-        ok_det, _ = determinant_mod_ell_check(g, ell)
-        record(f"{g!r}: degree-2 determinant nonzero", ok_det)
+        record(f"{g!r}: pi0 assembly cross-check", unless(pi0.kernel_cross_check, "a level differs"))
+        record(f"{g!r}: pi0 Mackey axioms", pi0.functor.check_mackey_axioms())
+        record(f"{g!r}: pi0 Green axioms", pi0.functor.check_green_axioms())
+        ok_det, det = determinant_mod_ell_check(g, ell)
+        record(f"{g!r}: degree-2 determinant nonzero", unless(ok_det, f"det = {det} at ell = {ell}"))
         burn = burnside_mackey(g)
         ru = ru_mackey(g)
         amj = a_mod_j_mackey(g)
-        record(f"{g!r}: Burnside Mackey axioms", not burn.check_mackey_axioms())
-        record(f"{g!r}: Burnside Green axioms", not burn.check_green_axioms())
-        record(f"{g!r}: RU Mackey axioms", not ru.check_mackey_axioms())
-        record(f"{g!r}: RU Green axioms", not ru.check_green_axioms())
-        record(f"{g!r}: A/J Mackey axioms", not amj.check_mackey_axioms())
-        record(f"{g!r}: linearization is a Green map", linearization_check(burn, ru).ok)
+        record(f"{g!r}: Burnside Mackey axioms", burn.check_mackey_axioms())
+        record(f"{g!r}: Burnside Green axioms", burn.check_green_axioms())
+        record(f"{g!r}: RU Mackey axioms", ru.check_mackey_axioms())
+        record(f"{g!r}: RU Green axioms", ru.check_green_axioms())
+        record(f"{g!r}: A/J Mackey axioms", amj.check_mackey_axioms())
+        record(f"{g!r}: linearization is a Green map", linearization_check(burn, ru))
         record(f"{g!r}: splitting rank bookkeeping (A)", idempotent_splitting_check(burn, 2))
         record(f"{g!r}: splitting rank bookkeeping (A/J)", idempotent_splitting_check(amj, 2))
-        ring = BurnsideRing(g)
         try:
-            ring.idempotent_table(2)
-            record(f"{g!r}: idempotent table at p=2", True)
-        except ValueError:
-            record(f"{g!r}: idempotent table at p=2", False)
+            BurnsideRing(g).idempotent_table(2)
+            table = []
+        except ValueError as exc:
+            table = [str(exc)]
+        record(f"{g!r}: idempotent table at p=2", table)
+        pieces = []
         for h in g.subgroups():
-            free, torsion = v_h(amj, h, 2)
+            piece = v_h(amj, h, 2)
             expected = (1, ()) if h.is_cyclic else (0, ())
-            if (free, torsion) != expected:
-                record(f"{g!r}: geometric piece at order {h.order}", False)
-                break
-        else:
-            record(f"{g!r}: geometric pieces match the cyclic pattern", True)
-        record(
-            f"{g!r}: Bott/Adams character identity",
-            verify_adams_on_bott(g, ell).ok,
-        )
+            if piece != expected:
+                pieces.append(f"V_H at {h!r} is {piece}, expected {expected}")
+        record(f"{g!r}: geometric pieces match the cyclic pattern", pieces)
+        adams_ok = verify_adams_on_bott(g, ell).ok
+        record(f"{g!r}: Bott/Adams character identity", unless(adams_ok, f"fails at ell = {ell}"))
 
     geom_ok, _, _ = cmd_geomfp_verify(max_order=GEOMFP_MAX_ORDER)
-    record("Euler-class identity suite", geom_ok)
+    record("Euler-class identity suite", unless(geom_ok, "see geomfp-verify"))
 
     norm_ok, _, _ = cmd_norms(None)
-    record("norm derivations", norm_ok)
+    record("norm derivations", unless(norm_ok, "see norms"))
 
     m = assemble_pi1_c3()
     c3 = m.group
-    record(
-        "degree-1 assembly for C3",
-        _pi1_c3_torsion(m) == PI1_C3_TORSION
-        and m.res(c3.full_subgroup, c3.trivial_subgroup).column(4) == (0, 0),
+    torsion = _pi1_c3_torsion(m)
+    c3_ok = (
+        torsion == PI1_C3_TORSION
+        and m.res(c3.full_subgroup, c3.trivial_subgroup).column(4) == (0, 0)
     )
+    record("degree-1 assembly for C3", unless(c3_ok, f"torsion {torsion} or the q-class survives res"))
 
     rng = random.Random(test_seed)
-    snf_ok = True
-    for _ in range(100):
+    snf = []
+    for draw in range(100):
         rows = rng.randrange(1, 9)
         cols = rng.randrange(1, 9)
         a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
         if not smith_normal_form(a).verify():
-            snf_ok = False
+            snf = [f"draw {draw} of seed {test_seed} does not verify"]
             break
-    record("random Smith decompositions verify", snf_ok)
+    record("random Smith decompositions verify", snf)
 
     elapsed = time.perf_counter() - t0
-    ok = all(flag for _, flag in results)
+    ok = not any(failures for _, failures in results)
+    checks = []
+    lines = [f"verify-all (max order {max_order})"]
+    for name, failures in results:
+        checks.append({"name": name, "pass": not failures})
+        lines.append(f"  {'FAIL' if failures else 'pass'}  {name}")
+        if failures:
+            checks[-1]["failures"] = failures
+            lines.extend(f"        {f}" for f in failures)
+    lines.append(f"{'all checks passed' if ok else 'FAILURES PRESENT'} in {elapsed:.1f}s")
     payload = {
         "max_order": max_order,
         "elapsed_seconds_time_hundredths": int(elapsed * 100),
-        "checks": [{"name": n, "pass": f} for n, f in results],
+        "checks": checks,
         "pass": ok,
     }
-    lines = [f"verify-all (max order {max_order})"]
-    for name, flag in results:
-        lines.append(f"  {'pass' if flag else 'FAIL'}  {name}")
-    lines.append(f"{'all checks passed' if ok else 'FAILURES PRESENT'} in {elapsed:.1f}s")
     return ok, payload, "\n".join(lines)
 
 
@@ -426,8 +436,12 @@ def run(argv: list[str]) -> int:
 
     out = canonical_json(payload) if args.format == "json" else text + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(out)
     return 0 if ok else 1

@@ -248,19 +248,23 @@ class Subgroup:
         return Subgroup(self.group, reduce(self.group.span, other.elements, self.mask))
 
     @cached_property
-    def annihilator(self) -> "Subgroup":
-        """{a : <a, h> = 0 for all h in H} under the self-duality pairing.
-
-        It is enough to pair with generators of H, picked greedily: the
-        lowest element of H outside their span, until the span is H.  The
-        annihilator is the AND of their ``pairing_kernel`` masks.
-        """
+    def generators(self) -> tuple[Element, ...]:
+        """Generators picked greedily: the lowest element of H outside the
+        span of those before it, until the span is H."""
         g = self.group
         gens, span = [], 1
         while span != self.mask:
             gens.append(g.elements[_lowest_index(self.mask & ~span)])
             span = g.span(span, gens[-1])
-        return Subgroup(g, reduce(int.__and__, map(g.pairing_kernel, gens), g.full_subgroup.mask))
+        return tuple(gens)
+
+    @cached_property
+    def annihilator(self) -> "Subgroup":
+        """{a : <a, h> = 0 for all h in H} under the self-duality pairing:
+        the AND of the ``pairing_kernel`` masks of the generators of H."""
+        g = self.group
+        kernels = map(g.pairing_kernel, self.generators)
+        return Subgroup(g, reduce(int.__and__, kernels, g.full_subgroup.mask))
 
     def __eq__(self, other) -> bool:
         return (
@@ -273,7 +277,8 @@ class Subgroup:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Subgroup(order={self.order} of {self.group!r})"
+        gens = ", ".join(map(str, self.generators))
+        return f"Subgroup(order={self.order} of {self.group!r}, <{gens}>)"
 
 
 class DualLevel:

@@ -24,17 +24,17 @@ cyclically-vanishing ideal, both lattices of marks vectors built by one
 construction (``_marks_functor``: restriction keeps the marks at the subgroups
 of K, transfer scales them by [H : K], the product is pointwise); the
 representation-ring functor (``linearization_check`` takes a Burnside and a
-representation-ring functor already built and checks the linearization
-between them); and two answers built by one construction, A/J
-tensored with a sum of cyclic groups (``_tensor``): the degree-0 homotopy of
-the K-theoretic localization (``adjoin_x``: A/J tensored with the ring
-Z[x]/(2x, x^2); ``tambara.CyclicTower`` applies it to the Burnside functor
-of a cyclic group, where J = 0) and the degree-1 answer for the order-3
-cyclic group (A/J tensored with (Z/2)^2, plus the q-part of the degree-2
-cokernel that ``fiber.fiber_level_data`` computes at each level).  The
-geometric piece at a subgroup (level modulo transfers from proper
-subgroups) and its rank bookkeeping against the idempotent splitting are
-computed for any functor.
+representation-ring functor already built and returns the identities that
+the linearization between them violates, as the axiom checks do); and two
+answers built by one construction, A/J tensored with a sum of cyclic groups
+(``_tensor``): the degree-0 homotopy of the K-theoretic localization
+(``adjoin_x``: A/J tensored with the ring Z[x]/(2x, x^2);
+``tambara.CyclicTower`` applies it to the Burnside functor of a cyclic group,
+where J = 0) and the degree-1 answer for the order-3 cyclic group (A/J
+tensored with (Z/2)^2, plus the q-part of the degree-2 cokernel that
+``fiber.fiber_level_data`` computes at each level).  The geometric piece at
+a subgroup (level modulo transfers from proper subgroups) and its rank
+bookkeeping against the idempotent splitting are computed for any functor.
 """
 
 from __future__ import annotations
@@ -190,6 +190,7 @@ class MackeyFunctor:
         Returns the list of violated identities (empty = all axioms hold).
         """
         failures: list[str] = []
+        coset_sides: dict[tuple[Subgroup, Subgroup], IntMatrix] = {}
         subs = self.subgroups
         for h in subs:
             lvl_h = self.level(h)
@@ -214,10 +215,12 @@ class MackeyFunctor:
                 for l in inside:
                     meet = k.intersect(l)
                     lhs = self.res(h, k) * self.tr(l, h)
-                    # [H : KL] with |KL| = |K| |L| / |K & L|
-                    rhs = (self.tr(meet, k) * self.res(l, meet)).scale(
-                        h.order * meet.order // (k.order * l.order)
-                    )
+                    # only the scalar [H : KL], with |KL| = |K| |L| / |K & L|,
+                    # depends on H
+                    side = coset_sides.get((k, l))
+                    if side is None:
+                        side = coset_sides[(k, l)] = self.tr(meet, k) * self.res(l, meet)
+                    rhs = side.scale(h.order * meet.order // (k.order * l.order))
                     if not self.maps_equal(self.level(k), lhs, rhs):
                         failures.append(f"double coset at {h!r}: K={k!r} L={l!r}")
         return failures
@@ -450,53 +453,31 @@ def ru_mackey(group: AbelianGroup) -> GreenFunctor:
 # linearization as a map of Green functors, and its kernel
 
 
-@dataclass(frozen=True)
-class LinearizationCheck:
-    group: AbelianGroup
-    commutes_with_res: bool
-    commutes_with_tr: bool
-    unital: bool
-    multiplicative: bool
-    kernel_is_ideal_j: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.commutes_with_res
-            and self.commutes_with_tr
-            and self.unital
-            and self.multiplicative
-            and self.kernel_is_ideal_j
-        )
-
-
-def linearization_check(a_fun: GreenFunctor, ru_fun: GreenFunctor) -> LinearizationCheck:
+def linearization_check(a_fun: GreenFunctor, ru_fun: GreenFunctor) -> list[str]:
     """The levelwise permutation-representation map from the Burnside functor
     ``a_fun`` to the representation-ring functor ``ru_fun`` of the same group
-    is a map of Green functors whose kernel is the cyclically-vanishing ideal."""
+    is a map of Green functors whose kernel is the cyclically-vanishing ideal.
+
+    Returns the list of violated identities (empty = all hold).
+    """
     group = a_fun.group
     subs = group.subgroups()
     rings = {h: BurnsideRing(group, h) for h in subs}
     lam = {h: rings[h].linearize_matrix.transpose() for h in subs}
 
-    res_ok = tr_ok = True
+    failures: list[str] = []
     for h in subs:
         for k in subs:
             if not h.contains(k):
                 continue
-            lhs = lam[k] * a_fun.res(h, k)
-            rhs = ru_fun.res(h, k) * lam[h]
-            if lhs != rhs:
-                res_ok = False
-            lhs = lam[h] * a_fun.tr(k, h)
-            rhs = ru_fun.tr(k, h) * lam[k]
-            if lhs != rhs:
-                tr_ok = False
+            if lam[k] * a_fun.res(h, k) != ru_fun.res(h, k) * lam[h]:
+                failures.append(f"does not commute with res {h!r}->{k!r}")
+            if lam[h] * a_fun.tr(k, h) != ru_fun.tr(k, h) * lam[k]:
+                failures.append(f"does not commute with tr {k!r}->{h!r}")
 
-    unital = mult_ok = True
     for h in subs:
         if lam[h].apply(a_fun.unit(h)) != ru_fun.unit(h):
-            unital = False
+            failures.append(f"not unital at {h!r}")
         # row i of the linearize matrix is the image of the i-th orbit
         lin = rings[h].linearize_matrix.entries
         products = a_fun.product_table(h)
@@ -505,25 +486,14 @@ def linearization_check(a_fun: GreenFunctor, ru_fun: GreenFunctor) -> Linearizat
             for j in range(i, n):
                 image = lam[h].apply(_apply_sparse(n, [(1, products[i][j])]))
                 if image != ru_fun.multiply(h, lin[i], lin[j]):
-                    mult_ok = False
+                    failures.append(f"not multiplicative at {h!r} at ({i},{j})")
 
-    kernel_ok = True
     for h in subs:
         ring = rings[h]
-        j_rows = ring.ideal_j_rows
         ker = kernel_lattice(lam[h])
-        ker_rows = [ker.column(j) for j in range(ker.cols)]
-        if not lattice_equal(j_rows, ker_rows, ring.n):
-            kernel_ok = False
-
-    return LinearizationCheck(
-        group=group,
-        commutes_with_res=res_ok,
-        commutes_with_tr=tr_ok,
-        unital=unital,
-        multiplicative=mult_ok,
-        kernel_is_ideal_j=kernel_ok,
-    )
+        if not lattice_equal(ring.ideal_j_rows, [ker.column(j) for j in range(ker.cols)], ring.n):
+            failures.append(f"kernel is not J at {h!r}")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +533,19 @@ def v_h(functor: MackeyFunctor, h: Subgroup, p: int) -> tuple[int, tuple[int, ..
     return free, primary_part(torsion, p)
 
 
-def idempotent_splitting_check(functor: MackeyFunctor, p: int) -> bool:
-    """rank_p(M(G/K)) = sum over H <= K of rank_p(V_H(M)) for every level K."""
+def idempotent_splitting_check(functor: MackeyFunctor, p: int) -> list[str]:
+    """rank_p(M(G/K)) = sum over H <= K of rank_p(V_H(M)) for every level K.
+
+    Returns the levels where the ranks differ (empty = the bookkeeping holds).
+    """
     ranks = {h: v_h(functor, h, p)[0] for h in functor.subgroups}
+    failures: list[str] = []
     for k in functor.subgroups:
         total = sum(r for h, r in ranks.items() if k.contains(h))
-        if functor.level(k).free_rank != total:
-            return False
-    return True
+        free = functor.level(k).free_rank
+        if free != total:
+            failures.append(f"free rank {free} at {k!r}, but its pieces sum to {total}")
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from kulocal.burnside import BurnsideRing
 from kulocal.cli import DEFAULT_INSTANCES, canonical_json, run
+from kulocal.exact import IntMatrix
 from kulocal.groups import parse_group
 
 
@@ -32,6 +34,20 @@ def test_pi1_c3(capsys):
     assert code == 0
     assert "Z/2 + Z/2 + Z/2 + Z/2 + Z/3" in out
     assert "level e:  Z/2 + Z/2" in out
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("ell", ["8", "17"])
+def test_pi1_c3_fails_where_the_q_part_disagrees_with_the_assembly(capsys, ell):
+    # 9 divides ell + 1, so the top q-part is Z/9, not the assembled Z/3
+    code, out, _ = run_capture(capsys, ["pi1", "--group", "C3", "--ell", ell])
+    assert code == 1
+    assert "FAIL  top q-part differs from [3]" in out
+    code, out, _ = run_capture(capsys, ["pi1", "--group", "C3", "--ell", ell, "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pi1_q_part"] == [9]
+    assert payload["assembled_c3"] == {"bottom": [2, 2], "top": [2, 2, 2, 2, 3]}
 
 
 def test_kernel_json_roundtrip(capsys):
@@ -126,6 +142,15 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(path.read_text())
     assert payload["subgroup_orders"] == [1, 3]
+
+
+def test_output_to_a_missing_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_capture(capsys, ["marks", "--group", "C3", "--output", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.exists()
 
 
 def test_geomfp_verify_small(capsys):
@@ -527,6 +552,41 @@ def test_verify_all_reports_kernel_fault_under_O():
     fails = [line.split("FAIL", 1)[1].strip() for line in lines if "FAIL  " in line]
     instances = [s for s in DEFAULT_INSTANCES if parse_group(s).order <= 9]
     assert fails == [f"{spec}: kernel identification" for spec in instances]
+
+
+def test_verify_all_reports_a_wrong_linearization(capsys, monkeypatch):
+    # zero the row of [G/e] on each top level, as in
+    # test_mackey.py::test_linearization_check_sees_a_wrong_kernel
+    build = BurnsideRing.linearize_matrix.func
+
+    def corrupted(ring):
+        lin = build(ring)
+        if ring.level != ring.group.full_subgroup:
+            return lin
+        return IntMatrix([[0] * lin.cols] + [list(r) for r in lin.entries[1:]], cols=lin.cols)
+
+    monkeypatch.setattr(BurnsideRing, "linearize_matrix", property(corrupted))
+    code, out, _ = run_capture(capsys, ["verify-all", "--max-order", "9", "--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert all("failures" not in c for c in checks if c["pass"])
+    assert all(c["failures"] for c in checks if not c["pass"])
+    top = repr(parse_group("C3xC3").full_subgroup)
+    entry = next(c for c in checks if c["name"] == "C3xC3: linearization is a Green map")
+    assert not entry["pass"]
+    assert f"kernel is not J at {top}" in entry["failures"]
+
+    code, out, _ = run_capture(capsys, ["verify-all", "--max-order", "9"])
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("  FAIL  C3xC3: linearization is a Green map")
+    below = []
+    for line in lines[at + 1:]:
+        if not line.startswith("        "):
+            break
+        below.append(line.strip())
+    assert entry["failures"] == below
+    assert not any("FAIL" in f for c in checks if not c["pass"] for f in c["failures"])
 
 
 def test_pi1_c3_json_under_O():

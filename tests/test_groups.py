@@ -1,6 +1,7 @@
 import math
 import os
 import random
+from functools import reduce
 
 import pytest
 
@@ -329,6 +330,20 @@ def test_annihilator():
     ann = c3.annihilator
     assert ann.order == 3  # annihilator of C3 in C9 has order 9/3
     assert sorted(ann.elements) == [(0,), (3,), (6,)]
+
+
+def test_subgroup_reprs_name_their_generators():
+    g = parse_group("C3xC3")
+    reprs = [repr(h) for h in g.subgroups() if h.order == 3]
+    assert len(reprs) == len(set(reprs)) == 4
+    assert "Subgroup(order=3 of C3xC3, <(0, 1)>)" in reprs
+    for h in g.subgroups():
+        assert reduce(g.span, h.generators, 1) == h.mask
+
+
+def test_subgroup_repr_past_the_enumeration_bound():
+    g = AbelianGroup((3,) * 7)  # order 2187 > SUBGROUP_ENUM_BOUND
+    assert repr(g.full_subgroup).startswith("Subgroup(order=2187 of C3xC3xC3xC3xC3xC3xC3, <")
 
 
 def test_map_set_whole_group_is_identityish():

@@ -100,7 +100,7 @@ def test_green_axioms(spec):
 def test_linearization_is_green_map(spec):
     g = parse_group(spec)
     check = linearization_check(burnside_mackey(g), ru_mackey(g))
-    assert check.ok
+    assert check == []
 
 
 def test_linearization_check_sees_a_wrong_kernel(monkeypatch):
@@ -116,7 +116,8 @@ def test_linearization_check_sees_a_wrong_kernel(monkeypatch):
         return IntMatrix([[0] * lin.cols] + [list(r) for r in lin.entries[1:]], cols=lin.cols)
 
     monkeypatch.setattr(BurnsideRing, "linearize_matrix", property(corrupted))
-    assert not linearization_check(burnside_mackey(group), ru_mackey(group)).kernel_is_ideal_j
+    failures = linearization_check(burnside_mackey(group), ru_mackey(group))
+    assert any("kernel" in f and repr(group.full_subgroup) in f for f in failures)
 
 
 @pytest.mark.parametrize("spec", INSTANCES)
@@ -563,13 +564,26 @@ def test_v_h_rejects_dividing_prime():
 
 def test_idempotent_splitting_checks():
     g3 = parse_group("C3")
-    assert idempotent_splitting_check(burnside_mackey(g3), 2)
+    assert idempotent_splitting_check(burnside_mackey(g3), 2) == []
     g33 = parse_group("C3xC3")
-    assert idempotent_splitting_check(a_mod_j_mackey(g33), 2)
+    assert idempotent_splitting_check(a_mod_j_mackey(g33), 2) == []
     for spec in INSTANCES:
         g = parse_group(spec)
-        assert idempotent_splitting_check(burnside_mackey(g), 2)
-        assert idempotent_splitting_check(a_mod_j_mackey(g), 2)
+        assert idempotent_splitting_check(burnside_mackey(g), 2) == []
+        assert idempotent_splitting_check(a_mod_j_mackey(g), 2) == []
+
+
+def test_idempotent_splitting_check_names_a_corrupted_level():
+    # declare [H/e] = 0 at one order-3 level of C3xC3: its free rank drops to
+    # 1, but V_H keeps rank 1 (the relation is the transfer from e already),
+    # so the pieces below H still sum to 2; no other level changes
+    g = parse_group("C3xC3")
+    m = burnside_mackey(g)
+    h = _sub_of_order(g, 3)
+    assert BurnsideRing(g, h).subgroups[0] == g.trivial_subgroup  # [H/e] is e_0
+    m.levels[h] = Level(subgroup=h, rank=2, relations=((1, 0),))
+    failures = idempotent_splitting_check(m, 2)
+    assert len(failures) == 1 and repr(h) in failures[0]
 
 
 def test_single_level_functor():
@@ -590,7 +604,7 @@ def test_single_level_functor():
     m = MackeyFunctor(g, levels, res, tr, name="skyscraper")
     assert v_h(m, whole, 2) == (1, ())
     assert v_h(m, triv, 2) == (0, ())
-    assert idempotent_splitting_check(m, 2)
+    assert idempotent_splitting_check(m, 2) == []
 
 
 def test_maximal_proper_subgroups():
