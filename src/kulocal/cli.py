@@ -23,6 +23,8 @@ import json
 import random
 import sys
 import time
+from functools import cache, partial
+from typing import Callable
 
 from .burnside import BurnsideRing, marks_json, marks_text
 from .exact import IntMatrix, primary_part, prime_factors, smith_normal_form
@@ -43,9 +45,6 @@ from .geomfp import (
 )
 from .groups import AbelianGroup, parse_group
 from .mackey import (
-    PI1_C3_TORSION,
-    MackeyFunctor,
-    a_mod_j_mackey,
     assemble_pi0,
     assemble_pi1_c3,
     burnside_mackey,
@@ -59,6 +58,7 @@ from .tambara import CyclicTower, derive_norm_on_x, restriction_rule_check
 DEFAULT_INSTANCES = ["C3", "C9", "C27", "C3xC3", "C5", "C25", "C7", "C3xC9", "C81", "C9xC9"]
 GEOMFP_PRIMES = (3, 5, 7)
 GEOMFP_MAX_ORDER = 125
+NORM_TOWERS = [(q, k) for q in (3, 5, 7) for k in (1, 2, 3)]
 
 
 def canonical_json(payload) -> str:
@@ -71,14 +71,6 @@ def _group_summary(entry: dict) -> str:
         parts.append(f"Z^{entry['free_rank']}")
     parts.extend(f"Z/{d}" for d in entry["torsion"])
     return " + ".join(parts) if parts else "0"
-
-
-def _pi1_c3_torsion(m: MackeyFunctor) -> dict:
-    """Primary torsion of the bottom and top levels, as ``PI1_C3_TORSION``."""
-    return {
-        "bottom": list(m.level(m.group.trivial_subgroup).primary_torsion),
-        "top": list(m.level(m.group.full_subgroup).primary_torsion),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +103,12 @@ def cmd_pi1(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, str]:
         )
     ok = payload["det_degree2"] != 0
     if group.factors == (3,):
-        payload["assembled_c3"] = _pi1_c3_torsion(assemble_pi1_c3())
+        m = assemble_pi1_c3()
+        levels = {"bottom": m.group.trivial_subgroup, "top": m.group.full_subgroup}
+        payload["assembled_c3"] = {key: list(m.level(h).primary_torsion) for key, h in levels.items()}
         lines.append("  assembled degree-1 answer:")
-        lines.append(
-            "    level e:  " + " + ".join(f"Z/{d}" for d in payload["assembled_c3"]["bottom"])
-        )
-        lines.append(
-            "    level G:  " + " + ".join(f"Z/{d}" for d in payload["assembled_c3"]["top"])
-        )
-        ok = ok and payload["assembled_c3"] == PI1_C3_TORSION
+        for label, key in (("e", "bottom"), ("G", "top")):
+            lines.append(f"    level {label}:  " + " + ".join(f"Z/{d}" for d in payload["assembled_c3"][key]))
         assembled_q = list(primary_part(payload["assembled_c3"]["top"], 3))
         if payload["pi1_q_part"] != assembled_q:
             ok = False
@@ -213,33 +202,34 @@ def cmd_bott_verify(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, s
     return ok, payload, "\n".join(lines)
 
 
-def cmd_norms(group: AbelianGroup | None) -> tuple[bool, dict, str]:
-    towers: list[tuple[int, int]] = []
-    if group is not None:
-        if len(group.factors) != 1:
-            raise ValueError("norms need a cyclic prime-power group, e.g. C27")
-        n = group.factors[0]
-        primes = prime_factors(n)
-        if len(primes) != 1:
-            raise ValueError("norms need a cyclic prime-power group")
-        q, k = primes[0], 1
-        while q ** k < n:
-            k += 1
-        towers.append((q, k))
-    else:
-        towers = [(q, k) for q in (3, 5, 7) for k in (1, 2, 3)]
-    reports = []
-    ok = True
+def _derive_norms(towers: list[tuple[int, int]]) -> tuple[list[dict], list[str]]:
+    """The derivation reports of the (q, k) towers, and what failed: each
+    restriction-rule case, and each derivation off the formula, by (q, k, i)."""
+    reports, failures = [], []
     for q, k in towers:
         tower = CyclicTower(q, k)
         rule = restriction_rule_check(tower)
-        ok = ok and rule
+        failures.extend(rule)
         for i in range(k):
             d = derive_norm_on_x(tower, i)
-            ok = ok and d.formula_matches
-            entry = d.to_json()
-            entry["restriction_rule"] = rule
+            entry = {**d.to_json(), "restriction_rule": not rule}
+            if not d.formula_matches:
+                failures.append(f"q={q} k={k} i={i}: survivor {d.survivors[0]} is not {entry['formula']}")
             reports.append(entry)
+    return reports, failures
+
+
+def cmd_norms(group: AbelianGroup | None) -> tuple[bool, dict, str]:
+    towers = NORM_TOWERS
+    if group is not None:
+        primes = prime_factors(group.order)
+        if len(group.factors) != 1 or len(primes) != 1:
+            raise ValueError("norms need a cyclic prime-power group, e.g. C27")
+        k = 1
+        while primes[0] ** k < group.order:
+            k += 1
+        towers = [(primes[0], k)]
+    reports, failures = _derive_norms(towers)
     payload = {"derivations": reports}
     lines = ["cyclic-tower norm derivations"]
     for entry in reports:
@@ -247,85 +237,97 @@ def cmd_norms(group: AbelianGroup | None) -> tuple[bool, dict, str]:
             f"  q={entry['q']} k={entry['k']} i={entry['i']}: "
             f"{'unique survivor, ' + entry['formula'] if entry['formula_matches'] else 'FAIL'}"
         )
-    return ok, payload, "\n".join(lines)
+    return not failures, payload, "\n".join(lines)
 
 
 def cmd_verify_all(max_order: int, test_seed: int) -> tuple[bool, dict, str]:
     t0 = time.perf_counter()
     results: list[tuple[str, list[str]]] = []
 
-    def record(name: str, failures: list[str]) -> None:
+    def record(name: str, check: Callable[[], list[str]]) -> None:
+        # an error the check raises is its failure; the other checks still run
+        try:
+            failures = check()
+        except (ValueError, ArithmeticError) as exc:
+            failures = [f"{type(exc).__name__}: {exc}"]
         results.append((name, failures))
 
     def unless(ok: bool, failure: str) -> list[str]:
         return [] if ok else [failure]
 
-    instances = [
-        parse_group(spec)
-        for spec in DEFAULT_INSTANCES
-        if parse_group(spec).order <= max_order
-    ]
-    for g in instances:
+    for g in map(parse_group, DEFAULT_INSTANCES):
+        if g.order > max_order:
+            continue
         ell = default_ell(g)
-        record(f"{g!r}: kernel identification", unless(kernel_equals_AmodJ(g, ell).ok, "lattices differ"))
-        pi0 = assemble_pi0(g, ell)
-        record(f"{g!r}: pi0 assembly cross-check", unless(pi0.kernel_cross_check, "a level differs"))
-        record(f"{g!r}: pi0 Mackey axioms", pi0.functor.check_mackey_axioms())
-        record(f"{g!r}: pi0 Green axioms", pi0.functor.check_green_axioms())
-        ok_det, det = determinant_mod_ell_check(g, ell)
-        record(f"{g!r}: degree-2 determinant nonzero", unless(ok_det, f"det = {det} at ell = {ell}"))
-        burn = burnside_mackey(g)
-        ru = ru_mackey(g)
-        amj = a_mod_j_mackey(g)
-        record(f"{g!r}: Burnside Mackey axioms", burn.check_mackey_axioms())
-        record(f"{g!r}: Burnside Green axioms", burn.check_green_axioms())
-        record(f"{g!r}: RU Mackey axioms", ru.check_mackey_axioms())
-        record(f"{g!r}: RU Green axioms", ru.check_green_axioms())
-        record(f"{g!r}: A/J Mackey axioms", amj.check_mackey_axioms())
-        record(f"{g!r}: linearization is a Green map", linearization_check(burn, ru))
-        record(f"{g!r}: splitting rank bookkeeping (A)", idempotent_splitting_check(burn, 2))
-        record(f"{g!r}: splitting rank bookkeeping (A/J)", idempotent_splitting_check(amj, 2))
-        try:
-            BurnsideRing(g).idempotent_table(2)
-            table = []
-        except ValueError as exc:
-            table = [str(exc)]
-        record(f"{g!r}: idempotent table at p=2", table)
-        pieces = []
-        for h in g.subgroups():
-            piece = v_h(amj, h, 2)
-            expected = (1, ()) if h.is_cyclic else (0, ())
-            if piece != expected:
-                pieces.append(f"V_H at {h!r} is {piece}, expected {expected}")
+        # built once, by the first check that reads it; an error fails each reader
+        pi0 = cache(partial(assemble_pi0, g, ell))
+        burn = cache(partial(burnside_mackey, g))
+        ru = cache(partial(ru_mackey, g))
+
+        def det_nonzero() -> list[str]:
+            ok_det, det = determinant_mod_ell_check(g, ell)
+            return unless(ok_det, f"det = {det} at ell = {ell}")
+
+        def idempotents_sum_to_one() -> list[str]:
+            ring = burn().rings[g.full_subgroup]
+            total = tuple(map(sum, zip(*ring.idempotent_table(2).values(), strict=True)))
+            return unless(total == ring.one, f"the idempotents sum to {total}")
+
+        def pieces() -> list[str]:
+            expected = {h: (1, ()) if h.is_cyclic else (0, ()) for h in g.subgroups()}
+            found = {h: v_h(pi0().a_mod_j, h, 2) for h in expected}
+            return [f"V_H at {h!r} is {found[h]}, expected {e}" for h, e in expected.items() if found[h] != e]
+
+        record(f"{g!r}: kernel identification", lambda: unless(kernel_equals_AmodJ(g, ell).ok, "lattices differ"))
+        record(f"{g!r}: pi0 assembly cross-check", lambda: unless(pi0().kernel_cross_check, "a level differs"))
+        record(f"{g!r}: pi0 Mackey axioms", lambda: pi0().functor.check_mackey_axioms())
+        record(f"{g!r}: pi0 Green axioms", lambda: pi0().functor.check_green_axioms())
+        record(f"{g!r}: degree-2 determinant nonzero", det_nonzero)
+        record(f"{g!r}: Burnside Mackey axioms", lambda: burn().check_mackey_axioms())
+        record(f"{g!r}: Burnside Green axioms", lambda: burn().check_green_axioms())
+        record(f"{g!r}: RU Mackey axioms", lambda: ru().check_mackey_axioms())
+        record(f"{g!r}: RU Green axioms", lambda: ru().check_green_axioms())
+        record(f"{g!r}: A/J Mackey axioms", lambda: pi0().a_mod_j.check_mackey_axioms())
+        record(f"{g!r}: linearization is a Green map", lambda: linearization_check(burn(), ru()))
+        record(f"{g!r}: splitting rank bookkeeping (A)", lambda: idempotent_splitting_check(burn(), 2))
+        record(f"{g!r}: splitting rank bookkeeping (A/J)", lambda: idempotent_splitting_check(pi0().a_mod_j, 2))
+        record(f"{g!r}: idempotent table at p=2", idempotents_sum_to_one)
         record(f"{g!r}: geometric pieces match the cyclic pattern", pieces)
-        adams_ok = verify_adams_on_bott(g, ell).ok
-        record(f"{g!r}: Bott/Adams character identity", unless(adams_ok, f"fails at ell = {ell}"))
+        record(
+            f"{g!r}: Bott/Adams character identity",
+            lambda: unless(verify_adams_on_bott(g, ell).ok, f"fails at ell = {ell}"),
+        )
 
-    geom_ok, _, _ = cmd_geomfp_verify(max_order=GEOMFP_MAX_ORDER)
-    record("Euler-class identity suite", unless(geom_ok, "see geomfp-verify"))
+    record("Euler-class identity suite", lambda: [
+        f"{c['check_name']} {c['parameters']}"
+        for c in cmd_geomfp_verify(GEOMFP_MAX_ORDER)[1]["checks"]
+        if not c["pass"]
+    ])
+    record("norm derivations", lambda: _derive_norms(NORM_TOWERS)[1])
 
-    norm_ok, _, _ = cmd_norms(None)
-    record("norm derivations", unless(norm_ok, "see norms"))
+    def pi1_c3() -> list[str]:
+        m = assemble_pi1_c3()
+        c3 = m.group
+        failures = m.check_mackey_axioms()
+        if any(m.res(c3.full_subgroup, c3.trivial_subgroup).column(4)):
+            failures.append("restriction does not kill the q-class")
+        top = list(primary_part(m.level(c3.full_subgroup).primary_torsion, 3))
+        expected = group_report(c3, 2)["pi1_q_part"]
+        return failures + unless(top == expected, f"top q-part {top}, but pi1 at ell = 2 has {expected}")
 
-    m = assemble_pi1_c3()
-    c3 = m.group
-    torsion = _pi1_c3_torsion(m)
-    c3_ok = (
-        torsion == PI1_C3_TORSION
-        and m.res(c3.full_subgroup, c3.trivial_subgroup).column(4) == (0, 0)
-    )
-    record("degree-1 assembly for C3", unless(c3_ok, f"torsion {torsion} or the q-class survives res"))
+    record("degree-1 assembly for C3", pi1_c3)
 
-    rng = random.Random(test_seed)
-    snf = []
-    for draw in range(100):
-        rows = rng.randrange(1, 9)
-        cols = rng.randrange(1, 9)
-        a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-        if not smith_normal_form(a).verify():
-            snf = [f"draw {draw} of seed {test_seed} does not verify"]
-            break
-    record("random Smith decompositions verify", snf)
+    def random_smith() -> list[str]:
+        rng = random.Random(test_seed)
+        for draw in range(100):
+            rows = rng.randrange(1, 9)
+            cols = rng.randrange(1, 9)
+            a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+            if not smith_normal_form(a).verify():
+                return [f"draw {draw} of seed {test_seed} does not verify"]
+        return []
+
+    record("random Smith decompositions verify", random_smith)
 
     elapsed = time.perf_counter() - t0
     ok = not any(failures for _, failures in results)
@@ -410,26 +412,18 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         group = parse_group(args.group) if getattr(args, "group", None) else None
-        if args.command == "pi0":
-            ok, payload, text = cmd_pi0(group, args.ell)
-        elif args.command == "pi1":
-            ok, payload, text = cmd_pi1(group, args.ell)
-        elif args.command == "kernel":
-            ok, payload, text = cmd_kernel(group, args.ell)
-        elif args.command == "idempotents":
-            ok, payload, text = cmd_idempotents(group, args.p)
-        elif args.command == "marks":
-            ok, payload, text = cmd_marks(group)
-        elif args.command == "geomfp-verify":
-            ok, payload, text = cmd_geomfp_verify(args.max_order)
-        elif args.command == "bott-verify":
-            ok, payload, text = cmd_bott_verify(group, args.ell)
-        elif args.command == "norms":
-            ok, payload, text = cmd_norms(group)
-        elif args.command == "verify-all":
-            ok, payload, text = cmd_verify_all(args.max_order, args.test_seed)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
+        handlers = {
+            "pi0": lambda: cmd_pi0(group, args.ell),
+            "pi1": lambda: cmd_pi1(group, args.ell),
+            "kernel": lambda: cmd_kernel(group, args.ell),
+            "idempotents": lambda: cmd_idempotents(group, args.p),
+            "marks": lambda: cmd_marks(group),
+            "geomfp-verify": lambda: cmd_geomfp_verify(args.max_order),
+            "bott-verify": lambda: cmd_bott_verify(group, args.ell),
+            "norms": lambda: cmd_norms(group),
+            "verify-all": lambda: cmd_verify_all(args.max_order, args.test_seed),
+        }
+        ok, payload, text = handlers[args.command]()
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

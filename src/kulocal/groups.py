@@ -416,7 +416,8 @@ def map_set_orbits(
     }
 
     maps = {extend(a) for a in itertools.product(range(npoints), repeat=n_reps)}
-    assert len(maps) == total
+    if len(maps) != total:
+        raise ValueError(f"{total} assignments extend to {len(maps)} maps: X is not an H-set")
 
     orbits: dict[Subgroup, int] = {}
     remaining = set(maps)
@@ -432,6 +433,7 @@ def map_set_orbits(
             orbit.add(gf)
         remaining -= orbit
         stab = Subgroup(group, stab_mask)
-        assert len(orbit) * stab.order == ambient.order
+        if len(orbit) * stab.order != ambient.order:
+            raise ArithmeticError(f"an orbit of {len(orbit)} maps has a stabilizer of order {stab.order}")
         orbits[stab] = orbits.get(stab, 0) + 1
     return orbits

@@ -22,7 +22,8 @@ difference is tested against the relation lattice of the target level.
 Provided functors: the Burnside functor and its levelwise quotient A/J by the
 cyclically-vanishing ideal, both lattices of marks vectors built by one
 construction (``_marks_functor``: restriction keeps the marks at the subgroups
-of K, transfer scales them by [H : K], the product is pointwise); the
+of K, transfer scales them by [H : K], the product is pointwise), which keeps
+the Burnside ring of each level (``MarksFunctor.rings``) for every reader; the
 representation-ring functor (``linearization_check`` takes a Burnside and a
 representation-ring functor already built and returns the identities that
 the linearization between them violates, as the axiom checks do); and two
@@ -342,21 +343,30 @@ class GreenFunctor(MackeyFunctor):
 # lattices of marks vectors: the Burnside functor and A/J
 
 
-def _marks_functor(group: AbelianGroup, lattice: Callable, name: str) -> GreenFunctor:
+class MarksFunctor(GreenFunctor):
+    """A ``_marks_functor``; ``rings[h]`` is its one BurnsideRing of level H."""
+
+    def __init__(self, rings: dict[Subgroup, BurnsideRing], *args):
+        super().__init__(*args)
+        self.rings = rings
+
+
+def _marks_functor(group: AbelianGroup, lattice: Callable, name: str) -> MarksFunctor:
     """A Green functor whose level at H is a full-rank lattice of marks
     vectors with pointwise product.
 
-    ``lattice(BurnsideRing(group, H))`` gives the column subgroups, the basis
-    rows as marks vectors and a coordinates function over those rows.  Marks
+    ``lattice(rings[H])`` gives the column subgroups, the basis rows as marks
+    vectors and a coordinates function over those rows.  Marks
     at a subgroup C commute with restriction, so res^H_K keeps the entries at
     K's columns (the columns of H inside K, in the same canonical order);
     tr^H_K scales them by [H : K] and puts 0 at the other columns of H.  The
     unit is the all-ones marks vector.
     """
     subs = group.subgroups()
+    rings = {h: BurnsideRing(group, h) for h in subs}
     columns, basis, coordinates = {}, {}, {}
     for h in subs:
-        columns[h], basis[h], coordinates[h] = lattice(BurnsideRing(group, h))
+        columns[h], basis[h], coordinates[h] = lattice(rings[h])
     levels = {h: Level(subgroup=h, rank=len(basis[h])) for h in subs}
 
     def matrix(dst: Subgroup, images: Sequence[Sequence[int]]) -> IntMatrix:
@@ -383,10 +393,10 @@ def _marks_functor(group: AbelianGroup, lattice: Callable, name: str) -> GreenFu
         return coordinates[h]([x * y for x, y in zip(basis[h][i], basis[h][j], strict=True)])
 
     units = {h: coordinates[h]((1,) * len(columns[h])) for h in subs}
-    return GreenFunctor(group, levels, *_lazy_maps(levels, res, tr), units, basis_product, name)
+    return MarksFunctor(rings, group, levels, *_lazy_maps(levels, res, tr), units, basis_product, name)
 
 
-def burnside_mackey(group: AbelianGroup) -> GreenFunctor:
+def burnside_mackey(group: AbelianGroup) -> MarksFunctor:
     """The Burnside functor: at H, the marks of the orbit basis [H/L] (rows of
     the table of marks) on every subgroup of H."""
     return _marks_functor(
@@ -408,7 +418,7 @@ def _a_mod_j_lattice(ring: BurnsideRing):
     return q.cyclic_subgroups, q.basis, coordinates
 
 
-def a_mod_j_mackey(group: AbelianGroup) -> GreenFunctor:
+def a_mod_j_mackey(group: AbelianGroup) -> MarksFunctor:
     """Levelwise quotient by the cyclically-vanishing ideal: at H, the image of
     the marks on the cyclic subgroups of H, in its canonical Hermite basis."""
     return _marks_functor(group, _a_mod_j_lattice, "a_mod_j")
@@ -453,16 +463,14 @@ def ru_mackey(group: AbelianGroup) -> GreenFunctor:
 # linearization as a map of Green functors, and its kernel
 
 
-def linearization_check(a_fun: GreenFunctor, ru_fun: GreenFunctor) -> list[str]:
+def linearization_check(a_fun: MarksFunctor, ru_fun: GreenFunctor) -> list[str]:
     """The levelwise permutation-representation map from the Burnside functor
     ``a_fun`` to the representation-ring functor ``ru_fun`` of the same group
     is a map of Green functors whose kernel is the cyclically-vanishing ideal.
 
     Returns the list of violated identities (empty = all hold).
     """
-    group = a_fun.group
-    subs = group.subgroups()
-    rings = {h: BurnsideRing(group, h) for h in subs}
+    subs, rings = a_fun.subgroups, a_fun.rings
     lam = {h: rings[h].linearize_matrix.transpose() for h in subs}
 
     failures: list[str] = []
@@ -607,12 +615,12 @@ def _tensor(
 @dataclass(frozen=True)
 class Pi0Result:
     """(A/J)[x]/(2x, x^2) levelwise: free rank = number of cyclic subgroups of
-    the level, with the same count of Z/2 classes, multiplied so x^2 = 0."""
+    the level (A/J's rank), with as many Z/2 classes, multiplied so x^2 = 0."""
 
     group: AbelianGroup
     ell: int
     functor: GreenFunctor
-    cyclic_counts: dict[Subgroup, int]
+    a_mod_j: MarksFunctor
     kernel_cross_check: bool
 
     def level_summary(self) -> list[dict]:
@@ -624,7 +632,7 @@ class Pi0Result:
                     "subgroup": h.order,
                     "free_rank": lvl.free_rank,
                     "torsion": list(lvl.primary_torsion),
-                    "cyclic_subgroups": self.cyclic_counts[h],
+                    "cyclic_subgroups": self.a_mod_j.level(h).rank,
                 }
             )
         return out
@@ -673,36 +681,29 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
         ell = default_ell(group)
 
     aj = a_mod_j_mackey(group)
-    subs = group.subgroups()
-    ranks = {h: aj.level(h).rank for h in subs}
     functor = adjoin_x(aj, "pi0")
 
     # cross-check: at each level the linearized Burnside lattice equals the
     # degree-0 Adams kernel in RU(H), whose cycle indicators are canonical HNF
     level_data = fiber_level_data(group, ell)
     cross = True
-    for h in subs:
-        ring = BurnsideRing(group, h)
+    for h, ring in aj.rings.items():
         if row_hnf(ring.linearize_matrix.entries, ring.dual.size) != level_data[h].pi0_basis:
             cross = False
-        if len(level_data[h].pi0_basis) != ranks[h]:
+        if len(level_data[h].pi0_basis) != aj.level(h).rank:
             cross = False
 
     return Pi0Result(
         group=group,
         ell=ell,
         functor=functor,
-        cyclic_counts=ranks,
+        a_mod_j=aj,
         kernel_cross_check=cross,
     )
 
 
 # ---------------------------------------------------------------------------
 # the degree-1 answer for the cyclic group of order 3
-
-
-# Primary torsion of the bottom and top levels of the degree-1 answer for C3.
-PI1_C3_TORSION = {"bottom": [2, 2], "top": [2, 2, 2, 2, 3]}
 
 
 def assemble_pi1_c3() -> MackeyFunctor:

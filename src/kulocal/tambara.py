@@ -9,7 +9,8 @@ with Burnside generators y_j = [C_{q^i} / C_{q^j}].  These are the levels of
 pi0 of the tower's group: every subgroup of a cyclic group is cyclic, so
 J = 0, and ``CyclicTower.pi0`` is ``mackey.adjoin_x`` of the Burnside
 functor.  A level-ring element is a pi0 vector, the Burnside part followed
-by the x part, compared with the level's ``elements_equal`` (2x = 0).
+by the x part, compared with the level's ``elements_equal`` (2x = 0).  A
+level's Burnside ring (``CyclicTower.ring``) is the one that functor holds.
 
 ``CyclicTower(q, k)`` is the one entry point (its constructor alone checks
 q); every function below works on the tower it is given.
@@ -40,7 +41,7 @@ from typing import Sequence
 from .burnside import BurnsideRing
 from .exact import require_odd_prime
 from .groups import ExplicitHSet, Subgroup, abelian_group, map_set_orbits
-from .mackey import GreenFunctor, adjoin_x, burnside_mackey
+from .mackey import GreenFunctor, MarksFunctor, adjoin_x, burnside_mackey
 
 Vector = tuple
 
@@ -62,13 +63,12 @@ class CyclicTower:
                 f"not a chain of {k + 1}"
             )
         self.levels: tuple[Subgroup, ...] = tuple(chain)  # levels[i] = C_{q^i}
-        self.rings = {i: BurnsideRing(self.group, h) for i, h in enumerate(chain)}
 
     def ring(self, i: int) -> BurnsideRing:
-        return self.rings[i]
+        return self.burnside.rings[self.levels[i]]
 
     @cached_property
-    def burnside(self) -> GreenFunctor:
+    def burnside(self) -> MarksFunctor:
         """The Burnside Mackey functor of the tower's group, built once."""
         return burnside_mackey(self.group)
 
@@ -147,9 +147,11 @@ class CyclicTower:
 # the restriction rule on the tower
 
 
-def restriction_rule_check(tower: CyclicTower) -> bool:
+def restriction_rule_check(tower: CyclicTower) -> list[str]:
     """res [C_{q^{i+1}} / C_{q^j}] = q [C_{q^i} / C_{q^j}] for j <= i, and the
-    unit restricts to the unit; checked against the Burnside functor matrices."""
+    unit restricts to the unit; checked against the Burnside functor matrices.
+    Returns the violated cases by q, k, i and j (empty = the rule holds)."""
+    failures: list[str] = []
     for i in range(tower.k):
         lower = tower.ring(i)
         mat = tower.burnside.res(tower.levels[i + 1], tower.levels[i])
@@ -160,8 +162,8 @@ def restriction_rule_check(tower: CyclicTower) -> bool:
             else:
                 expected = lower.scale(tower.q, lower.basis_element(lower.subgroups[j]))
             if col != expected:
-                return False
-    return True
+                failures.append(f"q={tower.q} k={tower.k} i={i} j={j}: res gives {col}, not {expected}")
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from kulocal.burnside import BurnsideRing
-from kulocal.cli import DEFAULT_INSTANCES, canonical_json, run
+from kulocal import cli
+from kulocal.burnside import AModJ, BurnsideRing
+from kulocal.cli import DEFAULT_INSTANCES, canonical_json, cmd_norms, cmd_pi0, cmd_verify_all, run
 from kulocal.exact import IntMatrix
 from kulocal.groups import parse_group
+from kulocal.tambara import CyclicTower, NormDerivation
 
 
 def run_capture(capsys, argv):
@@ -203,10 +206,8 @@ def test_geomfp_verify_json_pinned_under_O():
 
 # Every assert statement left in src/kulocal, by (module, enclosing function),
 # with its count and why it may stay: python -O removes asserts, so any other
-# check must raise explicitly.
-ASSERT_ALLOWLIST = {
-    ("groups", "map_set_orbits"): (2, "brute-force oracle; checks its own enumeration"),
-}
+# check must raise explicitly.  None is left.
+ASSERT_ALLOWLIST: dict[tuple[str, str], tuple[int, str]] = {}
 
 
 def _asserts_in(tree, module):
@@ -236,6 +237,84 @@ def test_asserts_in_src_are_allowlisted():
     for path in sorted(src.glob("*.py")):
         found.update(_asserts_in(ast.parse(path.read_text()), path.stem))
     assert dict(found) == {key: count for key, (count, _) in ASSERT_ALLOWLIST.items()}
+
+
+def test_map_set_oracle_checks_itself_under_O():
+    # an "action" that sends every point to the first one: distinct
+    # assignments on the coset representatives extend to the same map, which
+    # the oracle must refuse without relying on assert statements
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "from kulocal.groups import ExplicitHSet, map_set_orbits, parse_group\n"
+        "g = parse_group('C3')\n"
+        "x = ExplicitHSet(g.trivial_subgroup, (0, 1), lambda h, p: 0)\n"
+        "try:\n"
+        "    map_set_orbits(g.full_subgroup, g.trivial_subgroup, x)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "8 assignments extend to 1 maps: X is not an H-set" in proc.stdout
+
+
+def test_only_the_marks_functor_builds_level_rings():
+    # a level's BurnsideRing is built by _marks_functor and read from its
+    # rings everywhere else; a call with a level argument elsewhere would
+    # build a second copy of a ring the functor already holds
+    src = Path(__file__).resolve().parent.parent / "src" / "kulocal"
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "BurnsideRing"
+                and (len(child.args) > 1 or any(k.arg == "level" for k in child.keywords))
+            ):
+                found.append((path.stem, ".".join(scope)))
+            visit(child, inner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), ())
+    assert found == [("mackey", "_marks_functor")]
+
+
+def _construction_counts(monkeypatch, job):
+    """(BurnsideRing builds, A/J Hermite forms) made by ``job()``."""
+    counts = Counter()
+    for cls, key in ((BurnsideRing, "rings"), (AModJ, "a_mod_j")):
+        def counted(self, *args, _init=cls.__init__, _key=key, **kwargs):
+            counts[_key] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert job()[0]
+    return counts["rings"], counts["a_mod_j"]
+
+
+@pytest.mark.parametrize("job,rings,a_mod_j", [
+    ("norms", 27, 0),  # 9 towers, 27 levels: one ring per level
+    ("pi0", 50, 50),  # C3xC3xC9 has 50 subgroups
+    # the 32 levels of the instances of order <= 27 (Burnside and A/J), the 2
+    # of the C3 degree-1 assembly, the 27 tower levels, and 3 whole-group
+    # rings per instance (the kernel identification, and two in perm_rep)
+    ("verify-all", 2 * 32 + 2 + 27 + 3 * 8, 32 + 2),
+])
+def test_each_level_ring_is_built_once(monkeypatch, job, rings, a_mod_j):
+    jobs = {
+        "norms": lambda: cmd_norms(None),
+        "pi0": lambda: cmd_pi0(parse_group("C3xC3xC9"), None),
+        "verify-all": lambda: cmd_verify_all(27, 20240801),
+    }
+    assert _construction_counts(monkeypatch, jobs[job]) == (rings, a_mod_j)
 
 
 def _unused_imports(tree, exported=()):
@@ -587,6 +666,98 @@ def test_verify_all_reports_a_wrong_linearization(capsys, monkeypatch):
         below.append(line.strip())
     assert entry["failures"] == below
     assert not any("FAIL" in f for c in checks if not c["pass"] for f in c["failures"])
+
+
+def _verify_all_failures(capsys):
+    """verify-all's exit code, {name: failures} of its failing checks and its
+    number of checks, after checking that the text lists the same failures
+    under each FAIL line."""
+    code, out, _ = run_capture(capsys, ["verify-all", "--max-order", "9", "--format", "json"])
+    checks = json.loads(out)["checks"]
+    failed = {c["name"]: c["failures"] for c in checks if not c["pass"]}
+    _, text, _ = run_capture(capsys, ["verify-all", "--max-order", "9"])
+    listed, name = {}, None
+    for line in text.splitlines():
+        if line.startswith("  FAIL  "):
+            name = line[len("  FAIL  "):]
+            listed[name] = []
+        elif line.startswith("        ") and name is not None:
+            listed[name].append(line.strip())
+        else:
+            name = None
+    assert listed == failed
+    return code, failed, len(checks)
+
+
+def test_verify_all_records_a_raising_check_and_goes_on(capsys, monkeypatch):
+    # an x_i^q that is not zero makes derive_norm_on_x raise; that ends the
+    # norm check, and no other
+    monkeypatch.setattr(CyclicTower, "x_power", lambda self, i, n: (1,) + (0,) * (2 * self.ring(i).n - 1))
+    code, failed, count = _verify_all_failures(capsys)
+    assert code == 1
+    assert failed == {"norm derivations": ["ArithmeticError: x_0^3 = (1, 0) is not zero"]}
+    instances = [s for s in DEFAULT_INSTANCES if parse_group(s).order <= 9]
+    assert count == 16 * len(instances) + 4
+
+
+def test_verify_all_fails_each_reader_of_a_functor_that_raises(capsys, monkeypatch):
+    def broken(group, ell):
+        raise ArithmeticError(f"no pi0 for {group!r}")
+
+    monkeypatch.setattr(cli, "assemble_pi0", broken)
+    code, failed, _ = _verify_all_failures(capsys)
+    assert code == 1
+    readers = [
+        "pi0 assembly cross-check", "pi0 Mackey axioms", "pi0 Green axioms", "A/J Mackey axioms",
+        "splitting rank bookkeeping (A/J)", "geometric pieces match the cyclic pattern",
+    ]
+    instances = [s for s in DEFAULT_INSTANCES if parse_group(s).order <= 9]
+    assert failed == {
+        f"{spec}: {name}": [f"ArithmeticError: no pi0 for {spec}"] for spec in instances for name in readers
+    }
+
+
+def test_verify_all_names_the_failing_norm_cases(capsys, monkeypatch):
+    # a restriction rule that expects (q + 1) [C_{q^i} / C_{q^j}], and a
+    # derivation at q = 5, k = 2, i = 1 whose survivor is taken for wrong
+    monkeypatch.setattr(BurnsideRing, "scale", lambda self, c, a: tuple((c + 1) * x for x in a))
+    formula = NormDerivation.formula_matches.fget
+    monkeypatch.setattr(
+        NormDerivation, "formula_matches",
+        property(lambda d: formula(d) and (d.q, d.k, d.i) != (5, 2, 1)),
+    )
+    code, failed, _ = _verify_all_failures(capsys)
+    assert code == 1
+    norms = failed.pop("norm derivations")
+    assert failed == {}
+    assert "q=3 k=1 i=0 j=0: res gives (3,), not (4,)" in norms
+    assert "q=7 k=3 i=2 j=2: res gives (0, 0, 7), not (0, 0, 8)" in norms
+    assert "q=5 k=2 i=1: survivor (0, 1, 1) is not N(x_i) = x_{i+1}(1+y_i)" in norms
+    # one failure per (q, k, i, j <= i), and the one derivation
+    assert len(norms) == 3 * (1 + 3 + 6) + 1
+    code, out, _ = run_capture(capsys, ["norms", "--format", "json"])
+    assert code == 1
+    assert not any(d["restriction_rule"] for d in json.loads(out)["derivations"])
+
+
+def test_verify_all_names_the_failing_euler_class_witnesses(capsys, monkeypatch):
+    original = cli.verify_q_unit_identity
+    monkeypatch.setattr(
+        cli, "verify_q_unit_identity", lambda q, k: dataclasses.replace(original(q, k), ok=(q, k) != (5, 2))
+    )
+    code, failed, _ = _verify_all_failures(capsys)
+    assert code == 1
+    assert failed == {"Euler-class identity suite": ["q_unit_identity {'q': 5, 'k': 2}"]}
+
+
+def test_verify_all_checks_the_c3_degree_1_assembly(capsys, monkeypatch):
+    # the assembly's top q-part is held to pi1 of C3 at ell = 2, not to a
+    # typed-in answer
+    original = cli.group_report
+    monkeypatch.setattr(cli, "group_report", lambda g, ell: {**original(g, ell), "pi1_q_part": [9]})
+    code, failed, _ = _verify_all_failures(capsys)
+    assert code == 1
+    assert failed == {"degree-1 assembly for C3": ["top q-part [3], but pi1 at ell = 2 has [9]"]}
 
 
 def test_pi1_c3_json_under_O():

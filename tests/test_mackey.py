@@ -662,7 +662,7 @@ def test_pi0_multiplication_square_zero():
     result = assemble_pi0(g)
     f = result.functor
     whole = g.full_subgroup
-    r = result.cyclic_counts[whole]
+    r = result.a_mod_j.level(whole).rank
     # x * unit squared is zero mod 2: (x u)^2 = x^2 u^2 = 0
     x_unit = tuple([0] * r) + tuple(f.unit(whole)[:r])
     sq = f.multiply(whole, x_unit, x_unit)

@@ -6,6 +6,7 @@ import pytest
 from kulocal import tambara
 from kulocal.burnside import BurnsideRing
 from kulocal.cli import cmd_norms
+from kulocal.exact import IntMatrix
 from kulocal.geomfp import (
     verify_CqxCq_vanishing,
     verify_euler_localization,
@@ -128,7 +129,23 @@ def test_res_after_norm_is_power():
 
 @pytest.mark.parametrize("q,k", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
 def test_restriction_rule(q, k):
-    assert restriction_rule_check(CyclicTower(q, k))
+    assert restriction_rule_check(CyclicTower(q, k)) == []
+
+
+def test_restriction_rule_check_names_the_broken_case():
+    # add [C_3 / e] to the image of [C_9 / C_3] under res from C_9 to C_3
+    t = CyclicTower(3, 2)
+    res, top = t.burnside.res, t.levels[2]
+
+    def broken(h, k):
+        m = res(h, k)
+        if h != top:
+            return m
+        rows = [[x + ((r, c) == (0, 1)) for c, x in enumerate(row)] for r, row in enumerate(m.entries)]
+        return IntMatrix(rows, cols=m.cols)
+
+    t.burnside.res = broken
+    assert restriction_rule_check(t) == ["q=3 k=2 i=1 j=1: res gives (1, 3), not (0, 3)"]
 
 
 def test_tower_raises_when_the_subgroups_are_not_a_chain(monkeypatch):
