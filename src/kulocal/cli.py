@@ -35,6 +35,7 @@ from .fiber import (
     kernel_equals_AmodJ,
 )
 from .geomfp import (
+    Witness,
     bott_character,
     root_of_unity_product,
     verify_CqxCq_vanishing,
@@ -153,25 +154,41 @@ def cmd_marks(group: AbelianGroup) -> tuple[bool, dict, str]:
     return True, marks_json(group), marks_text(group)
 
 
+def _witness_json(verify: Callable[..., Witness], **params: int) -> dict:
+    """The JSON of one Euler-class witness; an error it raises fails that
+    witness alone, named by its check and parameters."""
+    try:
+        return verify(**params).to_json()
+    except (ValueError, ArithmeticError) as exc:
+        return {
+            "check_name": verify.__name__.removeprefix("verify_"),
+            "parameters": params,
+            "error": f"{type(exc).__name__}: {exc}",
+            "pass": False,
+        }
+
+
+def _witness_line(check: dict) -> str:
+    error = f": {check['error']}" if "error" in check else ""
+    return f"{check['check_name']} {check['parameters']}{error}"
+
+
 def cmd_geomfp_verify(max_order: int) -> tuple[bool, dict, str]:
-    checks = []
+    cases = []
     for q in GEOMFP_PRIMES:
         k = 1
         while q ** k <= min(max_order, GEOMFP_MAX_ORDER):
-            checks.append(verify_regular_factorization(q, k))
-            checks.append(verify_q_unit_identity(q, k))
-            checks.append(verify_euler_localization(q, k))
+            cases += [(verify, {"q": q, "k": k}) for verify in
+                      (verify_regular_factorization, verify_q_unit_identity, verify_euler_localization)]
             k += 1
     for q in (3, 5):
         if q * q <= max_order:
-            checks.append(verify_CqxCq_vanishing(q))
-    ok = all(c.ok for c in checks)
-    payload = {"checks": [c.to_json() for c in checks]}
+            cases.append((verify_CqxCq_vanishing, {"q": q}))
+    checks = [_witness_json(verify, **params) for verify, params in cases]
+    ok = all(c["pass"] for c in checks)
+    payload = {"checks": checks}
     lines = ["cyclic Euler-class identity suite"]
-    for c in checks:
-        lines.append(
-            f"  {'pass' if c.ok else 'FAIL'}  {c.check_name} {c.parameters}"
-        )
+    lines.extend(f"  {'pass' if c['pass'] else 'FAIL'}  {_witness_line(c)}" for c in checks)
     return ok, payload, "\n".join(lines)
 
 
@@ -204,14 +221,20 @@ def cmd_bott_verify(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, s
 
 def _derive_norms(towers: list[tuple[int, int]]) -> tuple[list[dict], list[str]]:
     """The derivation reports of the (q, k) towers, and what failed: each
-    restriction-rule case, and each derivation off the formula, by (q, k, i)."""
+    restriction-rule case, each derivation off the formula, by (q, k, i), and
+    each tower whose derivation raised, by (q, k)."""
     reports, failures = [], []
     for q, k in towers:
-        tower = CyclicTower(q, k)
-        rule = restriction_rule_check(tower)
+        # an error fails its own tower; the other towers still run
+        try:
+            tower = CyclicTower(q, k)
+            rule = restriction_rule_check(tower)
+            derivations = [derive_norm_on_x(tower, i) for i in range(k)]
+        except (ValueError, ArithmeticError) as exc:
+            failures.append(f"q={q} k={k}: {type(exc).__name__}: {exc}")
+            continue
         failures.extend(rule)
-        for i in range(k):
-            d = derive_norm_on_x(tower, i)
+        for i, d in enumerate(derivations):
             entry = {**d.to_json(), "restriction_rule": not rule}
             if not d.formula_matches:
                 failures.append(f"q={q} k={k} i={i}: survivor {d.survivors[0]} is not {entry['formula']}")
@@ -237,6 +260,10 @@ def cmd_norms(group: AbelianGroup | None) -> tuple[bool, dict, str]:
             f"  q={entry['q']} k={entry['k']} i={entry['i']}: "
             f"{'unique survivor, ' + entry['formula'] if entry['formula_matches'] else 'FAIL'}"
         )
+    if failures:
+        payload["failures"] = failures
+        lines.append("  failures:")
+        lines.extend(f"    {f}" for f in failures)
     return not failures, payload, "\n".join(lines)
 
 
@@ -299,9 +326,7 @@ def cmd_verify_all(max_order: int, test_seed: int) -> tuple[bool, dict, str]:
         )
 
     record("Euler-class identity suite", lambda: [
-        f"{c['check_name']} {c['parameters']}"
-        for c in cmd_geomfp_verify(GEOMFP_MAX_ORDER)[1]["checks"]
-        if not c["pass"]
+        _witness_line(c) for c in cmd_geomfp_verify(GEOMFP_MAX_ORDER)[1]["checks"] if not c["pass"]
     ])
     record("norm derivations", lambda: _derive_norms(NORM_TOWERS)[1])
 
@@ -309,9 +334,19 @@ def cmd_verify_all(max_order: int, test_seed: int) -> tuple[bool, dict, str]:
         m = assemble_pi1_c3()
         c3 = m.group
         failures = m.check_mackey_axioms()
-        if any(m.res(c3.full_subgroup, c3.trivial_subgroup).column(4)):
+        level = m.level(c3.full_subgroup)
+        # the q-class is the one generator of order 3 (3 e_i is 0, e_i is not)
+        zero = (0,) * level.rank
+        units = [tuple(int(j == i) for j in range(level.rank)) for i in range(level.rank)]
+        q_classes = [
+            i for i, e in enumerate(units)
+            if not level.elements_equal(e, zero) and level.elements_equal(tuple(3 * x for x in e), zero)
+        ]
+        if len(q_classes) != 1:
+            return failures + [f"the top level has {len(q_classes)} generators of order 3, not one"]
+        if any(m.res(c3.full_subgroup, c3.trivial_subgroup).column(q_classes[0])):
             failures.append("restriction does not kill the q-class")
-        top = list(primary_part(m.level(c3.full_subgroup).primary_torsion, 3))
+        top = list(primary_part(level.primary_torsion, 3))
         expected = group_report(c3, 2)["pi1_q_part"]
         return failures + unless(top == expected, f"top q-part {top}, but pi1 at ell = 2 has {expected}")
 

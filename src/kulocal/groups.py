@@ -5,8 +5,10 @@ mixed radix (``itertools.product``: the last coordinate varies fastest).
 Subgroups, cosets and H-set points are bitmasks over that index.  One
 primitive shifts them: ``translate(mask, g)``, the mask of S + g, is one block
 rotation per nonzero coordinate of g; ``span`` (H + <g>, by doubling),
-subgroup generation, the lattice (one fold over the cyclic subgroups), joins
-and cosets are built on it.  Only abelian groups are supported: every explicit
+subgroup generation, the lattice, joins and cosets are built on it.  The
+lattice lists each subgroup once, by the row Hermite normal form of its
+preimage in Z^r, and spans its mask from the form's rows: one span per
+nontrivial subgroup.  Only abelian groups are supported: every explicit
 computation downstream lives on cyclic groups and products of two or three of
 them, where conjugation is trivial and Weyl groups are quotients.
 """
@@ -168,8 +170,8 @@ class AbelianGroup:
     def subgroups(self) -> tuple["Subgroup", ...]:
         """All subgroups, in the canonical (order, element-index-tuple) order.
 
-        A fold over the cyclic subgroups, of which every subgroup is a join:
-        after the i-th, the set holds every join of the first i.
+        Each subgroup is enumerated once, as a row Hermite normal form
+        (``_hermite_masks``).
         """
         if self.order > SUBGROUP_ENUM_BOUND:
             raise ValueError(f"group of order {self.order} exceeds subgroup "
@@ -177,18 +179,37 @@ class AbelianGroup:
         return self._subgroups_cached
 
     @cached_property
-    def _cyclics(self) -> dict[int, Element]:
-        """Each cyclic subgroup's mask, with a generator (index 0 is the identity)."""
-        return {1: self.identity} | {self.span(1, g): g for g in self.elements[1:]}
-
-    @cached_property
     def _subgroups_cached(self) -> tuple["Subgroup", ...]:
-        masks = {1}
-        for c, g in self._cyclics.items():
-            masks |= {self.span(h, g) for h in masks if c & ~h}
-        subs = [Subgroup(self, m) for m in masks]
+        subs = [Subgroup(self, m) for m in self._hermite_masks()]
         subs.sort(key=lambda h: h.sort_key)
         return tuple(subs)
+
+    def _hermite_masks(self) -> list[int]:
+        """The mask of every subgroup, once each.
+
+        A subgroup is L/N for one lattice N <= L <= Z^r, N = (+) n_i Z, and L
+        has one row Hermite normal form (H. Cohen, GTM 138, 2.4).  Its rows
+        are built from the last one up: row i is (0..0, d_i, a_i,i+1 ..
+        a_i,r-1) with d_i | n_i and 0 <= a_ij < d_j, kept when n_i e_i lies in
+        the span of rows i.. (which is then L's part with zeros before i).
+        When d_i = n_i the row is n_i e_i itself, which adds nothing mod N;
+        any other row adds one span to the mask of the rows below it, so each
+        subgroup but the trivial one costs one span.
+        """
+        forms = [((), 1)]  # (rows i.. from their pivots on, their subgroup's mask)
+        for i in reversed(range(len(self.factors))):
+            n = self.factors[i]
+            grown = []
+            for rows, mask in forms:
+                grown.append((((n,) + (0,) * len(rows), *rows), mask))
+                for d in range(1, n):
+                    if n % d:
+                        continue
+                    for tail in itertools.product(*(range(row[0]) for row in rows)):
+                        if _in_span([-(n // d) * a for a in tail], rows):
+                            grown.append((((d, *tail), *rows), self.span(mask, (0,) * i + (d, *tail))))
+            forms = grown
+        return [mask for _, mask in forms]
 
     def cyclic_subgroups(self) -> tuple["Subgroup", ...]:
         return tuple(h for h in self.subgroups() if h.is_cyclic)
@@ -207,6 +228,18 @@ class AbelianGroup:
 
 def _lowest_index(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
+
+
+def _in_span(v: list[int], rows: Sequence[tuple[int, ...]]) -> bool:
+    """Whether v is in the lattice of Hermite rows, one row per coordinate of
+    v, each given from its pivot on: clear v coordinate by coordinate."""
+    for k, row in enumerate(rows):
+        q, rem = divmod(v[k], row[0])
+        if rem:
+            return False
+        for m in range(1, len(row)):
+            v[k + m] -= q * row[m]
+    return True
 
 
 class Subgroup:
@@ -236,7 +269,8 @@ class Subgroup:
 
     @property
     def is_cyclic(self) -> bool:
-        return self.mask in self.group._cyclics
+        # the exponent of <S> is the lcm of the orders in S (G is abelian)
+        return self.order == math.lcm(*map(self.group.element_order, self.generators))
 
     def contains(self, other: "Subgroup") -> bool:
         return other.mask & ~self.mask == 0

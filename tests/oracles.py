@@ -31,6 +31,18 @@ def generated_subgroup(group: AbelianGroup, gens) -> Subgroup:
     return Subgroup(group, reduce(group.span, gens, 1))  # identity has index 0
 
 
+def subgroups_by_cyclic_fold(group: AbelianGroup) -> tuple[Subgroup, ...]:
+    """The subgroup lattice as a fold over the cyclic subgroups, of which
+    every subgroup is a join: after the i-th, the set holds every join of the
+    first i.  |G| spans for the cyclic subgroups, then one per (join so far,
+    cyclic subgroup not inside it) pair; sorted in the canonical order."""
+    cyclics = {1: group.identity} | {group.span(1, g): g for g in group.elements[1:]}
+    masks = {1}
+    for c, g in cyclics.items():
+        masks |= {group.span(h, g) for h in masks if c & ~h}
+    return tuple(sorted((Subgroup(group, m) for m in masks), key=lambda h: h.sort_key))
+
+
 def contains_element(h: Subgroup, g) -> bool:
     return bool(h.mask >> h.group.index_of(g) & 1)
 

@@ -15,6 +15,7 @@ from kulocal.burnside import AModJ, BurnsideRing
 from kulocal.cli import DEFAULT_INSTANCES, canonical_json, cmd_norms, cmd_pi0, cmd_verify_all, run
 from kulocal.exact import IntMatrix
 from kulocal.groups import parse_group
+from kulocal.mackey import MackeyFunctor, _tensor, a_mod_j_mackey
 from kulocal.tambara import CyclicTower, NormDerivation
 
 
@@ -690,14 +691,64 @@ def _verify_all_failures(capsys):
 
 
 def test_verify_all_records_a_raising_check_and_goes_on(capsys, monkeypatch):
-    # an x_i^q that is not zero makes derive_norm_on_x raise; that ends the
-    # norm check, and no other
+    # an x_i^q that is not zero makes derive_norm_on_x raise; that fails each
+    # tower of the norm check, and no other check
     monkeypatch.setattr(CyclicTower, "x_power", lambda self, i, n: (1,) + (0,) * (2 * self.ring(i).n - 1))
     code, failed, count = _verify_all_failures(capsys)
     assert code == 1
-    assert failed == {"norm derivations": ["ArithmeticError: x_0^3 = (1, 0) is not zero"]}
+    norms = failed.pop("norm derivations")
+    assert failed == {}
+    assert norms[0] == "q=3 k=1: ArithmeticError: x_0^3 = (1, 0) is not zero"
+    assert [f.split(":")[0] for f in norms] == [f"q={q} k={k}" for q, k in cli.NORM_TOWERS]
     instances = [s for s in DEFAULT_INSTANCES if parse_group(s).order <= 9]
     assert count == 16 * len(instances) + 4
+
+
+def test_norms_list_a_raising_tower_and_run_the_others(capsys, monkeypatch):
+    green = cmd_norms(None)[1]["derivations"]
+    original = CyclicTower.x_power
+
+    def x_power(self, i, n):
+        if (self.q, self.k) == (5, 2):
+            raise ArithmeticError("x_power refused")
+        return original(self, i, n)
+
+    monkeypatch.setattr(CyclicTower, "x_power", x_power)
+    code, out, _ = run_capture(capsys, ["norms", "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["failures"] == ["q=5 k=2: ArithmeticError: x_power refused"]
+    assert payload["derivations"] == [d for d in green if (d["q"], d["k"]) != (5, 2)]
+    code, out, _ = run_capture(capsys, ["verify-all", "--max-order", "9"])
+    assert code == 1
+    assert "        q=5 k=2: ArithmeticError: x_power refused" in out.splitlines()
+
+
+def test_geomfp_verify_lists_a_raising_witness_and_runs_the_others(capsys, monkeypatch):
+    original = cli.verify_euler_localization
+
+    def verify_euler_localization(q, k):
+        if (q, k) == (3, 2):
+            raise ArithmeticError("no localization")
+        return original(q, k)
+
+    code, out, _ = run_capture(capsys, ["geomfp-verify", "--max-order", "9", "--format", "json"])
+    assert code == 0
+    green = json.loads(out)["checks"]
+    monkeypatch.setattr(cli, "verify_euler_localization", verify_euler_localization)
+    code, out, _ = run_capture(capsys, ["geomfp-verify", "--max-order", "9", "--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    raised = {
+        "check_name": "euler_localization", "parameters": {"q": 3, "k": 2},
+        "error": "ArithmeticError: no localization", "pass": False,
+    }
+    case = ("euler_localization", {"q": 3, "k": 2})
+    assert checks == [raised if (c["check_name"], c["parameters"]) == case else c for c in green]
+    code, failed, _ = _verify_all_failures(capsys)
+    assert failed == {"Euler-class identity suite": [
+        "euler_localization {'q': 3, 'k': 2}: ArithmeticError: no localization"
+    ]}
 
 
 def test_verify_all_fails_each_reader_of_a_functor_that_raises(capsys, monkeypatch):
@@ -758,6 +809,22 @@ def test_verify_all_checks_the_c3_degree_1_assembly(capsys, monkeypatch):
     code, failed, _ = _verify_all_failures(capsys)
     assert code == 1
     assert failed == {"degree-1 assembly for C3": ["top q-part [3], but pi1 at ell = 2 has [9]"]}
+
+
+def _c3_assembly(orders, top_extra):
+    group = parse_group("C3")
+    return MackeyFunctor(group, *_tensor(a_mod_j_mackey(group), orders, {group.full_subgroup: top_extra}))
+
+
+def test_verify_all_finds_the_c3_q_class_by_its_order(capsys, monkeypatch):
+    # one (Z/2) block instead of two moves the q-class to column 2
+    monkeypatch.setattr(cli, "assemble_pi1_c3", lambda: _c3_assembly((2,), (3,)))
+    code, failed, _ = _verify_all_failures(capsys)
+    assert (code, failed) == (0, {})
+    monkeypatch.setattr(cli, "assemble_pi1_c3", lambda: _c3_assembly((2, 2), (3, 3)))
+    code, failed, _ = _verify_all_failures(capsys)
+    assert code == 1
+    assert failed == {"degree-1 assembly for C3": ["the top level has 2 generators of order 3, not one"]}
 
 
 def test_pi1_c3_json_under_O():

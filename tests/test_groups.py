@@ -12,7 +12,13 @@ from kulocal.groups import (
     map_set_orbits,
     parse_group,
 )
-from oracles import contains_element, fixed_points, generated_subgroup, trivial_points
+from oracles import (
+    contains_element,
+    fixed_points,
+    generated_subgroup,
+    subgroups_by_cyclic_fold,
+    trivial_points,
+)
 
 SEED = int(os.environ.get("TEST_SEED", "20240801"))
 
@@ -96,9 +102,16 @@ def test_is_cyclic_matches_element_orders(spec):
     assert g.cyclic_subgroups() == tuple(h for h in g.subgroups() if h.is_cyclic)
 
 
-def test_subgroup_fold_span_count(monkeypatch):
-    # one span per non-identity element for the cyclic subgroups, then one
-    # per (join so far, cyclic subgroup not inside it) pair of the fold
+@pytest.mark.parametrize("spec", ORACLE_GROUPS + ["C3xC3xC3xC9", "C9xC9xC9", "C12xC18", "C2xC4xC8"])
+def test_subgroups_match_cyclic_fold(spec):
+    # the same subgroups, masks and order as the fold over cyclic subgroups
+    factors = parse_group(spec).factors
+    assert AbelianGroup(factors).subgroups() == subgroups_by_cyclic_fold(AbelianGroup(factors))
+
+
+def test_subgroup_hermite_span_count(monkeypatch):
+    # each Hermite row with d_i < n_i adds one span to the mask of the rows
+    # below it: one span per nontrivial subgroup, within rank(G) per subgroup
     calls = []
     original = AbelianGroup.span
 
@@ -109,7 +122,7 @@ def test_subgroup_fold_span_count(monkeypatch):
     monkeypatch.setattr(AbelianGroup, "span", counting)
     g = AbelianGroup((3, 3, 3, 3))  # fresh instance: no cached lattice
     assert len(g.subgroups()) == 212
-    assert len(calls) == 4068
+    assert len(calls) == 211 <= 4 * 212
 
 
 @pytest.mark.parametrize("spec", ORACLE_GROUPS)
@@ -176,11 +189,16 @@ def _gaussian_binomial(n, k, p):
 
 
 @pytest.mark.parametrize(
-    "p,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)] + [(5, 1), (5, 2), (5, 3)]
+    "p,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 6)] + [(5, n) for n in range(1, 5)]
 )
 def test_elementary_abelian_counts_are_gaussian_binomial_sums(p, n):
+    # (3, 5) has 2664 subgroups and (5, 4) 1120
     g = AbelianGroup((p,) * n)
     assert len(g.subgroups()) == sum(_gaussian_binomial(n, k, p) for k in range(n + 1))
+
+
+def test_c9xc9xc9_subgroup_count():
+    assert len(parse_group("C9xC9xC9").subgroups()) == 445
 
 
 @pytest.mark.parametrize(
@@ -344,6 +362,20 @@ def test_subgroup_reprs_name_their_generators():
 def test_subgroup_repr_past_the_enumeration_bound():
     g = AbelianGroup((3,) * 7)  # order 2187 > SUBGROUP_ENUM_BOUND
     assert repr(g.full_subgroup).startswith("Subgroup(order=2187 of C3xC3xC3xC3xC3xC3xC3, <")
+
+
+def test_is_cyclic_past_the_enumeration_bound(monkeypatch):
+    def refuse(self):
+        raise AssertionError("subgroups enumerated")
+
+    monkeypatch.setattr(AbelianGroup, "subgroups", refuse)
+    g = AbelianGroup((3,) * 7)  # order 2187 > SUBGROUP_ENUM_BOUND
+    e = [tuple(int(i == j) for j in range(7)) for i in range(7)]
+    assert generated_subgroup(g, [g.add(e[0], e[6])]).is_cyclic
+    assert generated_subgroup(g, [e[0], g.scale(2, e[0])]).is_cyclic
+    assert not generated_subgroup(g, [e[0], e[6]]).is_cyclic
+    assert not g.full_subgroup.is_cyclic
+    assert g.trivial_subgroup.is_cyclic
 
 
 def test_map_set_whole_group_is_identityish():
