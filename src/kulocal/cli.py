@@ -1,16 +1,7 @@
 """Command-line interface: compute, verify, and report.
 
-Subcommands
-
-  pi0           levelwise degree-0 assembly for a group
-  pi1           levelwise degree-2 cokernels (and the full order-3 answer)
-  kernel        the three-lattice kernel identification for a group
-  idempotents   the p-local idempotent table for a group
-  marks         table of marks dump
-  geomfp-verify the cyclic Euler-class identity suites
-  bott-verify   Bott character and Adams-operation character identities
-  norms         cyclic-tower norm derivation report
-  verify-all    every suite over the default instance list; exit 0 iff green
+One table, ``COMMANDS``, gives each subcommand its help line, its typed
+options with defaults (``--group`` required, optional or absent) and handler.
 
 JSON output is canonical: sorted keys, compact separators, integers and
 strings only, so re-serialization reproduces it byte for byte.
@@ -18,16 +9,15 @@ strings only, so re-serialization reproduces it byte for byte.
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
 import time
 from functools import cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .burnside import BurnsideRing, marks_json, marks_text
-from .exact import IntMatrix, primary_part, prime_factors, smith_normal_form
+from .exact import IntMatrix, primary_part, prime_factors, require_odd_prime, smith_normal_form
 from .fiber import (
     default_ell,
     determinant_mod_ell_check,
@@ -127,9 +117,7 @@ def cmd_kernel(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, str]:
     return witness.ok, witness.to_json(), text
 
 
-def cmd_idempotents(group: AbelianGroup, p: int | None) -> tuple[bool, dict, str]:
-    if p is None:
-        p = 2
+def cmd_idempotents(group: AbelianGroup, p: int) -> tuple[bool, dict, str]:
     ring = BurnsideRing(group)
     table = ring.idempotent_table(p)
     payload = {
@@ -248,6 +236,7 @@ def cmd_norms(group: AbelianGroup | None) -> tuple[bool, dict, str]:
         primes = prime_factors(group.order)
         if len(group.factors) != 1 or len(primes) != 1:
             raise ValueError("norms need a cyclic prime-power group, e.g. C27")
+        require_odd_prime(primes[0])
         k = 1
         while primes[0] ** k < group.order:
             k += 1
@@ -387,86 +376,97 @@ def cmd_verify_all(max_order: int, test_seed: int) -> tuple[bool, dict, str]:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kulocal",
-        description="exact Burnside/representation-ring computations and verification suites",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Command(NamedTuple):
+    help: str
+    options: dict[str, tuple]  # flag -> (int, str or a tuple of choices; default, or REQUIRED)
+    handler: Callable[..., tuple[bool, dict, str]]
 
-    def add_common(p, group_required=True, group_optional=False):
-        if group_required or group_optional:
-            p.add_argument(
-                "--group",
-                required=group_required,
-                help="group spec, e.g. C9 or C3xC3",
-            )
-        p.add_argument("--format", choices=["json", "text"], default="text")
-        p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    p = sub.add_parser("pi0", help="levelwise degree-0 assembly")
-    add_common(p)
-    p.add_argument("--ell", type=int, default=None)
+REQUIRED = object()
+COMMON = {"--format": (("json", "text"), "text"), "--output": (str, None)}
+GROUP = {"--group": (str, REQUIRED)} | COMMON
+ELL = GROUP | {"--ell": (int, None)}
+COMMANDS = {
+    "pi0": Command("levelwise degree-0 assembly", ELL, cmd_pi0),
+    "pi1": Command("degree-2 cokernels per level", ELL, cmd_pi1),
+    "kernel": Command("kernel identification", ELL, cmd_kernel),
+    "idempotents": Command("p-local idempotent table", GROUP | {"--p": (int, 2)}, cmd_idempotents),
+    "marks": Command("table of marks", GROUP, cmd_marks),
+    "geomfp-verify": Command("Euler-class identity suites", COMMON | {"--max-order": (int, GEOMFP_MAX_ORDER)},
+                             cmd_geomfp_verify),
+    "bott-verify": Command("Bott character identities", ELL, cmd_bott_verify),
+    "norms": Command("norm derivation report", {"--group": (str, None)} | COMMON, cmd_norms),
+    "verify-all": Command("all suites; exit 0 iff every check passes",
+                          COMMON | {"--max-order": (int, 81), "--test-seed": (int, 20240801)}, cmd_verify_all),
+}
 
-    p = sub.add_parser("pi1", help="degree-2 cokernels per level")
-    add_common(p)
-    p.add_argument("--ell", type=int, default=None)
 
-    p = sub.add_parser("kernel", help="kernel identification")
-    add_common(p)
-    p.add_argument("--ell", type=int, default=None)
-
-    p = sub.add_parser("idempotents", help="p-local idempotent table")
-    add_common(p)
-    p.add_argument("--p", type=int, default=None)
-
-    p = sub.add_parser("marks", help="table of marks")
-    add_common(p)
-
-    p = sub.add_parser("geomfp-verify", help="Euler-class identity suites")
-    add_common(p, group_required=False)
-    p.add_argument("--max-order", type=int, default=GEOMFP_MAX_ORDER)
-
-    p = sub.add_parser("bott-verify", help="Bott character identities")
-    add_common(p)
-    p.add_argument("--ell", type=int, default=None)
-
-    p = sub.add_parser("norms", help="norm derivation report")
-    add_common(p, group_required=False, group_optional=True)
-
-    p = sub.add_parser("verify-all", help="all suites; exit 0 iff every check passes")
-    add_common(p, group_required=False)
-    p.add_argument("--max-order", type=int, default=81)
-    p.add_argument("--test-seed", type=int, default=20240801)
-
-    return parser
+def parse_args(argv: list[str]) -> tuple[Command, dict] | int:
+    """The command of argv and its option values by keyword (``--max-order``
+    gives ``max_order``), defaults filled in; or, once help (exit code 0) or
+    an error and a usage line (exit code 2) is printed, the exit code.  An
+    option is ``--opt value`` or ``--opt=value``, or a unique prefix of it,
+    and a repeated option keeps its last value."""
+    name = argv[0] if argv else ""
+    command = COMMANDS.get(name)
+    if command is None:
+        usage = "usage: kulocal {" + ",".join(COMMANDS) + "} [-h] [options]"
+        if name in ("-h", "--help"):
+            print(usage, "", *(f"  {n:<14} {c.help}" for n, c in COMMANDS.items()), sep="\n")
+            return 0
+        print("error: expected a subcommand" + (f", not {name!r}" if argv else ""), usage, sep="\n", file=sys.stderr)
+        return 2
+    flags = command.options
+    usage = f"usage: kulocal {name} [-h]"
+    for flag, (kind, default) in flags.items():
+        metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else flag[2:].replace("-", "_").upper()
+        usage += f" {flag} {metavar}" if default is REQUIRED else f" [{flag} {metavar}]"
+    names, values, args = (*flags, "--help"), {}, iter(argv[1:])
+    try:
+        for arg in args:
+            flag, eq, value = ("--help" if arg == "-h" else arg).partition("=")
+            found = [flag] if flag in names else [f for f in names if flag[2:] and f.startswith(flag)]
+            if len(found) != 1:
+                raise ValueError(f"unrecognized argument {arg!r}")
+            flag = found[0]
+            if flag == "--help":
+                rows = [f"  {f:<12} default {d}" for f, (_, d) in flags.items() if d is not REQUIRED]
+                print(usage, "", command.help, "", *rows, sep="\n")
+                return 0
+            if not eq:
+                value = next(args, None)  # a negative number is a value, another "-" word an option
+                if value is None or value.startswith("-") and value[1:2] not in "0123456789.":
+                    raise ValueError(f"{flag} expects a value")
+            kind = flags[flag][0]
+            try:  # a tuple kind lists the choices
+                values[flag] = kind[kind.index(value)] if isinstance(kind, tuple) else kind(value)
+            except ValueError:
+                raise ValueError(f"{flag}: invalid value {value!r}") from None
+        if missing := [f for f, (_, default) in flags.items() if default is REQUIRED and f not in values]:
+            raise ValueError(f"{', '.join(missing)} is required")
+    except ValueError as exc:
+        print(f"error: {exc}", usage, sep="\n", file=sys.stderr)
+        return 2
+    return command, {flag[2:].replace("-", "_"): values.get(flag, default) for flag, (_, default) in flags.items()}
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if isinstance(parsed := parse_args(argv), int):
+        return parsed
+    command, values = parsed
+    form, output = values.pop("format"), values.pop("output")
     try:
-        group = parse_group(args.group) if getattr(args, "group", None) else None
-        handlers = {
-            "pi0": lambda: cmd_pi0(group, args.ell),
-            "pi1": lambda: cmd_pi1(group, args.ell),
-            "kernel": lambda: cmd_kernel(group, args.ell),
-            "idempotents": lambda: cmd_idempotents(group, args.p),
-            "marks": lambda: cmd_marks(group),
-            "geomfp-verify": lambda: cmd_geomfp_verify(args.max_order),
-            "bott-verify": lambda: cmd_bott_verify(group, args.ell),
-            "norms": lambda: cmd_norms(group),
-            "verify-all": lambda: cmd_verify_all(args.max_order, args.test_seed),
-        }
-        ok, payload, text = handlers[args.command]()
+        if values.get("group") is not None:
+            values["group"] = parse_group(values["group"])
+        ok, payload, text = command.handler(**values)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out = canonical_json(payload) if args.format == "json" else text + "\n"
-    if args.output:
+    out = canonical_json(payload) if form == "json" else text + "\n"
+    if output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
+            with open(output, "w", encoding="utf-8") as fh:
                 fh.write(out)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

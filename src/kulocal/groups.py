@@ -171,7 +171,9 @@ class AbelianGroup:
         """All subgroups, in the canonical (order, element-index-tuple) order.
 
         Each subgroup is enumerated once, as a row Hermite normal form
-        (``_hermite_masks``).
+        (``_hermite_masks``).  Among subgroups of one order, the one holding
+        the lowest element where two differ comes first: the larger mask
+        once its |G| bits are read in reverse.
         """
         if self.order > SUBGROUP_ENUM_BOUND:
             raise ValueError(f"group of order {self.order} exceeds subgroup "
@@ -180,9 +182,9 @@ class AbelianGroup:
 
     @cached_property
     def _subgroups_cached(self) -> tuple["Subgroup", ...]:
-        subs = [Subgroup(self, m) for m in self._hermite_masks()]
-        subs.sort(key=lambda h: h.sort_key)
-        return tuple(subs)
+        n = self.order
+        masks = sorted(self._hermite_masks(), key=lambda m: (m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2)))
+        return tuple(Subgroup(self, m) for m in masks)
 
     def _hermite_masks(self) -> list[int]:
         """The mask of every subgroup, once each.
@@ -251,21 +253,13 @@ class Subgroup:
         self._hash = hash((group.factors, mask))
 
     @cached_property
-    def element_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, bit in enumerate(bin(self.mask)[:1:-1]) if bit == "1")
-
-    @cached_property
     def elements(self) -> tuple[Element, ...]:
         els = self.group.elements
-        return tuple(els[i] for i in self.element_indices)
+        return tuple(els[i] for i, bit in enumerate(bin(self.mask)[:1:-1]) if bit == "1")
 
     @property
     def order(self) -> int:
-        return len(self.element_indices)
-
-    @cached_property
-    def sort_key(self) -> tuple:
-        return (self.order, self.element_indices)
+        return self.mask.bit_count()
 
     @property
     def is_cyclic(self) -> bool:

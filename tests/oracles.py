@@ -31,6 +31,13 @@ def generated_subgroup(group: AbelianGroup, gens) -> Subgroup:
     return Subgroup(group, reduce(group.span, gens, 1))  # identity has index 0
 
 
+def canonical_key(h: Subgroup) -> tuple:
+    """The canonical subgroup order by its definition: the order of H, then
+    the tuple of its element indices."""
+    indices = tuple(i for i in range(h.group.order) if h.mask >> i & 1)
+    return (len(indices), indices)
+
+
 def subgroups_by_cyclic_fold(group: AbelianGroup) -> tuple[Subgroup, ...]:
     """The subgroup lattice as a fold over the cyclic subgroups, of which
     every subgroup is a join: after the i-th, the set holds every join of the
@@ -40,7 +47,7 @@ def subgroups_by_cyclic_fold(group: AbelianGroup) -> tuple[Subgroup, ...]:
     masks = {1}
     for c, g in cyclics.items():
         masks |= {group.span(h, g) for h in masks if c & ~h}
-    return tuple(sorted((Subgroup(group, m) for m in masks), key=lambda h: h.sort_key))
+    return tuple(sorted((Subgroup(group, m) for m in masks), key=canonical_key))
 
 
 def contains_element(h: Subgroup, g) -> bool:

@@ -140,6 +140,92 @@ def test_norms_requires_prime_power(capsys):
     assert "cyclic prime-power" in err
 
 
+@pytest.mark.parametrize("spec", ["C2", "C4"])
+def test_norms_reject_a_2_group(capsys, spec):
+    code, out, err = run_capture(capsys, ["norms", "--group", spec])
+    assert (code, out) == (2, "")
+    assert err == "error: q must be an odd prime\n"
+
+
+@pytest.mark.parametrize("command", [name for name, c in cli.COMMANDS.items() if "--group" in c.options])
+def test_empty_group_is_a_bad_spec(capsys, command):
+    # an empty --group is parsed, not taken for an absent one
+    code, out, err = run_capture(capsys, [command, "--group", ""])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad group spec ''")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["pi0"],
+    ["pi0", "--group", "C9", "--bogus", "1"],
+    ["pi0", "--group", "C9", "stray"],
+    ["pi0", "--group"],
+    ["pi0", "--group", "--format=json"],
+    ["pi0", "--group", "C9", "--ell", "x"],
+    ["verify-all", "--max-order", "1.5"],
+    ["pi0", "--group", "C9", "--format", "xml"],
+    ["verify-all", "--group", "C9"],
+])
+def test_bad_argv_exits_2_with_a_usage_line(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, out) == (2, "")
+    first, usage = err.splitlines()
+    assert first.startswith("error: ") and usage.startswith("usage: kulocal ")
+
+
+@pytest.mark.parametrize("spelled,short", [
+    (["pi0", "--group", "C9", "--format", "json"], ["pi0", "--group=C9", "--form=json"]),
+    (["pi0", "--group", "C9", "--format", "json"], ["pi0", "--gro", "C9", "--f", "json"]),
+    (["pi0", "--group", "C9", "--format", "json"], ["pi0", "--group", "C3", "--format=text", "--g=C9", "--f", "json"]),
+    (["kernel", "--group", "C9", "--ell", "5", "--format", "json"], ["kernel", "--g", "C9", "--e=5", "--fo=json"]),
+    (["pi0", "--group", "C9", "--ell=-4", "--format", "json"], ["pi0", "--group", "C9", "--ell", "-4", "--f", "json"]),
+    (["verify-all", "--max-order", "9", "--test-seed", "3", "--format", "json"], ["verify-all", "--m=9", "--t", "3", "--f=json"]),
+])
+def test_option_forms_give_identical_output(capsys, spelled, short):
+    outputs = [run_capture(capsys, argv)[:2] for argv in (spelled, short)]
+    if spelled[0] == "verify-all":  # its one nondeterministic field
+        outputs = [(code, {**json.loads(out), "elapsed_seconds_time_hundredths": 0}) for code, out in outputs]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], *([name, "--help"] for name in cli.COMMANDS), ["pi0", "-h"]])
+def test_help_names_every_subcommand_or_option(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: kulocal ")
+    names = cli.COMMANDS[argv[0]].options if argv[0] in cli.COMMANDS else cli.COMMANDS
+    assert all(name in out for name in names)
+
+
+def test_bad_argv_exits_2_under_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kulocal.cli", "pi0", "--ell", "2"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: --group is required\n")
+
+
+def test_a_job_loads_no_argparse():
+    # building argparse parsers cost each job milliseconds; the command table
+    # parses argv without argparse or the gettext it loads
+    script = (
+        "import sys\nfrom kulocal.cli import run\n"
+        "code = run(['pi1', '--group', 'C9', '--format', 'json'])\n"
+        "print(code, 'argparse' in sys.modules, 'gettext' in sys.modules, file=sys.stderr)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stderr == "0 False False\n"
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.json"
     code = run(["marks", "--group", "C3", "--format", "json", "--output", str(path)])
