@@ -8,13 +8,17 @@ Bott class by ell.  So both are read off the cycles of that permutation
 L-cycle contributes one orbit indicator to the degree-0 kernel, and the block
 ell*C - I, with cokernel Z/|ell^L - 1| and determinant (-1)^(L+1) (ell^L - 1),
 to the degree-2 cokernel.  The degree-0 kernel is compared, as a lattice,
-against the image of the Burnside ring under linearization and against the
-rational representation lattice; the degree-2 cokernel is finite (nonzero
-determinant, checked via invertibility mod ell) and its invariant factors and
-q-primary part give the degree-1 homotopy levels.  ``fiber_level_data`` reads
-the degree-0 kernel, the degree-2 invariant factors and the determinant off
-one cycle decomposition per level; ``group_report`` (the ``pi1`` payload)
-and ``mackey.assemble_pi1_c3`` read theirs from it.  The matrix itself
+against the rational representation lattice, and against the image of the
+Burnside ring under linearization (Ritter-Segal: permutation characters span
+the rational ones).  That second comparison is ``spans_cycle_lattice``, a
+certificate read off the 0/1 linearization rows and the cycle indicators with
+no Hermite form; ``mackey.assemble_pi0`` runs it at every level.  The
+degree-2 cokernel is finite (nonzero determinant, checked via invertibility
+mod ell) and its invariant factors and q-primary part give the degree-1
+homotopy levels.  ``fiber_level_data`` reads the degree-0 kernel, the
+degree-2 invariant factors and the determinant off one cycle decomposition
+per level; ``group_report`` (the ``pi1`` payload) and
+``mackey.assemble_pi1_c3`` read theirs from it.  The matrix itself
 (``reprings.adams_minus_one_on``) remains for the Bareiss determinant of
 ``determinant_mod_ell_check``, which builds it and the cycles from one dual
 level; ``adams_minus_one`` exports it for the whole group.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .burnside import BurnsideRing
 from .exact import (
@@ -35,7 +40,6 @@ from .exact import (
     divisibility_chain,
     is_primitive_root,
     primary_part,
-    row_hnf,
     smallest_prime_factor,
     smallest_primitive_root,
 )
@@ -104,18 +108,48 @@ def degree2_determinant(cycles: tuple[tuple[int, ...], ...], ell: int) -> int:
     return math.prod(_cycle_determinants(cycles, ell))
 
 
+def spans_cycle_lattice(rows: Sequence[Sequence[int]], kernel: Sequence[Vector]) -> bool:
+    """Whether ``rows`` span exactly the lattice of ``kernel``, disjoint cycle
+    indicators that partition the indices (as ``adams_kernel_basis`` returns
+    them), with no elimination and no integer larger than 1.
+
+    Two rules decide it.  Every row must be constant on every cycle, so it
+    is an integer combination of the indicators.  Call the last row that is
+    nonzero on a cycle its last cover: every cycle needs one, and no two
+    cycles may share one.  A last cover is then nonzero on no cycle whose last
+    cover comes earlier, so the last covers, each +-1 on its own cycle, are
+    unitriangular over the indicators and form a basis of their lattice.
+    """
+    cycles = [[i for i, x in enumerate(k) if x] for k in kernel]
+    after = list(range(sum(map(len, cycles))))  # the next index round its cycle
+    for cycle in cycles:
+        for i, j in zip(cycle, cycle[1:] + cycle[:1], strict=True):
+            after[i] = j
+    last: dict[int, tuple[int, int]] = {}  # cycle -> (last cover, its value)
+    for r, row in enumerate(rows):
+        if [row[j] for j in after] != [*row]:
+            return False
+        for c, cycle in enumerate(cycles):
+            if row[cycle[0]]:
+                last[c] = r, row[cycle[0]]
+    covers = last.values()
+    return len({r for r, _ in covers}) == len(cycles) and all(v in (1, -1) for _, v in covers)
+
+
 @dataclass(frozen=True)
 class KernelWitness:
-    """The lattices of the degree-0 kernel identification, all in canonical
-    HNF, so equal tuples are equal lattices.  Every row of ``rq`` is the
-    indicator of one orbit of the units mod the exponent, so a kernel equal
-    to ``rq`` is fixed by every such unit and has rational characters."""
+    """The degree-0 kernel identification.  ``kernel`` and ``rq`` are lattices
+    in canonical HNF, so equal tuples are equal lattices.  Every row of
+    ``rq`` is the indicator of one orbit of the units mod the exponent, so a
+    kernel equal to ``rq`` is fixed by every such unit and has rational
+    characters.  ``linearized`` is ``spans_cycle_lattice`` on the rows of the
+    linearization: whether the image of the Burnside ring is the kernel."""
 
     group: AbelianGroup
     ell: int
     kernel: tuple[Vector, ...]      # ker(psi^ell - 1)
     rq: tuple[Vector, ...]          # Galois orbit-sum lattice
-    linearized: tuple[Vector, ...]  # image of the Burnside ring
+    linearized: bool                # image of the Burnside ring == kernel
     cyclic_count: int
 
     @property
@@ -123,11 +157,18 @@ class KernelWitness:
         return len(self.kernel)
 
     @property
-    def ok(self) -> bool:
-        return (
-            self.kernel == self.rq == self.linearized
-            and self.rank == self.cyclic_count
+    def failures(self) -> list[str]:
+        """The comparisons that fail: rational lattice, linearized lattice, rank."""
+        checks = (
+            (self.kernel == self.rq, "the rational lattice is not the kernel"),
+            (self.linearized, "the linearized Burnside lattice is not the kernel"),
+            (self.rank == self.cyclic_count, f"kernel rank {self.rank} != {self.cyclic_count} cyclic subgroups"),
         )
+        return [failure for ok, failure in checks if not ok]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def to_json(self) -> dict:
         return {
@@ -154,12 +195,13 @@ def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWi
     require_primitive(group, ell)
 
     ring = BurnsideRing(group)
+    kernel = adams_kernel_basis(adams_cycles(ring.dual, ell))
     return KernelWitness(
         group=group,
         ell=ell,
-        kernel=adams_kernel_basis(adams_cycles(ring.dual, ell)),
+        kernel=kernel,
         rq=rational_rep_lattices(group),
-        linearized=row_hnf(ring.linearize_matrix.entries, group.order),
+        linearized=spans_cycle_lattice(ring.linearize_matrix.entries, kernel),
         cyclic_count=len(group.cyclic_subgroups()),
     )
 

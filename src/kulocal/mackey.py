@@ -57,7 +57,7 @@ from .exact import (
     row_hnf,
     smith_normal_form,
 )
-from .fiber import default_ell, fiber_level_data
+from .fiber import default_ell, fiber_level_data, spans_cycle_lattice
 from .groups import AbelianGroup, DualLevel, Subgroup
 
 Vector = tuple
@@ -615,13 +615,19 @@ def _tensor(
 @dataclass(frozen=True)
 class Pi0Result:
     """(A/J)[x]/(2x, x^2) levelwise: free rank = number of cyclic subgroups of
-    the level (A/J's rank), with as many Z/2 classes, multiplied so x^2 = 0."""
+    the level (A/J's rank), with as many Z/2 classes, multiplied so x^2 = 0.
+    ``cross_check_failures`` names each level whose Adams kernel is not the
+    linearized Burnside lattice, or whose rank is not A/J's."""
 
     group: AbelianGroup
     ell: int
     functor: GreenFunctor
     a_mod_j: MarksFunctor
-    kernel_cross_check: bool
+    cross_check_failures: tuple[str, ...]
+
+    @property
+    def kernel_cross_check(self) -> bool:
+        return not self.cross_check_failures
 
     def level_summary(self) -> list[dict]:
         out = []
@@ -683,22 +689,24 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
     aj = a_mod_j_mackey(group)
     functor = adjoin_x(aj, "pi0")
 
-    # cross-check: at each level the linearized Burnside lattice equals the
-    # degree-0 Adams kernel in RU(H), whose cycle indicators are canonical HNF
+    # cross-check: at each level the linearized Burnside lattice is the
+    # degree-0 Adams kernel in RU(H), by the certificate on its cycle
+    # indicators (no Hermite form), and its rank is A/J's
     level_data = fiber_level_data(group, ell)
-    cross = True
+    failures = []
     for h, ring in aj.rings.items():
-        if row_hnf(ring.linearize_matrix.entries, ring.dual.size) != level_data[h].pi0_basis:
-            cross = False
-        if len(level_data[h].pi0_basis) != aj.level(h).rank:
-            cross = False
+        kernel = level_data[h].pi0_basis
+        if not spans_cycle_lattice(ring.linearize_matrix.entries, kernel):
+            failures.append(f"at {h!r}: the linearized Burnside lattice is not the kernel")
+        if len(kernel) != aj.level(h).rank:
+            failures.append(f"at {h!r}: kernel rank {len(kernel)} != A/J rank {aj.level(h).rank}")
 
     return Pi0Result(
         group=group,
         ell=ell,
         functor=functor,
         a_mod_j=aj,
-        kernel_cross_check=cross,
+        cross_check_failures=tuple(failures),
     )
 
 

@@ -692,6 +692,67 @@ def test_bott_verify_c243_under_O_within_the_job_budget():
         assert (row["scalar"], row["beta_power"]) == (k ** m, m)
 
 
+@pytest.mark.parametrize("spec,rank", [("C3xC3xC3xC3xC3", 122), ("C9xC9xC9", 131)])
+def test_kernel_under_O_within_the_job_budget(spec, rank):
+    # both were killed at 150 s while the identification took the Hermite
+    # form of the whole linearization; 30 s is the benchmark's per-job budget
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kulocal.cli", "kernel", "--group", spec, "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["lattices_agree"] is True
+    assert payload["pi0_rank"] == payload["cyclic_subgroups"] == rank
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["kernel", "--group", "C3xC3xC9"], {}),
+    # one per level of C3xC3xC9, each the Hermite basis of A/J (burnside)
+    (["pi0", "--group", "C3xC3xC9"], {"kulocal.burnside": 50}),
+])
+def test_kernel_identification_takes_no_hermite_form(capsys, monkeypatch, argv, calls):
+    # fiber.spans_cycle_lattice certifies the degree-0 kernel; row_hnf is
+    # counted in every kulocal module that holds it, by that module
+    assert not hasattr(sys.modules["kulocal.fiber"], "row_hnf")
+    counts = Counter()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kulocal.") and hasattr(module, "row_hnf"):
+            def counted(*args, _hnf=module.row_hnf, _name=name):
+                counts[_name] += 1
+                return _hnf(*args)
+
+            monkeypatch.setattr(module, "row_hnf", counted)
+    assert run_capture(capsys, argv)[0] == 0
+    assert counts == calls
+
+
+def test_a_missing_linearization_row_fails_both_kernel_checks(capsys, monkeypatch):
+    # without the all-ones row of [H/e], no row covers the faithful
+    # characters of a cyclic level H
+    build = BurnsideRing.linearize_matrix.func
+
+    def dropped(ring):
+        lin = build(ring)
+        return IntMatrix([list(r) for r in lin.entries[1:]], cols=lin.cols)
+
+    monkeypatch.setattr(BurnsideRing, "linearize_matrix", property(dropped))
+    code, out, _ = run_capture(capsys, ["kernel", "--group", "C9"])
+    assert code == 1
+    assert "lattices DISAGREE" in out
+    code, out, _ = run_capture(capsys, ["pi0", "--group", "C9"])
+    assert code == 1
+    assert "kernel cross-check: FAIL" in out
+    code, failed, _ = _verify_all_failures(capsys)
+    assert code == 1
+    assert failed["C9: kernel identification"] == ["the linearized Burnside lattice is not the kernel"]
+    assert failed["C9: pi0 assembly cross-check"] == [
+        f"at {h!r}: the linearized Burnside lattice is not the kernel" for h in parse_group("C9").subgroups()
+    ]
+
+
 def test_verify_all_tiny(capsys):
     code, out, _ = run_capture(capsys, ["verify-all", "--max-order", "9"])
     assert code == 0

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from kulocal.burnside import BurnsideRing
 from kulocal.exact import (
     IntMatrix,
     is_primitive_root,
@@ -24,6 +25,7 @@ from kulocal.fiber import (
     fiber_level_data,
     group_report,
     kernel_equals_AmodJ,
+    spans_cycle_lattice,
 )
 from kulocal.groups import DualLevel, parse_group
 from kulocal.reprings import adams_cycles, adams_kernel_basis, adams_minus_one_on
@@ -111,6 +113,64 @@ def test_kernel_witness_reports_differing_rational_lattices():
     bad = dataclasses.replace(w, rq=doubled)
     assert not bad.ok
     assert bad.to_json()["lattices_agree"] is False
+    assert bad.failures == ["the rational lattice is not the kernel"]
+
+
+def test_kernel_witness_names_each_failing_comparison():
+    w = kernel_equals_AmodJ(parse_group("C9"))
+    assert w.failures == []
+    assert dataclasses.replace(w, linearized=False).failures == [
+        "the linearized Burnside lattice is not the kernel"
+    ]
+    assert dataclasses.replace(w, cyclic_count=4).failures == ["kernel rank 3 != 4 cyclic subgroups"]
+
+
+CERTIFICATE_GROUPS = [
+    "C1", "C3", "C9", "C27", "C81", "C3xC3", "C3xC9", "C9xC9", "C5xC25",
+    "C3xC3xC3", "C3xC3xC9", "C15", "C45",
+]
+
+
+@pytest.mark.parametrize("spec", CERTIFICATE_GROUPS)
+def test_cycle_certificate_matches_hermite_oracle(spec):
+    # at every level and every ell in [-60, 60] coprime to |G|, the
+    # certificate agrees with comparing the Hermite form of the linearization
+    # rows to the cycle indicators; an ell that is not primitive at the level
+    # splits the cycles, and then the lattices differ
+    g = parse_group(spec)
+    outcomes = set()
+    for h in g.subgroups():
+        ring = BurnsideRing(g, h)
+        rows = ring.linearize_matrix.entries
+        hnf = row_hnf(rows, ring.dual.size)
+        for ell in range(-60, 61):
+            if math.gcd(ell, g.order) != 1:
+                continue
+            kernel = adams_kernel_basis(adams_cycles(ring.dual, ell))
+            equal = hnf == kernel
+            assert spans_cycle_lattice(rows, kernel) == equal, (spec, h, ell)
+            outcomes.add(equal)
+    assert outcomes == ({True} if g.order == 1 else {True, False})
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, 0, 0), (0, 1, 0)],  # not constant on the cycle {1, 2}
+    [(1, 1, 1), (1, 1, 1)],  # both cycles last covered by row 1
+    [(0, 1, 1)],             # no row covers the cycle {0}
+    [(1, 1, 1), (2, 0, 0)],  # the last cover of {0} is 2 there, not +-1
+])
+def test_cycle_certificate_rejects(rows):
+    kernel = ((1, 0, 0), (0, 1, 1))
+    assert row_hnf(rows, 3) != kernel
+    assert not spans_cycle_lattice(rows, kernel)
+
+
+def test_cycle_certificate_accepts_unitriangular_last_covers():
+    # the last covers, rows 1 and 2, are unitriangular over the indicators
+    kernel = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1))
+    rows = [(0, 0, 0, 0), (1, 0, 1, 1), (0, 1, 1, 1), (0, 0, 1, 1)]
+    assert row_hnf(rows, 4) == kernel
+    assert spans_cycle_lattice(rows, kernel)
 
 
 def test_kernel_rejects_nonprimitive():
