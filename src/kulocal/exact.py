@@ -329,9 +329,7 @@ class Cyclotomic:
             other = Cyclotomic.from_rational(self.conductor, other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.conductor == other.conductor and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs, strict=True)
-        )
+        return self.conductor == other.conductor and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.conductor, tuple(Fraction(a) for a in self.coeffs)))
@@ -483,7 +481,9 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
     def det(self) -> int:
-        """Exact determinant (fraction-free Bareiss elimination)."""
+        """Exact determinant (fraction-free Bareiss elimination).  A row with
+        0 under the pivot needs no products: each entry x becomes the minor
+        x * pivot // prev, so the row is unchanged when pivot == prev."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
         n = self.rows
@@ -492,19 +492,24 @@ class IntMatrix:
         a = [list(r) for r in self.entries]
         sign, prev = 1, 1
         for k in range(n - 1):
-            if a[k][k] == 0:
+            rk = a[k]
+            if rk[k] == 0:
                 for i in range(k + 1, n):
                     if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
+                        a[k], a[i] = a[i], rk
+                        rk, sign = a[k], -sign
                         break
                 else:
                     return 0
-            pivot = a[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
+            pivot, cols = rk[k], range(k + 1, n)
+            for ri in a[k + 1:]:
+                m = ri[k]
+                if m:
+                    for j in cols:
+                        ri[j] = (ri[j] * pivot - m * rk[j]) // prev
+                elif pivot != prev:
+                    for j in cols:
+                        ri[j] = ri[j] * pivot // prev
             prev = pivot
         return sign * a[n - 1][n - 1]
 

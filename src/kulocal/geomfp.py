@@ -16,7 +16,8 @@ The verified identities:
 * inverting the Euler class of the reduced regular representation inverts
   exactly x^{q^{k-1}} - 1: the Euler class has it as a factor, every
   geometric-series unit prime to q is certified invertible by an explicit
-  inverse, and multiplication by y - 1 has determinant a power of q;
+  inverse (the product, a sum of runs of ones, is formed in Z[x]/(x^{q^k} - 1)
+  and reduced once), and multiplication by y - 1 has determinant a power of q;
 * for a rank-two elementary abelian group, the product of the remaining
   Euler classes equals y^q - 1, which is zero, so the full localization is
   the zero ring;
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .exact import (
     Cyclotomic,
@@ -42,13 +44,14 @@ from .exact import (
     poly_mul,
     poly_sub,
     poly_x_power,
+    prime_power_part,
     require_odd_prime,
 )
 from .fiber import require_primitive
 from .groups import AbelianGroup
 from .reprings import RURing, perm_rep
 
-DIRECT_DET_RANK_BOUND = 24  # Bareiss cross-checks only below this rank
+DIRECT_DET_RANK_BOUND = 24  # Bareiss cross-checks only at rank at most this
 
 
 def trunc_regular_poly(q: int, k: int) -> tuple:
@@ -71,20 +74,33 @@ def _check_k(k: int) -> None:
 
 
 def _cyclic_mul_sparse(v: list[int], power: int, n: int, sign: int) -> list[int]:
-    """v * (x^power + sign) in Z[x]/(x^n - 1)."""
-    return [v[(j - power) % n] + sign * v[j] for j in range(n)]
+    """v * (x^power + sign) in Z[x]/(x^n - 1): x^power rotates v."""
+    p = power % n
+    return [a + sign * b for a, b in zip(v[-p:] + v[:-p], v, strict=True)]
 
 
 def _euler_regular(q: int, k: int, skip: int | None = None) -> list[int]:
     """prod over i = 1..q^k-1 (optionally skipping one i) of (x^i - 1)."""
     n = q ** k
-    v = [0] * n
-    v[0] = 1
+    v = [1] + [0] * (n - 1)
     for i in range(1, n):
-        if i == skip:
-            continue
-        v = _cyclic_mul_sparse(v, i, n, -1)
+        if i != skip:
+            v = _cyclic_mul_sparse(v, i, n, -1)
     return v
+
+
+def _unit_product(n: int, i: int) -> Cyclotomic:
+    """rho_i * rho_{i^{-1} mod n}(x^i) in Z[zeta_n]: one run of i ones per
+    monomial x^{(i t) mod n}, t < i^{-1} mod n, of the partner.  Each run adds
+    1 at its start and -1 past its end, mod n, so the prefix sum is the product
+    in Z[x]/(x^n - 1) less one 1 + x + ... + x^{n-1} per run that wraps; Phi_n
+    divides that sum, so the one reduction mod Phi_n gives the product."""
+    ends = [0] * n
+    for t in range(pow(i, -1, n)):
+        start = i * t % n
+        ends[start] += 1
+        ends[(start + i) % n] -= 1
+    return Cyclotomic.from_poly(n, list(accumulate(ends)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +155,7 @@ def verify_q_unit_identity(q: int, k: int) -> Witness:
     # (1 - y) * sum_{j=0}^{q-2} (q-1-j) y^j == q
     partner = Cyclotomic.zero(e)
     for j in range(q - 1):
-        partner = partner + (q - 1 - j) * (y ** j)
+        partner = partner + (q - 1 - j) * Cyclotomic.zeta_power(e, step * j)
     forward = (one - y) * partner == q * one
 
     # (y - 1)^q has all coefficients divisible by q in the quotient
@@ -162,10 +178,12 @@ def verify_euler_localization(q: int, k: int) -> Witness:
         representation in Z[x]/(x^{q^k} - 1), with the complementary product
         as explicit witness;
     (b) every geometric series rho_i = 1 + x + ... + x^{i-1} with i prime to
-        q is a unit of Z[x]/rho(k-1): an explicit inverse is produced from
-        rho_{i^{-1} mod q^k}(x^i) and multiplied out to 1, which forces the
-        multiplication-matrix determinant to be +-1 (cross-checked directly
-        at small rank);
+        q is a unit of Z[x]/rho(k-1): its explicit inverse
+        rho_{i^{-1} mod q^k}(x^i) is the monomials x^{(i t) mod q^k}, so the
+        product is one run of i ones per monomial, summed by a prefix sum in
+        Z[x]/(x^{q^k} - 1) and reduced once mod rho(k-1) to 1; that forces
+        the multiplication-matrix determinant to be +-1 (cross-checked by
+        Bareiss at rank at most DIRECT_DET_RANK_BOUND);
     (c) multiplication by x^{q^{k-1}} - 1 on Z[x]/rho(k-1) has determinant
         +- a positive power of q, computed exactly from the block structure
         of the multiplication matrix over Z[y]/(1 + y + ... + y^{q-1}).
@@ -185,24 +203,17 @@ def verify_euler_localization(q: int, k: int) -> Witness:
 
     # (b) units rho_i for i prime to q
     one = Cyclotomic.one(n)
-    unit_count = 0
-    dets_checked = 0
+    unit_count = dets_checked = 0
     part_b = True
     for i in range(1, n):
         if i % q == 0:
             continue
-        rho_i = Cyclotomic.from_poly(n, [1] * i)
-        i_inv = pow(i, -1, n)
-        inv_coeffs = [0] * n
-        for t in range(i_inv):
-            inv_coeffs[(i * t) % n] += 1
-        inverse = Cyclotomic.from_poly(n, inv_coeffs)
-        if rho_i * inverse != one:
+        if _unit_product(n, i) != one:
             part_b = False
             break
         unit_count += 1
         if len(one.coeffs) <= DIRECT_DET_RANK_BOUND:
-            if abs(mult_matrix_determinant(rho_i)) != 1:
+            if abs(mult_matrix_determinant(Cyclotomic.from_poly(n, [1] * i))) != 1:
                 part_b = False
                 break
             dets_checked += 1
@@ -214,31 +225,15 @@ def verify_euler_localization(q: int, k: int) -> Witness:
     # by the same (q-1) x (q-1) block; a matrix of any other shape fails (c)
     y_minus_1 = Cyclotomic.zeta_power(n, step) - one
     m = mult_matrix(y_minus_1)
-    d = m.rows
-    blocks = [
-        IntMatrix(
-            [
-                [m.entries[r + t1 * step][r + t2 * step] for t2 in range(q - 1)]
-                for t1 in range(q - 1)
-            ],
-            cols=q - 1,
-        )
-        for r in range(step)
-    ]
+    blocks = [IntMatrix([row[r::step] for row in m.entries[r::step]]) for r in range(step)]
+    # every nonzero entry of row s lies in a column of its residue class
     blocks_ok = all(b == blocks[0] for b in blocks) and all(
-        m.entries[s1][s2] == 0
-        for s1 in range(d)
-        for s2 in range(d)
-        if s1 % step != s2 % step
+        sum(map(abs, row)) == sum(map(abs, row[s % step::step]))
+        for s, row in enumerate(m.entries)
     )
     det = blocks[0].det() ** step
-    a = abs(det)
-    is_q_power = a > 1
-    while a > 1 and a % q == 0:
-        a //= q
-    is_q_power = is_q_power and a == 1
     witness["det_y_minus_1"] = det
-    part_c = blocks_ok and is_q_power
+    part_c = blocks_ok and abs(det) > 1 and prime_power_part(det, q) == abs(det)
 
     return Witness(
         check_name="euler_localization",

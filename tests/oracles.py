@@ -24,6 +24,15 @@ def mult_matrix_by_products(a: Cyclotomic) -> IntMatrix:
     return IntMatrix.from_columns(cols, nrows=d)
 
 
+def unit_product_by_cyclotomic_products(n: int, i: int) -> Cyclotomic:
+    """rho_i * rho_{i^{-1} mod n}(x^i) in Z[zeta_n] by its definition: both
+    factors reduced to Cyclotomics, then one dense product."""
+    inverse = [0] * n
+    for t in range(pow(i, -1, n)):
+        inverse[i * t % n] += 1
+    return Cyclotomic.from_poly(n, [1] * i) * Cyclotomic.from_poly(n, inverse)
+
+
 # -- groups and explicit H-sets ----------------------------------------------
 
 

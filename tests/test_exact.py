@@ -566,3 +566,39 @@ def test_cyclotomic_products_match_sympy_remainders(e):
         product = Cyclotomic(e, a) * Cyclotomic(e, b)
         expected = _from_sympy((_sympy_poly(sympy, a) * _sympy_poly(sympy, b)).rem(phi))
         assert product == Cyclotomic(e, expected)
+
+
+def _det_matrices(rng):
+    """Matrices that reach every branch of the Bareiss loop, then seeded
+    sparse ones and the degree-2 psi^ell - 1 of three groups."""
+    from kulocal.fiber import default_ell
+    from kulocal.groups import DualLevel, parse_group
+    from kulocal.reprings import adams_minus_one_on
+
+    out = [
+        IntMatrix([], cols=0),
+        IntMatrix([[-7]]),
+        IntMatrix([[2, 1, 0], [0, 3, 1], [1, 0, 4]]),  # 0 under pivot 2 != prev 1
+        IntMatrix([[1, 2, 3], [0, 4, 5], [1, 0, 6]]),  # 0 under pivot 1 == prev 1
+        IntMatrix([[0, 2, 1], [3, 0, 0], [1, 1, 1]]),  # zero pivot: a row swap
+        IntMatrix([[0, 1], [0, 2]]),  # no pivot in column 0
+        IntMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]),  # singular, with a swap
+    ]
+    for _ in range(200):
+        n = rng.randrange(1, 8)
+        out.append(IntMatrix([[rng.choice((0, 0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(n)]))
+    for spec in ("C27", "C81", "C3xC9"):
+        g = parse_group(spec)
+        out.append(adams_minus_one_on(DualLevel(g, g.full_subgroup), default_ell(g), 2))
+    return out
+
+
+def test_det_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    dets = []
+    for a in _det_matrices(random.Random(SEED + 6)):
+        ref = sympy.Matrix([list(r) for r in a.entries]).det(method="domain-ge")
+        assert a.det() == ref, a
+        dets.append(ref)
+    assert dets[:7] == [1, -7, 25, 22, -3, 0, 0]
+    assert 0 in dets[7:-3] and all(dets[-3:])

@@ -25,7 +25,7 @@ from kulocal.geomfp import (
     verify_regular_factorization,
 )
 from kulocal.groups import AbelianGroup, parse_group
-from oracles import generated_subgroup, ru_restrict
+from oracles import generated_subgroup, ru_restrict, unit_product_by_cyclotomic_products
 
 PRIME_POWER_RANGE = [(q, k) for q in (3, 5, 7) for k in range(1, 5) if q ** k <= 125]
 
@@ -93,6 +93,44 @@ def test_euler_localization_unit_example():
 @pytest.mark.parametrize("q,k", PRIME_POWER_RANGE)
 def test_euler_localization_range(q, k):
     assert verify_euler_localization(q, k).ok
+
+
+@pytest.mark.parametrize("n", [1, 5, 9])
+def test_cyclic_mul_sparse_matches_the_entrywise_formula(n):
+    v = list(range(1, n + 1))
+    for power in range(2 * n):
+        for sign in (1, -1):
+            expected = [v[(j - power) % n] + sign * v[j] for j in range(n)]
+            assert geomfp._cyclic_mul_sparse(v, power, n, sign) == expected
+
+
+@pytest.mark.parametrize("q,k", [(3, 2), (5, 2), (3, 3), (7, 2), (5, 3)])
+def test_unit_product_matches_the_cyclotomic_product(q, k):
+    n = q ** k
+    for i in range(1, n):
+        if i % q:
+            product = geomfp._unit_product(n, i)
+            assert product == unit_product_by_cyclotomic_products(n, i) == Cyclotomic.one(n), i
+
+
+@pytest.mark.parametrize("q,k,bad,certified", [(3, 2, 5, 3), (5, 3, 7, 5)])
+def test_euler_localization_fails_on_a_dropped_run(monkeypatch, q, k, bad, certified):
+    # at i = bad, drop the run of i ones that the partner's monomial x^i
+    # (t = 1) starts; the units before it stay certified
+    n = q ** k
+    original = geomfp._unit_product
+
+    def dropped(n, i):
+        run = Cyclotomic.from_poly(n, [0] * i + [1] * i)
+        return original(n, i) - run if i == bad else original(n, i)
+
+    monkeypatch.setattr(geomfp, "_unit_product", dropped)
+    w = verify_euler_localization(q, k)
+    assert not w.ok
+    assert w.witness["euler_divisible"]
+    assert w.witness["units_certified"] == certified
+    small = n - n // q <= DIRECT_DET_RANK_BOUND
+    assert w.witness["unit_dets_cross_checked"] == (certified if small else 0)
 
 
 # every (q, k) whose multiplication matrix is small enough for Bareiss
