@@ -114,9 +114,9 @@ class BurnsideRing:
 
     # -- linearization and the cyclically-vanishing ideal ------------------------
 
-    @cached_property
+    @property
     def dual(self) -> DualLevel:
-        return DualLevel(self.group, self.level)
+        return self.level.dual
 
     @cached_property
     def linearize_matrix(self) -> IntMatrix:

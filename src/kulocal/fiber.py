@@ -15,10 +15,15 @@ certificate read off the 0/1 linearization rows and the cycle indicators with
 no Hermite form; ``mackey.assemble_pi0`` runs it at every level.  The
 degree-2 cokernel is finite (nonzero determinant, checked via invertibility
 mod ell) and its invariant factors and q-primary part give the degree-1
-homotopy levels.  ``fiber_level_data`` reads the degree-0 kernel, the
-degree-2 invariant factors and the determinant off one cycle decomposition
-per level; ``group_report`` (the ``pi1`` payload) and
-``mackey.assemble_pi1_c3`` read theirs from it.  The matrix itself
+homotopy levels.  ``fiber_level_data`` reads the degree-0 kernel and the
+degree-2 invariant factors off one cycle decomposition per level, for
+``mackey.assemble_pi0`` and ``mackey.assemble_pi1_c3``.  ``group_report``
+(the ``pi1`` payload) decomposes only the top level.  For ell a primitive
+root mod exponent(G), the cycles on a level's characters are the generator
+sets of its cyclic subgroups, so every level's cokernel follows from how many
+elements of each order it has (``counted_cycle_lengths``); the top level's
+explicit cycle lengths are checked against that count.  Each level's
+characters (``Subgroup.dual``) are built once and shared.  The matrix itself
 (``reprings.adams_minus_one_on``) remains for the Bareiss determinant of
 ``determinant_mod_ell_check``, which builds it and the cycles from one dual
 level; ``adams_minus_one`` exports it for the whole group.
@@ -38,12 +43,13 @@ from .burnside import BurnsideRing
 from .exact import (
     IntMatrix,
     divisibility_chain,
+    euler_phi,
     is_primitive_root,
     primary_part,
     smallest_prime_factor,
     smallest_primitive_root,
 )
-from .groups import AbelianGroup, DualLevel, Subgroup
+from .groups import AbelianGroup, Subgroup
 from .reprings import (
     adams_cycles,
     adams_kernel_basis,
@@ -80,32 +86,55 @@ SINGULAR_DEGREE2 = (
 
 def adams_minus_one(group: AbelianGroup, ell: int, degree: int) -> IntMatrix:
     _require_coprime(group, ell)
-    return adams_minus_one_on(DualLevel(group, group.full_subgroup), ell, degree)
+    return adams_minus_one_on(group.full_subgroup.dual, ell, degree)
 
 
-def _cycle_determinants(cycles: tuple[tuple[int, ...], ...], ell: int) -> list[int]:
+def _cycle_determinants(lengths: Sequence[int], ell: int) -> list[int]:
     """det(ell*C - I) = (-1)^(L+1) (ell^L - 1) for each L-cycle C; a zero one
     makes the degree-2 psi^ell - 1 singular, which contradicts the finiteness
     of its cokernel and raises."""
-    dets = [(-1) ** (len(c) + 1) * (ell ** len(c) - 1) for c in cycles]
+    dets = [(-1) ** (n + 1) * (ell ** n - 1) for n in lengths]
     if 0 in dets:
         raise ArithmeticError(SINGULAR_DEGREE2)
     return dets
+
+
+def _factors_of_lengths(lengths: Sequence[int], ell: int) -> tuple[int, ...]:
+    orders = [abs(d) for d in _cycle_determinants(lengths, ell)]
+    return (1,) * (sum(lengths) - len(lengths)) + divisibility_chain(orders)
 
 
 def degree2_invariant_factors(cycles: tuple[tuple[int, ...], ...], ell: int) -> tuple[int, ...]:
     """Invariant factors of the cokernel of the degree-2 psi^ell - 1 on one
     level, from its ``adams_cycles``.  An L-cycle block ell*C - I has cyclic
     cokernel Z[x]/(x^L - 1, ell*x - 1) = Z/|ell^L - 1|, so L - 1 of its factors
-    are 1, and the cyclic orders of all blocks become one divisibility chain."""
-    orders = [abs(d) for d in _cycle_determinants(cycles, ell)]
-    return (1,) * (sum(map(len, cycles)) - len(cycles)) + divisibility_chain(orders)
+    are 1, and the cyclic orders of all blocks become one divisibility chain.
+    Only the cycle lengths matter."""
+    return _factors_of_lengths([len(c) for c in cycles], ell)
 
 
 def degree2_determinant(cycles: tuple[tuple[int, ...], ...], ell: int) -> int:
     """det of the degree-2 psi^ell - 1 from one level's ``adams_cycles``: the
     product over the cycles of their block determinants; a singular one raises."""
-    return math.prod(_cycle_determinants(cycles, ell))
+    return math.prod(_cycle_determinants([len(c) for c in cycles], ell))
+
+
+def counted_cycle_lengths(h: Subgroup) -> tuple[int, ...]:
+    """The lengths of the psi^ell cycles on the characters of H, ascending,
+    for any ell that is a primitive root mod exponent(G), read off the
+    element orders of H.
+
+    Such an ell generates the units mod every order d of a character a, so
+    the cycle of a is the set of generators of <a>: one cycle of length
+    phi(d) per cyclic subgroup of order d.  The characters of H form a group
+    isomorphic to H, so H has count/phi(d) of them, count being the number of
+    elements of H of order d (``AbelianGroup.order_masks``).
+    """
+    lengths = []
+    for d, mask in h.group.order_masks.items():
+        phi = euler_phi(d)
+        lengths += [phi] * ((h.mask & mask).bit_count() // phi)
+    return tuple(sorted(lengths))
 
 
 def spans_cycle_lattice(rows: Sequence[Sequence[int]], kernel: Sequence[Vector]) -> bool:
@@ -213,7 +242,7 @@ def determinant_mod_ell_check(group: AbelianGroup, ell: int | None = None) -> tu
     if ell is None:
         ell = default_ell(group)
     _require_coprime(group, ell)
-    dual = DualLevel(group, group.full_subgroup)
+    dual = group.full_subgroup.dual
     det = adams_minus_one_on(dual, ell, 2).det()
     ok = (
         det % ell in (1 % ell, (ell - 1) % ell)
@@ -225,17 +254,12 @@ def determinant_mod_ell_check(group: AbelianGroup, ell: int | None = None) -> tu
 
 @dataclass(frozen=True)
 class FiberLevelData:
-    """Degree-0 kernel lattice, degree-2 cokernel and determinant at one level."""
+    """Degree-0 kernel lattice and degree-2 cokernel at one level."""
 
     subgroup: Subgroup
     pi0_basis: tuple[Vector, ...]  # HNF rows inside RU(H) coordinates
     pi1_invariant_factors: tuple[int, ...]
     pi1_q_part: tuple[int, ...]
-    det_degree2: int
-
-    @property
-    def pi0_rank(self) -> int:
-        return len(self.pi0_basis)
 
 
 def fiber_level_data(group: AbelianGroup, ell: int | None = None) -> dict[Subgroup, FiberLevelData]:
@@ -252,45 +276,68 @@ def fiber_level_data(group: AbelianGroup, ell: int | None = None) -> dict[Subgro
     q = smallest_prime_factor(group.order)
     out = {}
     for h in group.subgroups():
-        cycles = adams_cycles(DualLevel(group, h), ell)
+        cycles = adams_cycles(h.dual, ell)
         factors = degree2_invariant_factors(cycles, ell)
         out[h] = FiberLevelData(
             subgroup=h,
             pi0_basis=adams_kernel_basis(cycles),
             pi1_invariant_factors=factors,
             pi1_q_part=primary_part(factors, q),
-            det_degree2=degree2_determinant(cycles, ell),
         )
     require_primitive(group, ell)
     return out
 
 
 def group_report(group: AbelianGroup, ell: int | None = None) -> dict:
-    """The ``pi1`` report in one pass over the levels: the top level gives the
-    degree-0 kernel and the degree-2 cokernel, and every level its cokernel."""
+    """The ``pi1`` report.  Only the top level is decomposed: its
+    ``adams_cycles`` give the degree-0 kernel, the degree-2 cokernel and its
+    determinant.  Every level's cokernel comes from ``counted_cycle_lengths``,
+    once per distinct list of lengths.  The top level's cycle lengths must be
+    the counted ones; if they are not, the report lists the mismatch under
+    ``failures``.
+
+    Errors come in ``fiber_level_data``'s order: an ell not coprime to |G|,
+    then a singular degree-2 matrix (singular at a level means singular at
+    the top), then an ell that is not a primitive root, which the count needs.
+    """
     if ell is None:
         ell = default_ell(group)
+    _require_coprime(group, ell)
     q = smallest_prime_factor(group.order)
-    levels = fiber_level_data(group, ell)
-    top = levels[group.full_subgroup]
-    return {
+    top = group.full_subgroup
+    cycles = adams_cycles(top.dual, ell)
+    top_factors = degree2_invariant_factors(cycles, ell)
+    require_primitive(group, ell)
+    kernel = adams_kernel_basis(cycles)
+    factors_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    levels = []
+    for h in group.subgroups():
+        lengths = counted_cycle_lengths(h)
+        if lengths not in factors_of:
+            factors_of[lengths] = _factors_of_lengths(lengths, ell)
+        factors = factors_of[lengths]
+        levels.append({
+            "subgroup": h.order,
+            "pi1_invariant_factors": [d for d in factors if d != 1],
+            "pi1_q_part": list(primary_part(factors, q)),
+        })
+    report = {
         "group": repr(group),
         "ell": ell,
         "q": q,
-        "pi0_rank": top.pi0_rank,
-        "pi0_basis": [list(r) for r in top.pi0_basis],
-        "pi1_invariant_factors": list(top.pi1_invariant_factors),
-        "pi1_q_part": list(top.pi1_q_part),
-        "det_degree2": top.det_degree2,
-        "levels": [
-            {
-                "subgroup": h.order,
-                "pi1_invariant_factors": [d for d in lv.pi1_invariant_factors if d != 1],
-                "pi1_q_part": list(lv.pi1_q_part),
-            }
-            for h, lv in levels.items()
-        ],
+        "pi0_rank": len(kernel),
+        "pi0_basis": [list(r) for r in kernel],
+        "pi1_invariant_factors": list(top_factors),
+        "pi1_q_part": list(primary_part(top_factors, q)),
+        "det_degree2": degree2_determinant(cycles, ell),
+        "levels": levels,
     }
+    explicit, counted = sorted(map(len, cycles)), list(counted_cycle_lengths(top))
+    if explicit != counted:
+        report["failures"] = [
+            f"the top level's psi^{ell} cycle lengths {explicit} are not the element-order count {counted}"
+        ]
+    return report
 
 
 def pi1_level(group: AbelianGroup, ell: int | None = None) -> dict:

@@ -91,6 +91,15 @@ class AbelianGroup:
     def element_order(self, g: Element) -> int:
         return math.lcm(*(n // math.gcd(n, x) for x, n in zip(g, self.factors, strict=True)))
 
+    @cached_property
+    def order_masks(self) -> dict[int, int]:
+        """{d: the mask of the elements of order d}."""
+        masks: dict[int, int] = {}
+        for i, g in enumerate(self.elements):
+            d = self.element_order(g)
+            masks[d] = masks.get(d, 0) | 1 << i
+        return masks
+
     def dual_pairing(self, a: Element, g: Element) -> int:
         """<a, g> mod exponent; biadditive and nondegenerate.
 
@@ -261,7 +270,7 @@ class Subgroup:
     def order(self) -> int:
         return self.mask.bit_count()
 
-    @property
+    @cached_property
     def is_cyclic(self) -> bool:
         # the exponent of <S> is the lcm of the orders in S (G is abelian)
         return self.order == math.lcm(*map(self.group.element_order, self.generators))
@@ -285,6 +294,12 @@ class Subgroup:
             gens.append(g.elements[_lowest_index(self.mask & ~span)])
             span = g.span(span, gens[-1])
         return tuple(gens)
+
+    @cached_property
+    def dual(self) -> "DualLevel":
+        """The character group of H (``DualLevel``), built once per subgroup
+        and shared by every reader of the level."""
+        return DualLevel(self.group, self)
 
     @cached_property
     def annihilator(self) -> "Subgroup":

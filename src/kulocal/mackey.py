@@ -58,7 +58,7 @@ from .exact import (
     smith_normal_form,
 )
 from .fiber import default_ell, fiber_level_data, spans_cycle_lattice
-from .groups import AbelianGroup, DualLevel, Subgroup
+from .groups import AbelianGroup, Subgroup
 
 Vector = tuple
 
@@ -430,12 +430,11 @@ def a_mod_j_mackey(group: AbelianGroup) -> MarksFunctor:
 
 def ru_mackey(group: AbelianGroup) -> GreenFunctor:
     subs = group.subgroups()
-    duals = {h: DualLevel(group, h) for h in subs}
-    levels = {h: Level(subgroup=h, rank=duals[h].size) for h in subs}
+    levels = {h: Level(subgroup=h, rank=h.dual.size) for h in subs}
 
     def res(h: Subgroup, k: Subgroup) -> IntMatrix:
         # character restriction along K <= H
-        d_h, d_k = duals[h], duals[k]
+        d_h, d_k = h.dual, k.dual
         cols = []
         for a in d_h.reps:
             col = [0] * d_k.size
@@ -445,17 +444,17 @@ def ru_mackey(group: AbelianGroup) -> GreenFunctor:
 
     def tr(k: Subgroup, h: Subgroup) -> IntMatrix:
         # induction: the fiber of restriction over each character
-        d_h, d_k = duals[h], duals[k]
+        d_h, d_k = h.dual, k.dual
         cols = [[0] * d_h.size for _ in range(d_k.size)]
         for i, a in enumerate(d_h.reps):
             cols[d_k.index_of(a)][i] = 1
         return IntMatrix.from_columns(cols, nrows=d_h.size)
 
     def basis_product(h: Subgroup, i: int, j: int) -> Vector:
-        d = duals[h]
+        d = h.dual
         return _unit_vec(d.size, d.index_of(d.add(d.reps[i], d.reps[j])))
 
-    units = {h: _unit_vec(duals[h].size, duals[h].index_of(group.identity)) for h in subs}
+    units = {h: _unit_vec(h.dual.size, h.dual.index_of(group.identity)) for h in subs}
     return GreenFunctor(group, levels, *_lazy_maps(levels, res, tr), units, basis_product, "ru")
 
 
@@ -509,13 +508,9 @@ def linearization_check(a_fun: MarksFunctor, ru_fun: GreenFunctor) -> list[str]:
 
 
 def maximal_proper_subgroups(h: Subgroup) -> list[Subgroup]:
-    group = h.group
-    proper = [k for k in group.subgroups() if h.contains(k) and k != h]
-    return [
-        k
-        for k in proper
-        if not any(l != k and l.contains(k) for l in proper)
-    ]
+    """The K < H of prime index, in canonical order: in a finite abelian
+    group, K is maximal in H exactly when H/K has prime order."""
+    return [k for k in h.group.subgroups() if h.contains(k) and is_prime(h.order // k.order)]
 
 
 def v_h(functor: MackeyFunctor, h: Subgroup, p: int) -> tuple[int, tuple[int, ...]]:

@@ -108,7 +108,7 @@ class RURing:
 
     def __init__(self, group: AbelianGroup):
         self.group = group
-        self.dual = DualLevel(group, group.full_subgroup)
+        self.dual = group.full_subgroup.dual
         self.n = self.dual.size  # == |G|
 
     # -- basic ring structure
@@ -233,7 +233,7 @@ def rational_rep_lattices(group: AbelianGroup) -> tuple[Vector, ...]:
     unit group mod the exponent acting by a -> u*a on the dual basis.  Found
     from their lowest indices, these disjoint rows are already canonical HNF.
     """
-    dual = DualLevel(group, group.full_subgroup)
+    dual = group.full_subgroup.dual
     e = group.exponent
     units = [u for u in range(1, max(e, 2)) if math.gcd(u, e) == 1]
     seen = set()

@@ -59,6 +59,13 @@ def subgroups_by_cyclic_fold(group: AbelianGroup) -> tuple[Subgroup, ...]:
     return tuple(sorted((Subgroup(group, m) for m in masks), key=canonical_key))
 
 
+def maximal_proper_subgroups_all_pairs(h: Subgroup) -> list[Subgroup]:
+    """The maximal proper subgroups of H by definition: the proper subgroups
+    of H inside no other proper subgroup of H, in canonical order."""
+    proper = [k for k in h.group.subgroups() if h.contains(k) and k != h]
+    return [k for k in proper if not any(l != k and l.contains(k) for l in proper)]
+
+
 def contains_element(h: Subgroup, g) -> bool:
     return bool(h.mask >> h.group.index_of(g) & 1)
 

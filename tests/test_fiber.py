@@ -18,6 +18,7 @@ from kulocal.exact import (
 from kulocal.fiber import (
     SINGULAR_DEGREE2,
     adams_minus_one,
+    counted_cycle_lengths,
     default_ell,
     degree2_determinant,
     degree2_invariant_factors,
@@ -242,6 +243,7 @@ def test_determinant_check_requires_the_cycle_product(monkeypatch):
 
 @pytest.mark.parametrize("command", ["pi0", "pi1"])
 def test_one_cycle_decomposition_per_level(monkeypatch, command):
+    # pi0 decomposes every level; pi1 only the top one and counts the rest
     import kulocal.fiber as fiber
     import kulocal.reprings as reprings
     from kulocal.mackey import assemble_pi0
@@ -256,9 +258,103 @@ def test_one_cycle_decomposition_per_level(monkeypatch, command):
     for module in (fiber, reprings):
         monkeypatch.setattr(module, "adams_cycles", counting)
     g = parse_group("C3xC3xC9")
-    (assemble_pi0 if command == "pi0" else group_report)(g)
-    assert len(decomposed) == len(g.subgroups()) == 50
-    assert set(decomposed) == set(g.subgroups())
+    if command == "pi0":
+        assemble_pi0(g)
+        assert len(decomposed) == len(g.subgroups()) == 50
+        assert set(decomposed) == set(g.subgroups())
+    else:
+        group_report(g)
+        assert decomposed == [g.full_subgroup]
+
+
+@pytest.mark.parametrize("command,duals", [("pi0", "every level"), ("pi1", "top"), ("kernel", "top")])
+def test_one_dual_per_level(monkeypatch, command, duals):
+    # a fresh group instance, so no character group cached by another test
+    # is reused; each level's DualLevel is built once and shared by its
+    # Burnside ring, the fiber and the rational lattice
+    from kulocal.groups import AbelianGroup, DualLevel
+    from kulocal.mackey import assemble_pi0
+
+    built = []
+    original = DualLevel.__init__
+
+    def counting(self, group, subgroup):
+        built.append(subgroup)
+        original(self, group, subgroup)
+
+    monkeypatch.setattr(DualLevel, "__init__", counting)
+    g = AbelianGroup((3, 3, 9))
+    {"pi0": lambda: assemble_pi0(g).to_json(), "pi1": lambda: group_report(g),
+     "kernel": lambda: kernel_equals_AmodJ(g).to_json()}[command]()
+    assert built == (list(g.subgroups()) if duals == "every level" else [g.full_subgroup])
+
+
+COUNTED_GROUPS = ["C3", "C27", "C243", "C3xC3", "C9xC9", "C5xC25", "C3xC3xC3", "C5xC5xC5",
+                  "C7xC7", "C3xC3xC3xC9"]
+
+
+@pytest.mark.parametrize("spec", COUNTED_GROUPS)
+def test_counted_levels_match_their_cycle_decompositions(spec):
+    # the oracle decomposes psi^ell on every level's characters
+    g = parse_group(spec)
+    q = smallest_prime_factor(g.order)
+    for ell in admissible_ells(g)[:3]:
+        report = group_report(g, ell)
+        assert "failures" not in report
+        for entry, h in zip(report["levels"], g.subgroups(), strict=True):
+            cycles = adams_cycles(h.dual, ell)
+            assert counted_cycle_lengths(h) == tuple(sorted(map(len, cycles))), (spec, ell, h)
+            factors = degree2_invariant_factors(cycles, ell)
+            assert entry["subgroup"] == h.order
+            assert entry["pi1_invariant_factors"] == [d for d in factors if d != 1], (spec, ell, h)
+            assert entry["pi1_q_part"] == list(primary_part(factors, q)), (spec, ell, h)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("spec", ["C1", "C2", "C3xC5", "C9", "C3xC3"])
+def test_counted_report_raises_as_the_decomposed_levels_do(spec):
+    # ell = 1 and -1 (singular), 3 and 5 (not coprime to some of these
+    # groups), 4 and 7 (not primitive mod 9) and the rest: group_report
+    # fails with fiber_level_data's error, or matches its levels
+    g = parse_group(spec)
+    for ell in range(-4, 11):
+        counted = _outcome(lambda: group_report(g, ell))
+        decomposed = _outcome(lambda: fiber_level_data(g, ell))
+        if isinstance(decomposed, tuple):
+            assert counted == decomposed, (spec, ell)
+        else:
+            assert isinstance(counted, dict), (spec, ell, counted)
+            assert [e["pi1_q_part"] for e in counted["levels"]] == [list(lv.pi1_q_part) for lv in decomposed.values()]
+            assert counted["pi1_invariant_factors"] == list(decomposed[g.full_subgroup].pi1_invariant_factors)
+
+
+def test_counted_report_lists_a_top_level_mismatch(monkeypatch, tmp_path):
+    # the top level's explicit cycles are the witness for the count: a
+    # decomposition that splits one cycle is reported, and pi1 exits 1
+    import json
+
+    import kulocal.fiber as fiber
+    from kulocal.cli import run
+
+    def split_first_long_cycle(dual, ell):
+        cycles = list(adams_cycles(dual, ell))
+        i = next(i for i, c in enumerate(cycles) if len(c) > 1)
+        return tuple(cycles[:i] + [cycles[i][:1], cycles[i][1:]] + cycles[i + 1:])
+
+    out = tmp_path / "pi1.json"
+    assert run(["pi1", "--group", "C9", "--format", "json", "--output", str(out)]) == 0
+    assert "failures" not in json.loads(out.read_text())
+    monkeypatch.setattr(fiber, "adams_cycles", split_first_long_cycle)
+    assert run(["pi1", "--group", "C9", "--format", "json", "--output", str(out)]) == 1
+    failures = json.loads(out.read_text())["failures"]
+    assert failures == ["the top level's psi^2 cycle lengths [1, 1, 2, 5] are not "
+                        "the element-order count [1, 2, 6]"]
 
 
 def test_fiber_levels_c9():
@@ -268,7 +364,7 @@ def test_fiber_levels_c9():
     for h, data in levels.items():
         # kernel rank at level H = number of subgroups of H (cyclic H)
         n_cyc = sum(1 for k in g.subgroups() if h.contains(k) and k.is_cyclic)
-        assert data.pi0_rank == n_cyc
+        assert len(data.pi0_basis) == n_cyc
         assert all(d > 0 for d in data.pi1_invariant_factors)
 
 

@@ -29,7 +29,7 @@ from kulocal.mackey import (
     v_h,
 )
 from kulocal.reprings import dual_multiply
-from oracles import functor_json, marks_on_cyclic
+from oracles import functor_json, marks_on_cyclic, maximal_proper_subgroups_all_pairs
 
 INSTANCES = ["C3", "C9", "C27", "C3xC3", "C5", "C25", "C7", "C3xC9"]
 
@@ -614,6 +614,13 @@ def test_maximal_proper_subgroups():
     g9 = parse_group("C9")
     maxima = maximal_proper_subgroups(g9.full_subgroup)
     assert len(maxima) == 1 and maxima[0].order == 3
+
+
+@pytest.mark.parametrize("spec", ["C3xC3xC3", "C9xC9", "C3xC3xC9"])
+def test_maximal_proper_subgroups_are_those_of_prime_index(spec):
+    g = parse_group(spec)
+    for h in g.subgroups():
+        assert maximal_proper_subgroups(h) == maximal_proper_subgroups_all_pairs(h), h
 
 
 def test_assemble_pi0_c9():
