@@ -3,15 +3,17 @@
 A Burnside element is an integer vector over the orbit basis [G/K], K running
 over the canonical subgroup list.  The table of marks M[K][H] = |(G/K)^H|
 (= [G:K] when H <= K, else 0, in the abelian case) embeds the ring into a
-product of copies of Z.  Subgroups come in (order, ...) order, so the table
-is triangular: the marks map is a sparse sum over the K >= H, and its inverse
-an integer back-substitution from the largest subgroup down, which refuses a
-vector that is not integral.  Multiplication is the pointwise product of
-marks, carried back.  The p-local idempotent e_H is (1/|G|) times the inverse
-of |G| times the indicator of H, integral by Gluck's denominator bound.  The
-ideal J of cyclically-vanishing virtual sets is the kernel of the marks on the
-cyclic subgroups; the quotient A/J is their image, in those coordinates,
-spanned by the rows mark(K, C) of the orbits [level/K] at the cyclic C.
+product of copies of Z.  Row K is [G:K] on K's down-set (``Subgroup.subgroups``)
+and 0 elsewhere, so the marks map adds each nonzero coefficient over one
+down-set.  Subgroups come in (order, ...) order, so the table is triangular,
+and its inverse is an integer back-substitution from the largest subgroup
+down, which refuses a vector that is not integral.  Multiplication is the
+pointwise product of marks, carried back.  The p-local idempotent e_H is
+(1/|G|) times the inverse of |G| times the indicator of H, integral by
+Gluck's denominator bound.  The ideal J of cyclically-vanishing virtual sets
+is the kernel of the marks on the cyclic subgroups; the quotient A/J is their
+image, in those coordinates, spanned by the rows of the orbits [level/K]:
+[level : K] at the cyclic subgroups of K.
 
 ``BurnsideRing(G, level)`` works inside a subgroup ``level`` so that Mackey
 functor levels can reuse everything; the default level is the whole group.
@@ -40,9 +42,7 @@ class BurnsideRing:
     def __init__(self, group: AbelianGroup, level: Subgroup | None = None):
         self.group = group
         self.level = level if level is not None else group.full_subgroup
-        self.subgroups = tuple(
-            k for k in group.subgroups() if self.level.contains(k)
-        )
+        self.subgroups = self.level.subgroups
         self._sub_index = {k.mask: i for i, k in enumerate(self.subgroups)}
         self.n = len(self.subgroups)
 
@@ -51,25 +51,14 @@ class BurnsideRing:
 
     # -- marks ---------------------------------------------------------------
 
-    def mark(self, k: Subgroup, h: Subgroup) -> int:
-        """|(level/K)^H|: the count of H-fixed cosets."""
-        return self.level.order // k.order if k.contains(h) else 0
-
     @cached_property
     def table_of_marks(self) -> IntMatrix:
-        return IntMatrix(
-            [[self.mark(k, h) for h in self.subgroups] for k in self.subgroups],
-            cols=self.n,
-        )
+        return IntMatrix([self.marks(self.basis_element(k)) for k in self.subgroups], cols=self.n)
 
     @cached_property
-    def _above(self) -> tuple[tuple[int, ...], ...]:
-        """For each H, the indices of the K >= H, in order; the first is H."""
-        subs = self.subgroups
-        return tuple(
-            tuple(j for j in range(i, self.n) if subs[j].contains(h))
-            for i, h in enumerate(subs)
-        )
+    def _below(self) -> tuple[tuple[int, ...], ...]:
+        """For each K, the indices of its down-set, the H <= K; the last is K."""
+        return tuple(tuple(self._sub_index[h.mask] for h in k.subgroups) for k in self.subgroups)
 
     @cached_property
     def _indices(self) -> tuple[int, ...]:
@@ -77,28 +66,35 @@ class BurnsideRing:
         return tuple(self.level.order // k.order for k in self.subgroups)
 
     def marks(self, coeffs: Sequence[int]) -> Vector:
-        weighted = [c * i for c, i in zip(coeffs, self._indices, strict=True)]
-        return tuple(sum(weighted[j] for j in above) for above in self._above)
+        """Each nonzero c [level/K] adds c [level:K] at every H <= K."""
+        out = [0] * self.n
+        for c, index, below in zip(coeffs, self._indices, self._below, strict=True):
+            if c:
+                for j in below:
+                    out[j] += c * index
+        return tuple(out)
 
     def element_from_marks(self, marks: Sequence[int]) -> Vector:
-        """Invert the marks map by back-substitution; refuses a vector that is
-        not integral over the orbit basis."""
-        idx = self._indices
-        coeffs = [0] * self.n
-        for i, (mark, above) in reversed(list(enumerate(zip(marks, self._above, strict=True)))):
-            acc = mark - sum(coeffs[j] * idx[j] for j in above[1:])
-            coeffs[i], rem = divmod(acc, idx[i])
+        """Invert the marks map by back-substitution from the largest subgroup
+        down: K's coefficient is its mark, less the marks taken by the larger
+        subgroups, over [level:K]; its marks are then taken from K's down-set.
+        Refuses a vector that is not integral over the orbit basis."""
+        coeffs, taken = [0] * self.n, [0] * self.n
+        steps = enumerate(zip(marks, self._indices, self._below, strict=True))
+        for i, (mark, index, below) in reversed(list(steps)):
+            coeffs[i], rem = divmod(mark - taken[i], index)
             if rem:
                 raise ValueError(f"marks vector {marks} is not integral over the orbit basis")
+            if coeffs[i]:
+                for j in below:
+                    taken[j] += coeffs[i] * index
         return tuple(coeffs)
 
     # -- ring structure --------------------------------------------------------
 
     @property
     def one(self) -> Vector:
-        out = [0] * self.n
-        out[self.sub_index(self.level)] = 1
-        return tuple(out)
+        return self.basis_element(self.level)
 
     def basis_element(self, k: Subgroup) -> Vector:
         out = [0] * self.n
@@ -141,19 +137,20 @@ class BurnsideRing:
     def ideal_j_rows(self) -> tuple[Vector, ...]:
         """Z-basis (saturated) of J, the kernel of the marks on the cyclic
         subgroups."""
-        image = IntMatrix(self._cyclic_marks_rows, cols=len(self.cyclic_subgroups()))
+        image = IntMatrix(self._cyclic_marks_rows, cols=len(self.level.cyclic_subgroups))
         ker = kernel_lattice(image.transpose())
         return tuple(ker.column(j) for j in range(ker.cols))
 
-    def cyclic_subgroups(self) -> tuple[Subgroup, ...]:
-        return tuple(k for k in self.subgroups if k.is_cyclic)
-
     @cached_property
     def _cyclic_marks_rows(self) -> tuple[Vector, ...]:
-        """Row K = the marks of [level/K] on the cyclic subgroups C: [level : K]
-        if C <= K, else 0."""
-        cyc = self.cyclic_subgroups()
-        return tuple(tuple(self.mark(k, c) for c in cyc) for k in self.subgroups)
+        """Row K = the marks of [level/K] on the cyclic subgroups C of the
+        level: [level : K] at the cyclic C <= K (K's own), else 0."""
+        column = {c.mask: j for j, c in enumerate(self.level.cyclic_subgroups)}
+        rows = [[0] * len(column) for _ in self.subgroups]
+        for row, k, index in zip(rows, self.subgroups, self._indices, strict=True):
+            for c in k.cyclic_subgroups:
+                row[column[c.mask]] = index
+        return tuple(map(tuple, rows))
 
     def a_mod_j(self) -> "AModJ":
         """A/J presented as the image of marks restricted to cyclic columns.
@@ -164,7 +161,7 @@ class BurnsideRing:
 
     @cached_property
     def _a_mod_j(self) -> "AModJ":
-        cyc = self.cyclic_subgroups()
+        cyc = self.level.cyclic_subgroups
         return AModJ(ring=self, cyclic_subgroups=cyc, basis=row_hnf(self._cyclic_marks_rows, len(cyc)))
 
     # -- p-local idempotents -----------------------------------------------------

@@ -231,7 +231,7 @@ def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWi
         kernel=kernel,
         rq=rational_rep_lattices(group),
         linearized=spans_cycle_lattice(ring.linearize_matrix.entries, kernel),
-        cyclic_count=len(group.cyclic_subgroups()),
+        cyclic_count=len(group.full_subgroup.cyclic_subgroups),
     )
 
 

@@ -8,13 +8,15 @@ rotation per nonzero coordinate of g; ``span`` (H + <g>, by doubling),
 subgroup generation, the lattice, joins and cosets are built on it.  The
 lattice lists each subgroup once, by the row Hermite normal form of its
 preimage in Z^r, and spans its mask from the form's rows: one span per
-nontrivial subgroup.  Only abelian groups are supported: every explicit
-computation downstream lives on cyclic groups and products of two or three of
-them, where conjugation is trivial and Weyl groups are quotients.
+nontrivial subgroup; each subgroup keeps its down-set (``Subgroup.subgroups``).
+Only abelian groups are supported: every explicit computation downstream
+lives on cyclic groups and products of two or three of them, where
+conjugation is trivial and Weyl groups are quotients.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from functools import cached_property, lru_cache, reduce
@@ -222,9 +224,6 @@ class AbelianGroup:
             forms = grown
         return [mask for _, mask in forms]
 
-    def cyclic_subgroups(self) -> tuple["Subgroup", ...]:
-        return tuple(h for h in self.subgroups() if h.is_cyclic)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, AbelianGroup) and self.factors == other.factors
 
@@ -277,6 +276,18 @@ class Subgroup:
 
     def contains(self, other: "Subgroup") -> bool:
         return other.mask & ~self.mask == 0
+
+    @cached_property
+    def subgroups(self) -> tuple["Subgroup", ...]:
+        """The K <= H in canonical order, found by one mask test each over the
+        group's subgroups of order at most |H|, a prefix of that order."""
+        subs, outside = self.group.subgroups(), ~self.mask
+        prefix = subs[:bisect.bisect_right(subs, self.order, key=lambda k: k.order)]
+        return tuple(k for k in prefix if not k.mask & outside)
+
+    @cached_property
+    def cyclic_subgroups(self) -> tuple["Subgroup", ...]:
+        return tuple(k for k in self.subgroups if k.is_cyclic)
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.group, self.mask & other.mask)

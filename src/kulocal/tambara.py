@@ -56,13 +56,12 @@ class CyclicTower:
         self.q = q
         self.k = k
         self.group = abelian_group((q ** k,) if k else ())
-        chain = sorted(self.group.subgroups(), key=lambda h: h.order)
-        if len(chain) != k + 1:
+        self.levels: tuple[Subgroup, ...] = self.group.subgroups()  # by order: levels[i] = C_{q^i}
+        if len(self.levels) != k + 1:
             raise ArithmeticError(
-                f"the cyclic group of order {q}^{k} has {len(chain)} subgroups, "
+                f"the cyclic group of order {q}^{k} has {len(self.levels)} subgroups, "
                 f"not a chain of {k + 1}"
             )
-        self.levels: tuple[Subgroup, ...] = tuple(chain)  # levels[i] = C_{q^i}
 
     def ring(self, i: int) -> BurnsideRing:
         return self.burnside.rings[self.levels[i]]

@@ -59,10 +59,16 @@ def subgroups_by_cyclic_fold(group: AbelianGroup) -> tuple[Subgroup, ...]:
     return tuple(sorted((Subgroup(group, m) for m in masks), key=canonical_key))
 
 
+def subgroups_all_pairs(h: Subgroup) -> tuple[Subgroup, ...]:
+    """The subgroups of H by definition: every subgroup of the group that H
+    contains, in canonical order."""
+    return tuple(k for k in h.group.subgroups() if h.contains(k))
+
+
 def maximal_proper_subgroups_all_pairs(h: Subgroup) -> list[Subgroup]:
     """The maximal proper subgroups of H by definition: the proper subgroups
     of H inside no other proper subgroup of H, in canonical order."""
-    proper = [k for k in h.group.subgroups() if h.contains(k) and k != h]
+    proper = [k for k in subgroups_all_pairs(h) if k != h]
     return [k for k in proper if not any(l != k and l.contains(k) for l in proper)]
 
 
@@ -81,6 +87,18 @@ def fixed_points(x: ExplicitHSet, k: Subgroup) -> int:
 
 
 # -- Burnside rings and A/J --------------------------------------------------
+
+
+def table_of_marks_by_containment(ring: BurnsideRing) -> list[list[int]]:
+    """The table of marks by definition: M[K][H] = |(level/K)^H|, which is
+    [level:K] if H <= K and 0 otherwise, one containment test per pair."""
+    order = ring.level.order
+    return [[order // k.order if k.contains(h) else 0 for h in ring.subgroups] for k in ring.subgroups]
+
+
+def marks_by_containment(ring: BurnsideRing, coeffs) -> tuple:
+    """The marks of a Burnside element as the dense product with the table."""
+    return IntMatrix(table_of_marks_by_containment(ring), cols=ring.n).transpose().apply(coeffs)
 
 
 def marks_on_cyclic(ring: BurnsideRing, coeffs) -> tuple:

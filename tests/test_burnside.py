@@ -10,7 +10,7 @@ import sympy
 from kulocal.burnside import BurnsideRing, marks_json, marks_text
 from kulocal.exact import IntMatrix, lattice_contains, row_hnf, solve_integer
 from kulocal.groups import parse_group
-from oracles import contains_element, marks_on_cyclic
+from oracles import contains_element, marks_by_containment, marks_on_cyclic, table_of_marks_by_containment
 
 SEED = int(os.environ.get("TEST_SEED", "20240801"))
 
@@ -129,7 +129,7 @@ def test_ideal_j_rank(spec, rank):
     r = ring(spec)
     rows = r.ideal_j_rows
     assert len(rows) == rank
-    assert len(rows) == r.n - len(r.cyclic_subgroups())
+    assert len(rows) == r.n - len(r.level.cyclic_subgroups)
 
 
 def test_ideal_j_is_cyclic_vanishing_locus():
@@ -177,9 +177,8 @@ def test_idempotent_orthogonal_decomposition(spec, p):
     # pairwise products vanish (multiply in marks coordinates)
     for h1 in subs:
         for h2 in subs:
-            m1 = [sum(Fraction(c) * r.table_of_marks.entries[i][j] for i, c in enumerate(table[h1])) for j in range(r.n)]
-            m2 = [sum(Fraction(c) * r.table_of_marks.entries[i][j] for i, c in enumerate(table[h2])) for j in range(r.n)]
-            prod = [a * b for a, b in zip(m1, m2)]
+            m1, m2 = marks_by_containment(r, table[h1]), marks_by_containment(r, table[h2])
+            prod = tuple(a * b for a, b in zip(m1, m2))
             if h1 is h2:
                 assert prod == m1
             else:
@@ -202,7 +201,7 @@ def test_idempotent_rejects_bad_prime():
 def test_a_mod_j_rank(spec, rank):
     r = ring(spec)
     aj = r.a_mod_j()
-    assert len(aj.basis) == rank == len(r.cyclic_subgroups())
+    assert len(aj.basis) == rank == len(r.level.cyclic_subgroups)
     # ring structure: contains 1, closed under pointwise products of basis rows
     assert lattice_contains(aj.basis, (1,) * len(aj.cyclic_subgroups))
     for x in aj.basis:
@@ -285,8 +284,11 @@ def hall_mobius(k, h):
     return mu
 
 
-def dense_marks(r, coeffs):
-    return r.table_of_marks.transpose().apply(coeffs)
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_table_of_marks_by_containment(spec):
+    # the down-set table against its definition, on every level
+    for r in level_rings(spec):
+        assert [list(row) for row in r.table_of_marks.entries] == table_of_marks_by_containment(r)
 
 
 @pytest.mark.parametrize("spec", ORACLE_GROUPS)
@@ -310,7 +312,7 @@ def test_idempotent_properties(spec):
         for h in r.subgroups:
             e = r.idempotent(h, 2)
             ind = tuple(int(k == h) for k in r.subgroups)
-            assert dense_marks(r, e) == ind
+            assert marks_by_containment(r, e) == ind
             assert e[r.sub_index(h)] == Fraction(1, r.level.order // h.order)
             for k, c in zip(r.subgroups, e):
                 assert c == 0 or h.contains(k)
@@ -319,8 +321,8 @@ def test_idempotent_properties(spec):
 
 @pytest.mark.parametrize("spec", ORACLE_GROUPS)
 def test_cyclic_marks_rows_are_the_full_marks_at_cyclic_columns(spec):
-    # row K of A/J's generators is mark(K, C) = [level : K] for C <= K, else
-    # 0: the full marks vector of [level/K], kept at the cyclic subgroups
+    # row K of A/J's generators is [level : K] at the cyclic C <= K, else 0:
+    # the full marks vector of [level/K], kept at the cyclic subgroups
     for r in level_rings(spec):
         expected = tuple(marks_on_cyclic(r, r.basis_element(k)) for k in r.subgroups)
         assert r._cyclic_marks_rows == expected
@@ -337,12 +339,12 @@ def test_marks_and_inverse_against_dense_table_and_sympy(spec):
         for _ in range(3):
             a = [rng.randint(-5, 5) for _ in range(r.n)]
             b = [rng.randint(-5, 5) for _ in range(r.n)]
-            assert r.marks(a) == dense_marks(r, a)
+            assert r.marks(a) == marks_by_containment(r, a)
             pairs.append((a, b))
         vectors = [[rng.randint(-50, 50) for _ in range(r.n)] for _ in range(3)]
         products = [[x * y for x, y in zip(r.marks(a), r.marks(b))] for a, b in pairs]
         rhs = vectors + products
-        table = sympy.Matrix([list(row) for row in r.table_of_marks.entries])
+        table = sympy.Matrix(table_of_marks_by_containment(r))
         solution = table.T.LUsolve(sympy.Matrix(rhs).T)
         for col, marks in enumerate(rhs):
             exact = [solution[i, col] for i in range(r.n)]

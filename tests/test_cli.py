@@ -14,7 +14,7 @@ from kulocal import cli
 from kulocal.burnside import AModJ, BurnsideRing
 from kulocal.cli import DEFAULT_INSTANCES, canonical_json, cmd_norms, cmd_pi0, cmd_verify_all, run
 from kulocal.exact import IntMatrix
-from kulocal.groups import parse_group
+from kulocal.groups import Subgroup, parse_group
 from kulocal.mackey import MackeyFunctor, _tensor, a_mod_j_mackey
 from kulocal.tambara import CyclicTower, NormDerivation
 
@@ -750,6 +750,22 @@ def test_kernel_identification_takes_no_hermite_form(capsys, monkeypatch, argv, 
             monkeypatch.setattr(module, "row_hnf", counted)
     assert run_capture(capsys, argv)[0] == 0
     assert counts == calls
+
+
+def test_pi0_reads_down_sets_without_containment_tests(capsys, monkeypatch):
+    # every "subgroups of H" read goes through the cached Subgroup.subgroups
+    # (one mask test per subgroup of a prefix); a Subgroup.contains filter
+    # of every subgroup per level ring makes 266,630 calls on this group
+    calls = Counter()
+    contains = Subgroup.contains
+
+    def counted(self, other):
+        calls["contains"] += 1
+        return contains(self, other)
+
+    monkeypatch.setattr(Subgroup, "contains", counted)
+    assert run_capture(capsys, ["pi0", "--group", "C3xC3xC3xC9"])[0] == 0
+    assert calls["contains"] == 0
 
 
 def test_a_missing_linearization_row_fails_both_kernel_checks(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from kulocal.groups import (
     AbelianGroup,
     DualLevel,
     ExplicitHSet,
+    Subgroup,
     map_set_orbits,
     parse_group,
 )
@@ -16,6 +17,7 @@ from oracles import (
     contains_element,
     fixed_points,
     generated_subgroup,
+    subgroups_all_pairs,
     subgroups_by_cyclic_fold,
     trivial_points,
 )
@@ -99,7 +101,21 @@ def test_is_cyclic_matches_element_orders(spec):
     g = parse_group(spec)
     for h in g.subgroups():
         assert h.is_cyclic == any(g.element_order(x) == h.order for x in h.elements), h.elements
-    assert g.cyclic_subgroups() == tuple(h for h in g.subgroups() if h.is_cyclic)
+    assert g.full_subgroup.cyclic_subgroups == tuple(h for h in g.subgroups() if h.is_cyclic)
+
+
+@pytest.mark.parametrize(
+    "spec", ["C27", "C243", "C3xC3xC3", "C9xC9", "C3xC3xC9", "C5xC5xC5", "C3xC3xC3xC9"]
+)
+def test_down_sets_match_all_pairs(spec):
+    # each subgroup's down-set is every subgroup it contains, in canonical
+    # order and ending with itself, whichever instance of H is asked
+    g = parse_group(spec)
+    for h in g.subgroups():
+        assert h.subgroups == subgroups_all_pairs(h)
+        assert h.subgroups[-1] is h
+        assert Subgroup(g, h.mask).subgroups == h.subgroups
+        assert h.cyclic_subgroups == tuple(k for k in h.subgroups if k.is_cyclic)
 
 
 @pytest.mark.parametrize("spec", ORACLE_GROUPS + ["C3xC3xC3xC9", "C9xC9xC9", "C12xC18", "C2xC4xC8"])

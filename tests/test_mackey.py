@@ -96,6 +96,20 @@ def test_green_axioms(spec):
     assert ru_mackey(g).check_green_axioms() == []
 
 
+@pytest.mark.parametrize("build,count", [(burnside_mackey, 15), (ru_mackey, 22)])
+def test_green_check_sees_a_doubled_unit(build, count):
+    # restriction carries the doubled unit to the doubled unit, so only the
+    # unit law 1 * e_i = e_i sees it: once per basis vector of every level
+    functor = build(parse_group("C3xC3"))
+    functor._units = {h: tuple(2 * x for x in u) for h, u in functor._units.items()}
+    assert functor.check_green_axioms() == [
+        f"unit law fails at {h!r}: 1 * e_{i} != e_{i}"
+        for h in functor.subgroups
+        for i in range(functor.level(h).rank)
+    ]
+    assert sum(functor.level(h).rank for h in functor.subgroups) == count
+
+
 @pytest.mark.parametrize("spec", ["C3", "C9", "C3xC3", "C3xC9"])
 def test_linearization_is_green_map(spec):
     g = parse_group(spec)

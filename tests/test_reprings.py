@@ -187,7 +187,7 @@ def test_perm_rep_character_formula(spec, ell):
 def test_rational_lattices(spec, rank):
     g = parse_group(spec)
     lat = rational_rep_lattices(g)
-    assert len(lat) == rank == len(g.cyclic_subgroups())
+    assert len(lat) == rank == len(g.full_subgroup.cyclic_subgroups)
 
 
 def test_rational_lattice_c3_basis():
