@@ -15,9 +15,11 @@ A Green functor is given by the products of basis vectors at each level
 pairs; every functor here is commutative, and ``multiply`` is the one
 bilinear extension of those products.
 
-The axiom checks compare the cheap thing first: two maps are equal at once
-when their matrices are, two elements when their vectors are; only a
-difference is tested against the relation lattice of the target level.
+The axiom checks test a generating set of identities: the identity laws and
+the well-definedness of every map and product everywhere, and the other laws
+only on the covers K < H (prime index), or on the K, L with K + L = H for the
+double-coset law.  By induction on the index along chains of covers, these
+imply each law on every pair and triple (the Green ones given transitivity).
 
 Provided functors: the Burnside functor and its levelwise quotient A/J by the
 cyclically-vanishing ideal, both lattices of marks vectors built by one
@@ -112,6 +114,10 @@ class Level:
             return True
         return bool(self.relations) and lattice_contains(self.relation_hnf, diff)
 
+    def maps_equal(self, a: Sequence[Vector], b: Sequence[Vector]) -> bool:
+        """Two maps into the level, given as their columns, are equal."""
+        return a == b or all(self.elements_equal(x, y) for x, y in zip(a, b, strict=True))
+
 
 class MapCache(dict):
     """Restriction or transfer matrices keyed (source, target), each built by
@@ -176,57 +182,61 @@ class MackeyFunctor:
 
     # -- axiom validation ----------------------------------------------------
 
-    def maps_equal(self, target: Level, m1: IntMatrix, m2: IntMatrix) -> bool:
-        """m1 == m2 as maps into ``target``: equal matrices are equal at once;
-        otherwise every column must be equal as an element of the level."""
-        if m1.cols != m2.cols or m1.rows != m2.rows:
-            return False
-        if m1.entries == m2.entries:
-            return True
-        return all(target.elements_equal(m1.column(j), m2.column(j)) for j in range(m1.cols))
-
     def check_mackey_axioms(self) -> list[str]:
-        """Exhaustive identity/transitivity/double-coset validation.
-
-        Returns the list of violated identities (empty = all axioms hold).
+        """The Mackey axioms on a generating set of identities: res(H, H) =
+        tr(H, H) = id; every res and tr well defined (the relation rows of its
+        source map into the relation lattice of its target); on each cover
+        K < H, transitivity along L <= K < H and res^H_K o tr^H_K = [H : K] id;
+        and the double-coset law at H for proper K, L with |K| |L| = |H| |K & L|,
+        that is K + L = H.  These imply every identity between the quotient
+        levels.  By induction on [H : K], through a cover K' of H above K,
+        res^K_L o res^H_K = res^K_L o res^{K'}_K o res^H_{K'} = res^H_L, and so
+        for tr; then res^H_J o tr^H_J = [H : J] id along covers, and
+        res^H_K o tr^H_L = res^J_K o (res^H_J o tr^H_J) o tr^J_L gives the law
+        for any K, L from the one at J = K + L.  Each map is split once into
+        the nonzero pairs of its columns, and composites are sums over those
+        pairs (``_compose``).  Returns the violated identities (empty = none).
         """
         failures: list[str] = []
-        coset_sides: dict[tuple[Subgroup, Subgroup], IntMatrix] = {}
-        for h in self.subgroups:
-            lvl_h = self.level(h)
-            ident = IntMatrix.identity(lvl_h.rank)
-            if not self.maps_equal(lvl_h, self.res(h, h), ident):
-                failures.append(f"res identity at {h!r}")
-            if not self.maps_equal(lvl_h, self.tr(h, h), ident):
-                failures.append(f"tr identity at {h!r}")
-        for h in self.subgroups:
-            for k in h.subgroups:
+        subs, rank = self.subgroups, {h: self.level(h).rank for h in self.subgroups}
+        maps = {("res", h, k): self.res(h, k) for h in subs for k in h.subgroups}
+        maps |= {("tr", k, h): self.tr(k, h) for h in subs for k in h.subgroups}
+        dense = {key: [m.column(j) for j in range(m.cols)] for key, m in maps.items()}
+        cols = {key: [_pairs(v) for v in vs] for key, vs in dense.items()}
+        for (kind, src, dst), columns in cols.items():
+            n, lvl = rank[dst], self.level(dst)
+            if src == dst and not lvl.maps_equal(dense[kind, src, dst], [_unit_vec(n, i) for i in range(n)]):
+                failures.append(f"{kind} identity at {src!r}")
+            relations = [_pairs(r) for r in self.level(src).relations]
+            if not lvl.maps_equal(_compose(n, columns, relations), [(0,) * n] * len(relations)):
+                failures.append(f"{kind} not well defined {src!r}->{dst!r}")
+        for h in subs:
+            for k in maximal_proper_subgroups(h):
                 for l in k.subgroups:
-                    # transitivity along L <= K <= H
-                    lhs = self.res(k, l) * self.res(h, k)
-                    if not self.maps_equal(self.level(l), lhs, self.res(h, l)):
+                    lhs = _compose(rank[l], cols["res", k, l], cols["res", h, k])
+                    if not self.level(l).maps_equal(lhs, dense["res", h, l]):
                         failures.append(f"res transitivity {h!r}>{k!r}>{l!r}")
-                    lhs = self.tr(k, h) * self.tr(l, k)
-                    if not self.maps_equal(self.level(h), lhs, self.tr(l, h)):
+                    lhs = _compose(rank[h], cols["tr", k, h], cols["tr", l, k])
+                    if not self.level(h).maps_equal(lhs, dense["tr", l, h]):
                         failures.append(f"tr transitivity {h!r}>{k!r}>{l!r}")
-            for k in h.subgroups:
-                for l in h.subgroups:
+                index = [_unit_vec(rank[k], i, h.order // k.order) for i in range(rank[k])]
+                if not self.level(k).maps_equal(_compose(rank[k], cols["res", h, k], cols["tr", k, h]), index):
+                    failures.append(f"double coset at {h!r}: K={k!r} L={k!r}")
+            for k in h.subgroups[:-1]:
+                for l in h.subgroups[:-1]:
+                    if k.order * l.order != h.order * (k.mask & l.mask).bit_count():
+                        continue
                     meet = k.intersect(l)
-                    lhs = self.res(h, k) * self.tr(l, h)
-                    # only the scalar [H : KL], with |KL| = |K| |L| / |K & L|,
-                    # depends on H
-                    side = coset_sides.get((k, l))
-                    if side is None:
-                        side = coset_sides[(k, l)] = self.tr(meet, k) * self.res(l, meet)
-                    rhs = side.scale(h.order * meet.order // (k.order * l.order))
-                    if not self.maps_equal(self.level(k), lhs, rhs):
+                    lhs = _compose(rank[k], cols["res", h, k], cols["tr", l, h])
+                    rhs = _compose(rank[k], cols["tr", meet, k], cols["res", l, meet])
+                    if not self.level(k).maps_equal(lhs, rhs):
                         failures.append(f"double coset at {h!r}: K={k!r} L={l!r}")
         return failures
 
 
-def _unit_vec(n: int, i: int) -> Vector:
+def _unit_vec(n: int, i: int, c: int = 1) -> Vector:
     v = [0] * n
-    v[i] = 1
+    v[i] = c
     return tuple(v)
 
 
@@ -245,6 +255,16 @@ def _apply_sparse(n: int, terms: Iterable[tuple[int, Pairs]]) -> Vector:
         for t, z in v:
             out[t] += c * z
     return tuple(out)
+
+
+def _columns(m: IntMatrix) -> list[Pairs]:
+    return [_pairs(m.column(j)) for j in range(m.cols)]
+
+
+def _compose(n: int, outer: Sequence[Pairs], inner: Sequence[Pairs]) -> list[Vector]:
+    """The columns (vectors of length n) of outer o inner, maps given by the
+    nonzero pairs of their columns: column j sums c * outer[t] over inner[j]."""
+    return [_apply_sparse(n, ((c, outer[t]) for t, c in col)) for col in inner]
 
 
 class GreenFunctor(MackeyFunctor):
@@ -293,14 +313,19 @@ class GreenFunctor(MackeyFunctor):
         return self._product(h, _pairs(a), _pairs(b))
 
     def check_green_axioms(self) -> list[str]:
-        """The unit is a unit (1 * e_i = e_i); restrictions are ring maps;
-        transfers satisfy Frobenius reciprocity.
-
-        Each identity is checked on basis vectors.  Maps act through their
-        columns and products through the stored basis products, all as
-        nonzero pairs, so each side is a sum over nonzero terms only; the two
-        sides are then compared as elements of the target level, equal vectors
-        first (``Level.elements_equal``).
+        """The Green axioms on a generating set of identities: at every level
+        the unit law 1 * e_i = e_i and well-definedness (each relation row
+        times each basis vector lies in the relation lattice); on each cover
+        K < H, restriction unital and multiplicative, and Frobenius
+        reciprocity tr(e_i) * e_j = tr(e_i * res(e_j)).  Premises: the product
+        is commutative (``product_table`` mirrors it) and res and tr are
+        transitive, which ``check_mackey_axioms`` checks on the same functor.
+        Then every restriction is a composite of ring maps along covers, and
+        Frobenius along L < K < H, with K a cover of H, follows by induction
+        on [H : L]: tr^H_L(a * res^H_L b) = tr^H_K(tr^K_L(a * res^K_L res^H_K b))
+        = tr^H_K(tr^K_L(a) * res^H_K b) = tr^H_L(a) * b.  Each side is a sum
+        over the nonzero pairs of map columns and stored basis products,
+        compared as an element of the target level, equal vectors first.
         """
         failures: list[str] = []
         for h in self.subgroups:
@@ -310,13 +335,14 @@ class GreenFunctor(MackeyFunctor):
             for i in range(n_h):
                 if not lvl_h.elements_equal(self._product(h, unit_h, ((i, 1),)), _unit_vec(n_h, i)):
                     failures.append(f"unit law fails at {h!r}: 1 * e_{i} != e_{i}")
-            for k in h.subgroups[:-1]:
+                for t, r in enumerate(map(_pairs, lvl_h.relations)):
+                    if not lvl_h.elements_equal(self._product(h, r, ((i, 1),)), (0,) * n_h):
+                        failures.append(f"product not well defined at {h!r}: relation {t} * e_{i}")
+            for k in maximal_proper_subgroups(h):
                 lvl_k = self.level(k)
                 n_k = lvl_k.rank
                 prod_k = self.product_table(k)
-                res, tr = self.res(h, k), self.tr(k, h)
-                res_cols = [_pairs(res.column(j)) for j in range(res.cols)]
-                tr_cols = [_pairs(tr.column(j)) for j in range(tr.cols)]
+                res_cols, tr_cols = _columns(self.res(h, k)), _columns(self.tr(k, h))
                 unit = _apply_sparse(n_k, ((c, res_cols[i]) for i, c in unit_h))
                 if not lvl_k.elements_equal(unit, self.unit(k)):
                     failures.append(f"res not unital {h!r}->{k!r}")
@@ -326,12 +352,11 @@ class GreenFunctor(MackeyFunctor):
                         rhs = self._product(k, res_cols[i], res_cols[j])
                         if not lvl_k.elements_equal(lhs, rhs):
                             failures.append(f"res not multiplicative {h!r}->{k!r} at ({i},{j})")
-                # Frobenius: tr(e_i) * e_j = tr(e_i * res(e_j))
                 for i in range(n_k):
                     for j in range(n_h):
                         lhs = _apply_sparse(n_h, ((c, prod_h[t][j]) for t, c in tr_cols[i]))
-                        down = _apply_sparse(n_k, ((c, prod_k[i][s]) for s, c in res_cols[j]))
-                        rhs = _apply_sparse(n_h, ((c, tr_cols[u]) for u, c in enumerate(down) if c))
+                        down = ((c * d, tr_cols[u]) for s, c in res_cols[j] for u, d in prod_k[i][s])
+                        rhs = _apply_sparse(n_h, down)
                         if not lvl_h.elements_equal(lhs, rhs):
                             failures.append(f"Frobenius fails {k!r}<={h!r} at ({i},{j})")
         return failures
@@ -469,32 +494,37 @@ def linearization_check(a_fun: MarksFunctor, ru_fun: GreenFunctor) -> list[str]:
     Returns the list of violated identities (empty = all hold).
     """
     subs, rings = a_fun.subgroups, a_fun.rings
-    lam = {h: rings[h].linearize_matrix.transpose() for h in subs}
+    # column i of the linearization at H: row i of its matrix, the i-th orbit's image
+    lam = {h: [_pairs(row) for row in rings[h].linearize_matrix.entries] for h in subs}
+    ranks = {h: ru_fun.level(h).rank for h in subs}
+    if any(len(lam[h]) != a_fun.level(h).rank or rings[h].linearize_matrix.cols != ranks[h] for h in subs):
+        raise ValueError("shape mismatch: a linearization matrix is not orbits x characters")
 
     failures: list[str] = []
     for h in subs:
         for k in h.subgroups:
-            if lam[k] * a_fun.res(h, k) != ru_fun.res(h, k) * lam[h]:
+            a_res, ru_res = _columns(a_fun.res(h, k)), _columns(ru_fun.res(h, k))
+            if _compose(ranks[k], lam[k], a_res) != _compose(ranks[k], ru_res, lam[h]):
                 failures.append(f"does not commute with res {h!r}->{k!r}")
-            if lam[h] * a_fun.tr(k, h) != ru_fun.tr(k, h) * lam[k]:
+            a_tr, ru_tr = _columns(a_fun.tr(k, h)), _columns(ru_fun.tr(k, h))
+            if _compose(ranks[h], lam[h], a_tr) != _compose(ranks[h], ru_tr, lam[k]):
                 failures.append(f"does not commute with tr {k!r}->{h!r}")
 
     for h in subs:
-        if lam[h].apply(a_fun.unit(h)) != ru_fun.unit(h):
+        [unit] = _compose(ranks[h], lam[h], [_pairs(a_fun.unit(h))])
+        if unit != ru_fun.unit(h):
             failures.append(f"not unital at {h!r}")
-        # row i of the linearize matrix is the image of the i-th orbit
-        lin = rings[h].linearize_matrix.entries
         products = a_fun.product_table(h)
-        n = len(lin)
+        n = len(lam[h])
         for i in range(n):
             for j in range(i, n):
-                image = lam[h].apply(_apply_sparse(n, [(1, products[i][j])]))
-                if image != ru_fun.multiply(h, lin[i], lin[j]):
+                [image] = _compose(ranks[h], lam[h], [products[i][j]])
+                if image != ru_fun._product(h, lam[h][i], lam[h][j]):
                     failures.append(f"not multiplicative at {h!r} at ({i},{j})")
 
     for h in subs:
         ring = rings[h]
-        ker = kernel_lattice(lam[h])
+        ker = kernel_lattice(ring.linearize_matrix.transpose())
         if not lattice_equal(ring.ideal_j_rows, [ker.column(j) for j in range(ker.cols)], ring.n):
             failures.append(f"kernel is not J at {h!r}")
     return failures

@@ -10,7 +10,7 @@ from functools import reduce
 from kulocal.burnside import BurnsideRing
 from kulocal.exact import Cyclotomic, IntMatrix
 from kulocal.groups import AbelianGroup, DualLevel, ExplicitHSet, Subgroup, map_set_orbits
-from kulocal.mackey import GreenFunctor, MackeyFunctor, _apply_sparse
+from kulocal.mackey import GreenFunctor, Level, MackeyFunctor, _apply_sparse, _pairs, _unit_vec
 from kulocal.reprings import ClassFunction, RURing, dual_permutation, permute
 
 # -- exact arithmetic --------------------------------------------------------
@@ -196,3 +196,85 @@ def functor_json(functor: MackeyFunctor, include_mult: bool = False) -> dict:
         for h, k in pairs
     ]
     return {"group": repr(functor.group), "name": functor.name, "levels": levels, "maps": maps}
+
+
+def maps_equal(target: Level, m1: IntMatrix, m2: IntMatrix) -> bool:
+    """m1 == m2 as maps into ``target``: equal matrices are equal at once;
+    otherwise every column must be equal as an element of the level."""
+    if m1.cols != m2.cols or m1.rows != m2.rows:
+        return False
+    if m1.entries == m2.entries:
+        return True
+    return all(target.elements_equal(m1.column(j), m2.column(j)) for j in range(m1.cols))
+
+
+def mackey_axioms_all_pairs(functor: MackeyFunctor) -> list[str]:
+    """The identity, transitivity and double-coset laws on every pair and
+    every triple of subgroups, each composite a dense matrix product; the
+    failures are named as ``check_mackey_axioms`` names them."""
+    failures: list[str] = []
+    for h in functor.subgroups:
+        lvl_h = functor.level(h)
+        ident = IntMatrix.identity(lvl_h.rank)
+        if not maps_equal(lvl_h, functor.res(h, h), ident):
+            failures.append(f"res identity at {h!r}")
+        if not maps_equal(lvl_h, functor.tr(h, h), ident):
+            failures.append(f"tr identity at {h!r}")
+    for h in functor.subgroups:
+        for k in h.subgroups:
+            for l in k.subgroups:
+                lhs = functor.res(k, l) * functor.res(h, k)
+                if not maps_equal(functor.level(l), lhs, functor.res(h, l)):
+                    failures.append(f"res transitivity {h!r}>{k!r}>{l!r}")
+                lhs = functor.tr(k, h) * functor.tr(l, k)
+                if not maps_equal(functor.level(h), lhs, functor.tr(l, h)):
+                    failures.append(f"tr transitivity {h!r}>{k!r}>{l!r}")
+        for k in h.subgroups:
+            for l in h.subgroups:
+                meet = k.intersect(l)
+                lhs = functor.res(h, k) * functor.tr(l, h)
+                # [H : KL], with |KL| = |K| |L| / |K & L|
+                rhs = (functor.tr(meet, k) * functor.res(l, meet)).scale(h.order * meet.order // (k.order * l.order))
+                if not maps_equal(functor.level(k), lhs, rhs):
+                    failures.append(f"double coset at {h!r}: K={k!r} L={l!r}")
+    return failures
+
+
+def green_axioms_all_pairs(functor: GreenFunctor) -> list[str]:
+    """The unit law at every level, and restriction unital and
+    multiplicative and Frobenius reciprocity on every pair K < H and every
+    pair of basis vectors; the failures are named as ``check_green_axioms``
+    names them."""
+    failures: list[str] = []
+    for h in functor.subgroups:
+        lvl_h = functor.level(h)
+        n_h = lvl_h.rank
+        prod_h, unit_h = functor.product_table(h), _pairs(functor.unit(h))
+        for i in range(n_h):
+            if not lvl_h.elements_equal(functor._product(h, unit_h, ((i, 1),)), _unit_vec(n_h, i)):
+                failures.append(f"unit law fails at {h!r}: 1 * e_{i} != e_{i}")
+        for k in h.subgroups[:-1]:
+            lvl_k = functor.level(k)
+            n_k = lvl_k.rank
+            prod_k = functor.product_table(k)
+            res, tr = functor.res(h, k), functor.tr(k, h)
+            res_cols = [_pairs(res.column(j)) for j in range(res.cols)]
+            tr_cols = [_pairs(tr.column(j)) for j in range(tr.cols)]
+            unit = _apply_sparse(n_k, ((c, res_cols[i]) for i, c in unit_h))
+            if not lvl_k.elements_equal(unit, functor.unit(k)):
+                failures.append(f"res not unital {h!r}->{k!r}")
+            for i in range(n_h):
+                for j in range(i, n_h):
+                    lhs = _apply_sparse(n_k, ((c, res_cols[t]) for t, c in prod_h[i][j]))
+                    rhs = functor._product(k, res_cols[i], res_cols[j])
+                    if not lvl_k.elements_equal(lhs, rhs):
+                        failures.append(f"res not multiplicative {h!r}->{k!r} at ({i},{j})")
+            # Frobenius: tr(e_i) * e_j = tr(e_i * res(e_j))
+            for i in range(n_k):
+                for j in range(n_h):
+                    lhs = _apply_sparse(n_h, ((c, prod_h[t][j]) for t, c in tr_cols[i]))
+                    down = _apply_sparse(n_k, ((c, prod_k[i][s]) for s, c in res_cols[j]))
+                    rhs = _apply_sparse(n_h, ((c, tr_cols[u]) for u, c in enumerate(down) if c))
+                    if not lvl_h.elements_equal(lhs, rhs):
+                        failures.append(f"Frobenius fails {k!r}<={h!r} at ({i},{j})")
+    return failures

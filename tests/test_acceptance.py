@@ -227,7 +227,7 @@ def test_criterion_9_property_suites():
         n = rng.randrange(1, 13)
         a = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
         assert smith_normal_form(a).verify()
-    report(9, "Mackey/Green axioms exhaustive to order 81; 500 random Smith "
+    report(9, "Mackey/Green axioms on the covering pairs to order 81; 500 random Smith "
               "decompositions verified (U*S*V = A, unimodular, divisibility)")
 
 

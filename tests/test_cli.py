@@ -533,6 +533,8 @@ UNREACHED_ALLOWLIST = {
     "exact.IntMatrix._entrywise": "the one body of __add__ and __sub__",
     "exact.IntMatrix.__neg__": "matrix arithmetic",
     "exact.IntMatrix.zeros": "small API: the zero matrix of a shape",
+    "exact.IntMatrix.identity": "small API: the identity matrix; the all-pairs axiom oracle builds it",
+    "exact.IntMatrix.scale": "matrix arithmetic; the all-pairs axiom oracle scales a double-coset side",
     "exact.IntMatrix.__hash__": "data model: a matrix is a hashable value",
     "exact.IntMatrix.__repr__": "data model",
     "exact.Cyclotomic.__hash__": "data model: a cyclotomic number is a hashable value",

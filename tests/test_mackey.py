@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import os
@@ -29,7 +30,13 @@ from kulocal.mackey import (
     v_h,
 )
 from kulocal.reprings import dual_multiply
-from oracles import functor_json, marks_on_cyclic, maximal_proper_subgroups_all_pairs
+from oracles import (
+    functor_json,
+    green_axioms_all_pairs,
+    mackey_axioms_all_pairs,
+    marks_on_cyclic,
+    maximal_proper_subgroups_all_pairs,
+)
 
 INSTANCES = ["C3", "C9", "C27", "C3xC3", "C5", "C25", "C7", "C3xC9"]
 
@@ -321,6 +328,108 @@ def test_axiom_checks_report_a_corrupted_entry_under_O():
     assert named, proc.stdout
 
 
+# -- the generating sets of identities against the all-pairs oracle -------------
+
+ORACLE_GROUPS = INSTANCES + ["C81", "C3xC3xC3", "C5xC25"]
+FUNCTOR_NAMES = ["burnside", "a_mod_j", "ru", "pi0"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_axiom_checks_and_the_all_pairs_oracle_pass_together(spec):
+    g = parse_group(spec)
+    for name in FUNCTOR_NAMES:
+        m = FUNCTOR_BUILDS[name](g)
+        assert mackey_axioms_all_pairs(m) == [] and green_axioms_all_pairs(m) == [], (spec, name)
+        assert m.check_mackey_axioms() == [] and m.check_green_axioms() == [], (spec, name)
+
+
+def _copy_with_every_map(functor):
+    """A new functor object over the same levels and units, with its own copy
+    of every map and product table, so a mutation of the copy reaches no
+    other functor."""
+    for h in functor.subgroups:
+        for k in h.subgroups:
+            functor.res(h, k), functor.tr(k, h)
+    fresh = copy.copy(functor)
+    fresh._res, fresh._tr = dict(functor._res), dict(functor._tr)
+    fresh._products = {h: [list(row) for row in functor.product_table(h)] for h in functor.subgroups}
+    return fresh
+
+
+def _bump_product(functor, h, i, j):
+    """Add 1 at coordinate 0 of e_i * e_j at level H, in both mirrored
+    entries, so the table stays commutative as ``product_table`` builds it."""
+    table = functor._products[h]
+    bumped = dict(table[i][j])
+    bumped[0] = bumped.get(0, 0) + 1
+    table[i][j] = table[j][i] = tuple(sorted((t, z) for t, z in bumped.items() if z))
+
+
+@pytest.mark.parametrize("name", FUNCTOR_NAMES)
+@pytest.mark.parametrize("spec", ["C9", "C3xC3", "C3xC9"])
+def test_single_entry_mutations_the_oracle_sees_are_named(spec, name):
+    # entry (0, 0) of every res(H, K) and tr(K, H), covers or not, and one
+    # product per level: whenever the all-pairs oracle fails, the checks fail
+    # too, naming both subgroups of the map or the level of the product
+    g = parse_group(spec)
+    base = FUNCTOR_BUILDS[name](g)
+    mutations = []
+    for h in g.subgroups():
+        mutations += [("res", (h, k)) for k in h.subgroups] + [("tr", (k, h)) for k in h.subgroups]
+        mutations.append(("product", (h,)))
+    named = 0
+    for kind, subgroups in mutations:
+        m = _copy_with_every_map(base)
+        if kind == "product":
+            [h] = subgroups
+            _bump_product(m, h, 0, min(1, m.level(h).rank - 1))
+        else:
+            maps = m._res if kind == "res" else m._tr
+            maps[subgroups] = _bumped(maps[subgroups], 0, 0)
+        failures = m.check_mackey_axioms() + m.check_green_axioms()
+        if any(all(repr(s) in f for s in subgroups) for f in failures):
+            named += 1
+        else:
+            assert mackey_axioms_all_pairs(m) + green_axioms_all_pairs(m) == [], (kind, subgroups, failures)
+    # the copies take their mutations: most are named at once
+    assert named > len(mutations) // 2
+
+
+def test_well_definedness_failures_name_the_map_and_the_level():
+    # pi0 of C3xC3: generators b_0 .. b_(r-1), then x b_0 .. x b_(r-1), and
+    # relation 0 is 2 (x b_0) = 0; no relation involves b_0
+    g = parse_group("C3xC3")
+    whole, triv = g.full_subgroup, g.trivial_subgroup
+    m = _copy_with_every_map(assemble_pi0(g).functor)
+    r = m.level(whole).rank // 2
+    # res(G, 1) with 1 more b_0 in the image of x b_0: 2 (x b_0) goes to 2 b_0 + ...
+    m._res[(whole, triv)] = _bumped(m.res(whole, triv), 0, r)
+    assert f"res not well defined {whole!r}->{triv!r}" in m.check_mackey_axioms()
+    m = _copy_with_every_map(assemble_pi0(g).functor)
+    # b_0 * x b_0 gains b_0, so relation 0 times e_0 is 2 b_0 + ...
+    _bump_product(m, whole, 0, r)
+    assert f"product not well defined at {whole!r}: relation 0 * e_0" in m.check_green_axioms()
+
+
+def test_axiom_and_linearization_checks_multiply_no_int_matrix(monkeypatch):
+    g = parse_group("C3xC9")
+    functors = {name: _copy_with_every_map(FUNCTOR_BUILDS[name](g)) for name in FUNCTOR_NAMES}
+    for ring in functors["burnside"].rings.values():
+        ring.linearize_matrix
+    calls = []
+    multiply = IntMatrix.__mul__
+
+    def counted(a, b):
+        calls.append((a.rows, a.cols, b.cols))
+        return multiply(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counted)
+    for m in functors.values():
+        assert m.check_mackey_axioms() == [] and m.check_green_axioms() == []
+    assert linearization_check(functors["burnside"], functors["ru"]) == []
+    assert calls == []
+
+
 # -- lazy maps ------------------------------------------------------------------
 
 
@@ -355,6 +464,9 @@ def test_equality_fast_paths_stay_exact():
         i = rng.randrange(n)
         return tuple(int(t == i) for t in range(n))
 
+    def columns(m):
+        return [m.column(c) for c in range(m.cols)]
+
     def column_shifted(m, j, w):
         cols = [shifted(m.column(c), w) if c == j else m.column(c) for c in range(m.cols)]
         return IntMatrix.from_columns(cols, nrows=m.rows)
@@ -369,9 +481,10 @@ def test_equality_fast_paths_stay_exact():
             assert not lvl.elements_equal(v, shifted(shifted(v, rel), e))
     lvl_k, res = pi0.level(k), pi0.res(whole, k)
     for j in range(res.cols):
-        assert pi0.maps_equal(lvl_k, res, column_shifted(res, j, in_lattice(lvl_k)))
+        assert lvl_k.maps_equal(columns(res), columns(column_shifted(res, j, in_lattice(lvl_k))))
         e = unit(lvl_k.rank)
-        assert not pi0.maps_equal(lvl_k, res, column_shifted(res, j, shifted(in_lattice(lvl_k), e)))
+        shifted_res = column_shifted(res, j, shifted(in_lattice(lvl_k), e))
+        assert not lvl_k.maps_equal(columns(res), columns(shifted_res))
 
     lvl_k, res = aj.level(k), aj.res(whole, k)
     assert not lvl_k.relations
@@ -381,7 +494,7 @@ def test_equality_fast_paths_stay_exact():
         if not any(w):
             continue
         assert not lvl_k.elements_equal(v, shifted(v, w))
-        assert not aj.maps_equal(lvl_k, res, column_shifted(res, rng.randrange(res.cols), w))
+        assert not lvl_k.maps_equal(columns(res), columns(column_shifted(res, rng.randrange(res.cols), w)))
 
 
 @pytest.mark.parametrize("spec", ["C9", "C3xC3", "C3xC9"])
