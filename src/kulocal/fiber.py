@@ -12,12 +12,14 @@ against the rational representation lattice, and against the image of the
 Burnside ring under linearization (Ritter-Segal: permutation characters span
 the rational ones).  That second comparison is ``spans_cycle_lattice``, a
 certificate read off the 0/1 linearization rows and the cycle indicators with
-no Hermite form; ``mackey.assemble_pi0`` runs it at every level.  The
+no Hermite form; ``mackey.assemble_pi0`` runs it at every level, on the
+kernels of ``degree0_kernels``, which computes no degree-2 factor.  The
 degree-2 cokernel is finite (nonzero determinant, checked via invertibility
 mod ell) and its invariant factors and q-primary part give the degree-1
 homotopy levels.  ``fiber_level_data`` reads the degree-0 kernel and the
 degree-2 invariant factors off one cycle decomposition per level, for
-``mackey.assemble_pi0`` and ``mackey.assemble_pi1_c3``.  ``group_report``
+``mackey.assemble_pi1_c3``.  Both admit ell in one order of errors
+(``_admitted_cycles``).  ``group_report``
 (the ``pi1`` payload) decomposes only the top level.  For ell a primitive
 root mod exponent(G), the cycles on a level's characters are the generator
 sets of its cyclic subgroups, so every level's cokernel follows from how many
@@ -262,21 +264,37 @@ class FiberLevelData:
     pi1_q_part: tuple[int, ...]
 
 
+def _admitted_cycles(group: AbelianGroup, ell: int) -> dict[Subgroup, tuple[tuple[int, ...], ...]]:
+    """Each level's ``adams_cycles``, ell admitted in one order of errors: an
+    ell not coprime to |G|, then a singular degree-2 psi^ell - 1, then an ell
+    that is not a primitive root, so that ell = 1 reports the singular matrix.
+    Singularity is read once, off the top level's ``degree2_determinant``: a
+    singular level means a singular top level (its permutation module is a
+    quotient of the top one).  psi^ell commutes with restriction, and a
+    primitive root mod exponent(G) stays primitive at every level."""
+    _require_coprime(group, ell)
+    cycles = {h: adams_cycles(h.dual, ell) for h in group.subgroups()}
+    degree2_determinant(cycles[group.full_subgroup], ell)
+    require_primitive(group, ell)
+    return cycles
+
+
+def degree0_kernels(group: AbelianGroup, ell: int) -> dict[Subgroup, tuple[Vector, ...]]:
+    """Each level's degree-0 kernel, its ``adams_kernel_basis`` (the cycle
+    indicators), with no degree-2 factor computed: the per-level read of
+    ``mackey.assemble_pi0``."""
+    return {h: adams_kernel_basis(c) for h, c in _admitted_cycles(group, ell).items()}
+
+
 def fiber_level_data(group: AbelianGroup, ell: int | None = None) -> dict[Subgroup, FiberLevelData]:
     """Each level's data off one cycle decomposition of psi^ell, q-parts for q
-    the smallest prime dividing |G|.  psi^ell commutes with restriction, and
-    a primitive root mod exponent(G) stays primitive at every level.
-    A singular degree-2 level means a singular top level (its permutation
-    module is a quotient of the top one), which raises ArithmeticError.
-    An ell that is not a primitive root is rejected after the singular
-    check, so that ell = 1 reports the singular matrix."""
+    the smallest prime dividing |G|, ell admitted as ``_admitted_cycles``
+    says."""
     if ell is None:
         ell = default_ell(group)
-    _require_coprime(group, ell)
     q = smallest_prime_factor(group.order)
     out = {}
-    for h in group.subgroups():
-        cycles = adams_cycles(h.dual, ell)
+    for h, cycles in _admitted_cycles(group, ell).items():
         factors = degree2_invariant_factors(cycles, ell)
         out[h] = FiberLevelData(
             subgroup=h,
@@ -284,7 +302,6 @@ def fiber_level_data(group: AbelianGroup, ell: int | None = None) -> dict[Subgro
             pi1_invariant_factors=factors,
             pi1_q_part=primary_part(factors, q),
         )
-    require_primitive(group, ell)
     return out
 
 

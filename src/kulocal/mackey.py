@@ -2,9 +2,14 @@
 
 A functor is stored levelwise: one finitely generated abelian group per
 subgroup, presented as Z^rank modulo a relation lattice, with restriction and
-transfer matrices for every containment.  The maps are built on first use
-and kept (``MapCache``), so a job that reads only the levels builds none of
-them; the axiom checks read, and so build, every one.
+transfer matrices for every containment.  The maps and units are built on
+first use and kept (``Built``, ``MapCache``), so a job that reads only the
+levels builds none of them; the axiom checks read, and so build, every one.
+A level whose relations are d*e_i at distinct indices reads its free rank and
+torsion off that diagonal; only other levels take a Smith form.  So ``pi0``
+(``assemble_pi0``), which prints each level's rank, torsion and cyclic count,
+builds no A/J basis or unit, runs no Smith form and computes no degree-2
+factor.
 Because the ambient group is abelian there is no conjugation data, Weyl
 groups are quotients, and the double-coset law collapses to
 
@@ -23,7 +28,8 @@ imply each law on every pair and triple (the Green ones given transitivity).
 
 Provided functors: the Burnside functor and its levelwise quotient A/J by the
 cyclically-vanishing ideal, both lattices of marks vectors built by one
-construction (``_marks_functor``: restriction keeps the marks at the subgroups
+construction (``_marks_functor``: a level's rank is its column count, its
+basis is built on first read, restriction keeps the marks at the subgroups
 of K, transfer scales them by [H : K], the product is pointwise), which keeps
 the Burnside ring of each level (``MarksFunctor.rings``) for every reader; the
 representation-ring functor (``linearization_check`` takes a Burnside and a
@@ -49,6 +55,7 @@ from typing import Callable, Iterable, Sequence
 from .burnside import BurnsideRing
 from .exact import (
     IntMatrix,
+    divisibility_chain,
     is_prime,
     kernel_lattice,
     lattice_contains,
@@ -59,7 +66,7 @@ from .exact import (
     row_hnf,
     smith_normal_form,
 )
-from .fiber import default_ell, fiber_level_data, spans_cycle_lattice
+from .fiber import default_ell, degree0_kernels, fiber_level_data, spans_cycle_lattice
 from .groups import AbelianGroup, Subgroup
 
 Vector = tuple
@@ -79,9 +86,14 @@ class Level:
 
     @cached_property
     def structure(self) -> tuple[int, tuple[int, ...]]:
-        """(free rank, torsion invariant factors)."""
-        if not self.relations:
-            return self.rank, ()
+        """(free rank, torsion invariant factors).  Relations d*e_i, one
+        nonzero per row at distinct indices i (every level ``_tensor`` makes,
+        and a level with none), present Z^(rank - #rows) + sum of the Z/|d|,
+        read off the diagonal; any other relations go through the Smith form."""
+        diagonal = _diagonal(self.relations)
+        if diagonal is not None:
+            chain = divisibility_chain(abs(d) for d in diagonal)
+            return self.rank - len(diagonal), tuple(d for d in chain if d != 1)
         dec = smith_normal_form(IntMatrix(self.relations, cols=self.rank))
         torsion = tuple(d for d in dec.invariant_factors if d != 1)
         return self.rank - dec.rank, torsion
@@ -119,7 +131,33 @@ class Level:
         return a == b or all(self.elements_equal(x, y) for x, y in zip(a, b, strict=True))
 
 
-class MapCache(dict):
+def _diagonal(relations: Sequence[Vector]) -> list[int] | None:
+    """The d of relation rows d*e_i with distinct i, or None if some row has
+    other than one nonzero entry or two rows share an index."""
+    seen, out = set(), []
+    for row in relations:
+        nonzero = [(i, d) for i, d in enumerate(row) if d]
+        if len(nonzero) != 1 or nonzero[0][0] in seen:
+            return None
+        seen.add(nonzero[0][0])
+        out.append(nonzero[0][1])
+    return out
+
+
+class Built(dict):
+    """A dict whose missing key k is ``build(k)``, built on first lookup and
+    kept."""
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
+class MapCache(Built):
     """Restriction or transfer matrices keyed (source, target), each built by
     ``build(source, target)`` on first lookup and kept.
 
@@ -129,9 +167,8 @@ class MapCache(dict):
     """
 
     def __init__(self, levels: dict, build: Callable[[Subgroup, Subgroup], IntMatrix], up: bool):
-        super().__init__()
+        super().__init__(lambda key: build(*key))
         self._levels = levels
-        self._build = build
         self._up = up
 
     def __missing__(self, key: tuple[Subgroup, Subgroup]) -> IntMatrix:
@@ -139,8 +176,7 @@ class MapCache(dict):
         outer, inner = (dst, src) if self._up else (src, dst)
         if outer not in self._levels or inner not in self._levels or not outer.contains(inner):
             raise KeyError(key)
-        matrix = self[key] = self._build(src, dst)
-        return matrix
+        return super().__missing__(key)
 
 
 def _lazy_maps(levels: dict, res: Callable, tr: Callable) -> tuple[MapCache, MapCache]:
@@ -282,6 +318,8 @@ class GreenFunctor(MackeyFunctor):
         basis_product: Callable[[Subgroup, int, int], Vector],
         name: str = "",
     ):
+        """``units`` maps each level to its unit: a ``Built``, or a dict
+        holding every level."""
         super().__init__(group, levels, res, tr, name)
         self._units = units
         self._basis_product = basis_product
@@ -374,26 +412,38 @@ class MarksFunctor(GreenFunctor):
         self.rings = rings
 
 
-def _marks_functor(group: AbelianGroup, lattice: Callable, name: str) -> MarksFunctor:
+def _marks_functor(group: AbelianGroup, columns_of: Callable, lattice: Callable, name: str) -> MarksFunctor:
     """A Green functor whose level at H is a full-rank lattice of marks
     vectors with pointwise product.
 
-    ``lattice(rings[H])`` gives the column subgroups, the basis rows as marks
-    vectors and a coordinates function over those rows.  Marks
-    at a subgroup C commute with restriction, so res^H_K keeps the entries at
-    K's columns (the columns of H inside K, in the same canonical order);
-    tr^H_K scales them by [H : K] and puts 0 at the other columns of H.  The
-    unit is the all-ones marks vector.
+    ``columns_of(rings[H])`` gives the column subgroups, whose count is the
+    rank of the level.  ``lattice(rings[H])`` gives the basis rows as marks
+    vectors and a coordinates function over those rows; it runs on the
+    first read of the level's maps or unit, and a basis whose length is not
+    the column count raises ArithmeticError.  Marks at a subgroup C commute
+    with restriction, so res^H_K keeps the entries at K's columns (the
+    columns of H inside K, in the same canonical order); tr^H_K scales them
+    by [H : K] and puts 0 at the other columns of H.  The unit is the
+    all-ones marks vector.
     """
     subs = group.subgroups()
     rings = {h: BurnsideRing(group, h) for h in subs}
-    columns, basis, coordinates = {}, {}, {}
-    for h in subs:
-        columns[h], basis[h], coordinates[h] = lattice(rings[h])
-    levels = {h: Level(subgroup=h, rank=len(basis[h])) for h in subs}
+    columns = {h: columns_of(rings[h]) for h in subs}
+    levels = {h: Level(subgroup=h, rank=len(columns[h])) for h in subs}
+
+    def build(h: Subgroup) -> tuple[Sequence[Vector], Callable]:
+        basis, coordinates = lattice(rings[h])
+        if len(basis) != levels[h].rank:
+            raise ArithmeticError(
+                f"the {name} basis at {h!r} has {len(basis)} rows for {levels[h].rank} columns"
+            )
+        return basis, coordinates
+
+    lattices = Built(build)  # H -> (basis rows, coordinates)
 
     def matrix(dst: Subgroup, images: Sequence[Sequence[int]]) -> IntMatrix:
-        return IntMatrix.from_columns([coordinates[dst](v) for v in images], nrows=levels[dst].rank)
+        coordinates = lattices[dst][1]
+        return IntMatrix.from_columns([coordinates(v) for v in images], nrows=levels[dst].rank)
 
     def inside(h: Subgroup, k: Subgroup) -> list[int]:
         at = {c.mask: i for i, c in enumerate(columns[h])}
@@ -401,12 +451,12 @@ def _marks_functor(group: AbelianGroup, lattice: Callable, name: str) -> MarksFu
 
     def res(h: Subgroup, k: Subgroup) -> IntMatrix:
         cols = inside(h, k)
-        return matrix(k, [[b[i] for i in cols] for b in basis[h]])
+        return matrix(k, [[b[i] for i in cols] for b in lattices[h][0]])
 
     def tr(k: Subgroup, h: Subgroup) -> IntMatrix:
         cols, index = inside(h, k), h.order // k.order
         up = []
-        for b in basis[k]:
+        for b in lattices[k][0]:
             v = [0] * len(columns[h])
             for i, x in zip(cols, b, strict=True):
                 v[i] = index * x
@@ -414,9 +464,10 @@ def _marks_functor(group: AbelianGroup, lattice: Callable, name: str) -> MarksFu
         return matrix(h, up)
 
     def basis_product(h: Subgroup, i: int, j: int) -> Vector:
-        return coordinates[h]([x * y for x, y in zip(basis[h][i], basis[h][j], strict=True)])
+        basis, coordinates = lattices[h]
+        return coordinates([x * y for x, y in zip(basis[i], basis[j], strict=True)])
 
-    units = {h: coordinates[h]((1,) * len(columns[h])) for h in subs}
+    units = Built(lambda h: lattices[h][1]((1,) * levels[h].rank))
     return MarksFunctor(rings, group, levels, *_lazy_maps(levels, res, tr), units, basis_product, name)
 
 
@@ -425,7 +476,8 @@ def burnside_mackey(group: AbelianGroup) -> MarksFunctor:
     the table of marks) on every subgroup of H."""
     return _marks_functor(
         group,
-        lambda ring: (ring.subgroups, ring.table_of_marks.entries, ring.element_from_marks),
+        lambda ring: ring.subgroups,
+        lambda ring: (ring.table_of_marks.entries, ring.element_from_marks),
         "burnside",
     )
 
@@ -439,13 +491,14 @@ def _a_mod_j_lattice(ring: BurnsideRing):
             raise ArithmeticError(f"marks {tuple(marks)} lie outside A/J at {ring.level!r}")
         return coords
 
-    return q.cyclic_subgroups, q.basis, coordinates
+    return q.basis, coordinates
 
 
 def a_mod_j_mackey(group: AbelianGroup) -> MarksFunctor:
     """Levelwise quotient by the cyclically-vanishing ideal: at H, the image of
-    the marks on the cyclic subgroups of H, in its canonical Hermite basis."""
-    return _marks_functor(group, _a_mod_j_lattice, "a_mod_j")
+    the marks on the cyclic subgroups of H, in its canonical Hermite basis,
+    of rank the number of cyclic subgroups of H."""
+    return _marks_functor(group, lambda ring: ring.level.cyclic_subgroups, _a_mod_j_lattice, "a_mod_j")
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +749,7 @@ def adjoin_x(functor: GreenFunctor, name: str) -> GreenFunctor:
         prod = _apply_sparse(r, [(1, functor.product_table(h)[bi][bj])])
         return prod + zero if xi + xj == 0 else zero + prod
 
-    units = {h: tuple(functor.unit(h)) + (0,) * r for h, r in ranks.items()}
+    units = Built(lambda h: tuple(functor.unit(h)) + (0,) * ranks[h])
     return GreenFunctor(functor.group, *_tensor(functor, (0, 2)), units, basis_product, name)
 
 
@@ -707,6 +760,7 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
         raise ValueError("the assembled answer requires a group of odd order")
     if ell is None:
         ell = default_ell(group)
+    kernels = degree0_kernels(group, ell)
 
     aj = a_mod_j_mackey(group)
     functor = adjoin_x(aj, "pi0")
@@ -714,10 +768,9 @@ def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
     # cross-check: at each level the linearized Burnside lattice is the
     # degree-0 Adams kernel in RU(H), by the certificate on its cycle
     # indicators (no Hermite form), and its rank is A/J's
-    level_data = fiber_level_data(group, ell)
     failures = []
     for h, ring in aj.rings.items():
-        kernel = level_data[h].pi0_basis
+        kernel = kernels[h]
         if not spans_cycle_lattice(ring.linearize_matrix.entries, kernel):
             failures.append(f"at {h!r}: the linearized Burnside lattice is not the kernel")
         if len(kernel) != aj.level(h).rank:

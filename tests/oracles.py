@@ -8,7 +8,7 @@ they live beside the tests rather than in ``kulocal``.
 from functools import reduce
 
 from kulocal.burnside import BurnsideRing
-from kulocal.exact import Cyclotomic, IntMatrix
+from kulocal.exact import Cyclotomic, IntMatrix, hnf_coordinates, row_hnf
 from kulocal.groups import AbelianGroup, DualLevel, ExplicitHSet, Subgroup, map_set_orbits
 from kulocal.mackey import GreenFunctor, Level, MackeyFunctor, _apply_sparse, _pairs, _unit_vec
 from kulocal.reprings import ClassFunction, RURing, dual_permutation, permute
@@ -99,6 +99,15 @@ def table_of_marks_by_containment(ring: BurnsideRing) -> list[list[int]]:
 def marks_by_containment(ring: BurnsideRing, coeffs) -> tuple:
     """The marks of a Burnside element as the dense product with the table."""
     return IntMatrix(table_of_marks_by_containment(ring), cols=ring.n).transpose().apply(coeffs)
+
+
+def a_mod_j_eager(ring: BurnsideRing) -> tuple[tuple, tuple]:
+    """A/J at the ring's level, built at once: the row Hermite form of the
+    marks of every orbit at the cyclic subgroups, and the coordinates of the
+    all-ones unit over it."""
+    n = len(ring.level.cyclic_subgroups)
+    basis = row_hnf(ring._cyclic_marks_rows, n)
+    return basis, hnf_coordinates(basis, (1,) * n)
 
 
 def marks_on_cyclic(ring: BurnsideRing, coeffs) -> tuple:

@@ -20,6 +20,7 @@ from kulocal.fiber import (
     adams_minus_one,
     counted_cycle_lengths,
     default_ell,
+    degree0_kernels,
     degree2_determinant,
     degree2_invariant_factors,
     determinant_mod_ell_check,
@@ -320,15 +321,17 @@ def _outcome(call):
 @pytest.mark.parametrize("spec", ["C1", "C2", "C3xC5", "C9", "C3xC3"])
 def test_counted_report_raises_as_the_decomposed_levels_do(spec):
     # ell = 1 and -1 (singular), 3 and 5 (not coprime to some of these
-    # groups), 4 and 7 (not primitive mod 9) and the rest: group_report
-    # fails with fiber_level_data's error, or matches its levels
+    # groups), 4 and 7 (not primitive mod 9) and the rest: group_report and
+    # degree0_kernels fail with fiber_level_data's error, or match its levels
     g = parse_group(spec)
     for ell in range(-4, 11):
         counted = _outcome(lambda: group_report(g, ell))
+        kernels = _outcome(lambda: degree0_kernels(g, ell))
         decomposed = _outcome(lambda: fiber_level_data(g, ell))
         if isinstance(decomposed, tuple):
-            assert counted == decomposed, (spec, ell)
+            assert counted == kernels == decomposed, (spec, ell)
         else:
+            assert kernels == {h: lv.pi0_basis for h, lv in decomposed.items()}, (spec, ell)
             assert isinstance(counted, dict), (spec, ell, counted)
             assert [e["pi1_q_part"] for e in counted["levels"]] == [list(lv.pi1_q_part) for lv in decomposed.values()]
             assert counted["pi1_invariant_factors"] == list(decomposed[g.full_subgroup].pi1_invariant_factors)
@@ -394,6 +397,7 @@ def test_singular_ell_raises_at_every_entry_point(spec, ell):
         lambda: degree2_invariant_factors(adams_cycles(top, ell), ell),
         lambda: degree2_determinant(adams_cycles(top, ell), ell),
         lambda: fiber_level_data(g, ell),
+        lambda: degree0_kernels(g, ell),
         lambda: group_report(g, ell),
     ):
         with pytest.raises(ArithmeticError) as err:

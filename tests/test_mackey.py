@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from kulocal import burnside, mackey
 from kulocal.burnside import BurnsideRing
 from kulocal.cli import canonical_json
-from kulocal.exact import IntMatrix, is_primitive_root, solve_integer
+from kulocal.exact import IntMatrix, is_primitive_root, smith_normal_form, solve_integer
 from kulocal.fiber import group_report
 from kulocal.groups import AbelianGroup, DualLevel, parse_group
 from kulocal.mackey import (
@@ -31,6 +32,7 @@ from kulocal.mackey import (
 )
 from kulocal.reprings import dual_multiply
 from oracles import (
+    a_mod_j_eager,
     functor_json,
     green_axioms_all_pairs,
     mackey_axioms_all_pairs,
@@ -103,12 +105,112 @@ def test_green_axioms(spec):
     assert ru_mackey(g).check_green_axioms() == []
 
 
+def _smith_structure(rank, relations):
+    """(free rank, torsion) of Z^rank modulo ``relations`` by the Smith form."""
+    if not relations:
+        return rank, ()
+    dec = smith_normal_form(IntMatrix(relations, cols=rank))
+    return rank - dec.rank, tuple(d for d in dec.invariant_factors if d != 1)
+
+
+def _counting_smith(monkeypatch):
+    calls = []
+
+    def counted(*args, _snf=mackey.smith_normal_form):
+        calls.append(args)
+        return _snf(*args)
+
+    monkeypatch.setattr(mackey, "smith_normal_form", counted)
+    return calls
+
+
+def _diagonal_relations(rank, pairs):
+    return tuple(tuple(d if j == i else 0 for j in range(rank)) for i, d in pairs)
+
+
+def test_diagonal_levels_agree_with_the_smith_form(monkeypatch):
+    # relations d*e_i at distinct indices, in random index order, drawn with
+    # repeats from units, coprime and non-coprime orders and negative d; the
+    # fixed sets are a rank with no relations, a unit, repeated orders,
+    # coprime orders and a negative d
+    orders = (1, -1, 2, -2, 3, 4, 5, 6, 9, -9, 10, 12, 25, 27, -36)
+    rng = random.Random(20261020)
+    sets = [(0, ()), (3, ()), (2, ((1, 1),)), (3, ((2, 3), (0, 3), (1, 3))),
+            (3, ((0, 4), (2, 9))), (2, ((1, -6), (0, 4)))]
+    for _ in range(400):
+        rank = rng.randrange(7)
+        indices = rng.sample(range(rank), rng.randrange(rank + 1))
+        sets.append((rank, tuple((i, rng.choice(orders)) for i in indices)))
+    top = parse_group("C3").full_subgroup
+    calls = _counting_smith(monkeypatch)
+    for rank, pairs in sets:
+        relations = _diagonal_relations(rank, pairs)
+        level = Level(subgroup=top, rank=rank, relations=relations)
+        assert level.structure == _smith_structure(rank, relations), relations
+    assert calls == []
+
+
+@pytest.mark.parametrize("rank,relations,structure", [
+    (2, ((2, 2),), (1, (2,))),  # two nonzeros in a row
+    (2, ((1, 1), (1, -1)), (0, (2,))),
+    (2, ((4, 0), (6, 0)), (1, (2,))),  # a repeated index
+    (3, ((0, 3, 0), (0, 0, 9), (0, 6, 0)), (1, (3, 9))),
+])
+def test_other_levels_go_through_the_smith_form(monkeypatch, rank, relations, structure):
+    calls = _counting_smith(monkeypatch)
+    level = Level(subgroup=parse_group("C3").full_subgroup, rank=rank, relations=relations)
+    assert level.structure == structure == _smith_structure(rank, relations)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", ["C3xC3xC9", "C9xC9", "C3xC27", "C5xC5xC5"])
+def test_a_mod_j_builds_the_eager_basis_and_unit_on_first_read(spec):
+    g = parse_group(spec)
+    functor = a_mod_j_mackey(g)
+    rings = functor.rings
+    # building the functor builds no Hermite basis
+    assert not any("_a_mod_j" in ring.__dict__ for ring in rings.values())
+    for h in functor.subgroups:
+        basis, unit = a_mod_j_eager(rings[h])
+        assert functor.level(h).rank == len(h.cyclic_subgroups) == len(basis)
+        assert functor.unit(h) == unit
+        assert rings[h].a_mod_j().basis == basis
+
+
+@pytest.mark.parametrize("read", ["unit", "res", "tr"])
+def test_a_basis_short_of_a_row_raises_at_its_level(monkeypatch, read):
+    # the rank is the column count, so a basis that loses a row is caught
+    # when a map or the unit first reads it, naming the level
+    g = parse_group("C3xC9")
+    top = g.full_subgroup
+    a_mod_j = BurnsideRing.a_mod_j
+
+    def dropped(ring):
+        q = a_mod_j(ring)
+        return dataclasses.replace(q, basis=q.basis[:-1]) if ring.level.mask == top.mask else q
+
+    monkeypatch.setattr(BurnsideRing, "a_mod_j", dropped)
+    functor = a_mod_j_mackey(g)
+    k = maximal_proper_subgroups(top)[0]
+    reads = {
+        "unit": lambda: functor.unit(top),
+        "res": lambda: functor.res(top, k),
+        "tr": lambda: functor.tr(k, top),
+    }
+    rank = functor.level(top).rank
+    message = f"the a_mod_j basis at {top!r} has {rank - 1} rows for {rank} columns"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        reads[read]()
+    assert functor.unit(k) == a_mod_j_eager(functor.rings[k])[1]
+
+
 @pytest.mark.parametrize("build,count", [(burnside_mackey, 15), (ru_mackey, 22)])
 def test_green_check_sees_a_doubled_unit(build, count):
     # restriction carries the doubled unit to the doubled unit, so only the
     # unit law 1 * e_i = e_i sees it: once per basis vector of every level
     functor = build(parse_group("C3xC3"))
-    functor._units = {h: tuple(2 * x for x in u) for h, u in functor._units.items()}
+    doubled = {h: tuple(2 * x for x in functor.unit(h)) for h in functor.subgroups}
+    functor.unit = doubled.__getitem__
     assert functor.check_green_axioms() == [
         f"unit law fails at {h!r}: 1 * e_{i} != e_{i}"
         for h in functor.subgroups
