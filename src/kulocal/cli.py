@@ -92,7 +92,7 @@ def cmd_pi1(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, str]:
             + "  q-part "
             + (" + ".join(f"Z/{d}" for d in qpart) if qpart else "0")
         )
-    ok = payload["det_degree2"] != 0 and "failures" not in payload
+    ok = "failures" not in payload
     lines.extend(f"  FAIL  {f}" for f in payload.get("failures", ()))
     if group.factors == (3,):
         m = assemble_pi1_c3()

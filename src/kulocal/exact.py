@@ -744,11 +744,6 @@ def hnf_coordinates(hnf_rows: Sequence[Sequence[int]], v: Sequence[int]) -> tupl
     return None if any(w) else tuple(coeffs)
 
 
-def lattice_contains(hnf_rows: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
-    """Membership of v in the lattice given by its row Hermite form."""
-    return hnf_coordinates(hnf_rows, v) is not None
-
-
 def lattice_equal(rows_a, rows_b, ncols: int) -> bool:
     return row_hnf(rows_a, ncols) == row_hnf(rows_b, ncols)
 

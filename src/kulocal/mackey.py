@@ -1,15 +1,15 @@
 """Mackey and Green functors over a finite abelian group.
 
 A functor is stored levelwise: one finitely generated abelian group per
-subgroup, presented as Z^rank modulo a relation lattice, with restriction and
-transfer matrices for every containment.  The maps and units are built on
-first use and kept (``Built``, ``MapCache``), so a job that reads only the
-levels builds none of them; the axiom checks read, and so build, every one.
-A level whose relations are d*e_i at distinct indices reads its free rank and
-torsion off that diagonal; only other levels take a Smith form.  So ``pi0``
-(``assemble_pi0``), which prints each level's rank, torsion and cyclic count,
-builds no A/J basis or unit, runs no Smith form and computes no degree-2
-factor.
+subgroup, a direct sum of cyclic groups given by the order of each generator
+(0 for Z, d for Z/d), with restriction and transfer matrices for every
+containment.  The maps, units and product tables are built on first use and
+kept (``Built``, ``MapCache``), so a job that reads only the levels builds
+none of them; the axiom checks read, and so build, every one.  A level reads
+its free rank and torsion off its orders, and two elements are equal when
+their difference is 0 modulo each order.  So ``pi0`` (``assemble_pi0``),
+which prints each level's rank, torsion and cyclic count, builds no A/J
+basis or unit, runs no Smith or Hermite form and computes no degree-2 factor.
 Because the ambient group is abelian there is no conjugation data, Weyl
 groups are quotients, and the double-coset law collapses to
 
@@ -58,45 +58,37 @@ from .exact import (
     divisibility_chain,
     is_prime,
     kernel_lattice,
-    lattice_contains,
     lattice_equal,
     primary_part,
     prime_factors,
     prime_power_part,
-    row_hnf,
     smith_normal_form,
 )
 from .fiber import default_ell, degree0_kernels, fiber_level_data, spans_cycle_lattice
 from .groups import AbelianGroup, Subgroup
 
 Vector = tuple
+Pairs = tuple  # the nonzero (index, coefficient) pairs of a vector, by index
 
 
 @dataclass(frozen=True)
 class Level:
-    """One level: Z^rank modulo the lattice spanned by ``relations`` rows."""
+    """One level: the direct sum over its generators of Z/orders[i], order 0
+    meaning Z."""
 
     subgroup: Subgroup
-    rank: int
-    relations: tuple[Vector, ...] = ()
+    orders: tuple[int, ...]
 
-    @cached_property
-    def relation_hnf(self) -> tuple[Vector, ...]:
-        return row_hnf(self.relations, self.rank)
+    @property
+    def rank(self) -> int:
+        return len(self.orders)
 
     @cached_property
     def structure(self) -> tuple[int, tuple[int, ...]]:
-        """(free rank, torsion invariant factors).  Relations d*e_i, one
-        nonzero per row at distinct indices i (every level ``_tensor`` makes,
-        and a level with none), present Z^(rank - #rows) + sum of the Z/|d|,
-        read off the diagonal; any other relations go through the Smith form."""
-        diagonal = _diagonal(self.relations)
-        if diagonal is not None:
-            chain = divisibility_chain(abs(d) for d in diagonal)
-            return self.rank - len(diagonal), tuple(d for d in chain if d != 1)
-        dec = smith_normal_form(IntMatrix(self.relations, cols=self.rank))
-        torsion = tuple(d for d in dec.invariant_factors if d != 1)
-        return self.rank - dec.rank, torsion
+        """(free rank, torsion invariant factors): the count of zero orders,
+        and the divisibility chain of the nonzero ones without its 1s."""
+        chain = divisibility_chain(d for d in self.orders if d)
+        return self.orders.count(0), tuple(d for d in chain if d != 1)
 
     @property
     def free_rank(self) -> int:
@@ -116,32 +108,21 @@ class Level:
 
     def elements_equal(self, a: Sequence[int], b: Sequence[int]) -> bool:
         """a == b in the level: equal vectors are equal at once; otherwise
-        a - b must lie in the relation lattice, so on a level without
-        relations any difference answers False.  Vectors of unequal length
-        raise ValueError."""
+        each coordinate of a - b must be 0 modulo its generator's order.
+        Vectors of unequal length raise ValueError."""
         if a == b:
             return True
-        diff = tuple(x - y for x, y in zip(a, b, strict=True))
-        if not any(diff):
-            return True
-        return bool(self.relations) and lattice_contains(self.relation_hnf, diff)
+        diff = [x - y for x, y in zip(a, b, strict=True)]
+        return all(x % d == 0 if d else x == 0 for x, d in zip(diff, self.orders, strict=True))
 
     def maps_equal(self, a: Sequence[Vector], b: Sequence[Vector]) -> bool:
         """Two maps into the level, given as their columns, are equal."""
         return a == b or all(self.elements_equal(x, y) for x, y in zip(a, b, strict=True))
 
 
-def _diagonal(relations: Sequence[Vector]) -> list[int] | None:
-    """The d of relation rows d*e_i with distinct i, or None if some row has
-    other than one nonzero entry or two rows share an index."""
-    seen, out = set(), []
-    for row in relations:
-        nonzero = [(i, d) for i, d in enumerate(row) if d]
-        if len(nonzero) != 1 or nonzero[0][0] in seen:
-            return None
-        seen.add(nonzero[0][0])
-        out.append(nonzero[0][1])
-    return out
+def _relations(lvl: Level) -> list[Pairs]:
+    """The relations d*e_i of a level, one per nonzero order d, as pairs."""
+    return [((i, d),) for i, d in enumerate(lvl.orders) if d]
 
 
 class Built(dict):
@@ -220,8 +201,8 @@ class MackeyFunctor:
 
     def check_mackey_axioms(self) -> list[str]:
         """The Mackey axioms on a generating set of identities: res(H, H) =
-        tr(H, H) = id; every res and tr well defined (the relation rows of its
-        source map into the relation lattice of its target); on each cover
+        tr(H, H) = id; every res and tr well defined (each relation d*e_i of
+        its source maps to 0 in its target); on each cover
         K < H, transitivity along L <= K < H and res^H_K o tr^H_K = [H : K] id;
         and the double-coset law at H for proper K, L with |K| |L| = |H| |K & L|,
         that is K + L = H.  These imply every identity between the quotient
@@ -243,7 +224,7 @@ class MackeyFunctor:
             n, lvl = rank[dst], self.level(dst)
             if src == dst and not lvl.maps_equal(dense[kind, src, dst], [_unit_vec(n, i) for i in range(n)]):
                 failures.append(f"{kind} identity at {src!r}")
-            relations = [_pairs(r) for r in self.level(src).relations]
+            relations = _relations(self.level(src))
             if not lvl.maps_equal(_compose(n, columns, relations), [(0,) * n] * len(relations)):
                 failures.append(f"{kind} not well defined {src!r}->{dst!r}")
         for h in subs:
@@ -276,9 +257,6 @@ def _unit_vec(n: int, i: int, c: int = 1) -> Vector:
     return tuple(v)
 
 
-Pairs = tuple  # the nonzero (index, coefficient) pairs of a vector, by index
-
-
 def _pairs(v: Sequence[int]) -> Pairs:
     return tuple((i, c) for i, c in enumerate(v) if c)
 
@@ -306,7 +284,7 @@ def _compose(n: int, outer: Sequence[Pairs], inner: Sequence[Pairs]) -> list[Vec
 class GreenFunctor(MackeyFunctor):
     """A Mackey functor with a commutative unital product at each level, given
     by the products of basis vectors: ``basis_product(h, i, j)`` is e_i * e_j
-    at level H."""
+    at level H, as its nonzero (index, coefficient) pairs."""
 
     def __init__(
         self,
@@ -315,7 +293,7 @@ class GreenFunctor(MackeyFunctor):
         res: dict,
         tr: dict,
         units: dict[Subgroup, Vector],
-        basis_product: Callable[[Subgroup, int, int], Vector],
+        basis_product: Callable[[Subgroup, int, int], Pairs],
         name: str = "",
     ):
         """``units`` maps each level to its unit: a ``Built``, or a dict
@@ -323,22 +301,23 @@ class GreenFunctor(MackeyFunctor):
         super().__init__(group, levels, res, tr, name)
         self._units = units
         self._basis_product = basis_product
-        self._products: dict[Subgroup, list[list[Pairs]]] = {}
+        self._products = Built(self._product_table)
 
     def unit(self, h: Subgroup) -> Vector:
         return self._units[h]
 
     def product_table(self, h: Subgroup) -> list[list[Pairs]]:
         """e_i * e_j for every pair of basis vectors of the level, as its
-        nonzero (index, coefficient) pairs, computed once per level for
-        i <= j and mirrored."""
-        table = self._products.get(h)
-        if table is None:
-            n = self.level(h).rank
-            table = self._products[h] = [[()] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    table[i][j] = table[j][i] = _pairs(self._basis_product(h, i, j))
+        nonzero (index, coefficient) pairs, built on first read of the level
+        for i <= j and mirrored."""
+        return self._products[h]
+
+    def _product_table(self, h: Subgroup) -> list[list[Pairs]]:
+        n = self.level(h).rank
+        table = [[()] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                table[i][j] = table[j][i] = self._basis_product(h, i, j)
         return table
 
     def _product(self, h: Subgroup, a: Pairs, b: Pairs) -> Vector:
@@ -352,8 +331,8 @@ class GreenFunctor(MackeyFunctor):
 
     def check_green_axioms(self) -> list[str]:
         """The Green axioms on a generating set of identities: at every level
-        the unit law 1 * e_i = e_i and well-definedness (each relation row
-        times each basis vector lies in the relation lattice); on each cover
+        the unit law 1 * e_i = e_i and well-definedness (each relation d*e_i
+        times each basis vector is 0 in the level); on each cover
         K < H, restriction unital and multiplicative, and Frobenius
         reciprocity tr(e_i) * e_j = tr(e_i * res(e_j)).  Premises: the product
         is commutative (``product_table`` mirrors it) and res and tr are
@@ -370,10 +349,11 @@ class GreenFunctor(MackeyFunctor):
             lvl_h = self.level(h)
             n_h = lvl_h.rank
             prod_h, unit_h = self.product_table(h), _pairs(self.unit(h))
+            relations = _relations(lvl_h)
             for i in range(n_h):
                 if not lvl_h.elements_equal(self._product(h, unit_h, ((i, 1),)), _unit_vec(n_h, i)):
                     failures.append(f"unit law fails at {h!r}: 1 * e_{i} != e_{i}")
-                for t, r in enumerate(map(_pairs, lvl_h.relations)):
+                for t, r in enumerate(relations):
                     if not lvl_h.elements_equal(self._product(h, r, ((i, 1),)), (0,) * n_h):
                         failures.append(f"product not well defined at {h!r}: relation {t} * e_{i}")
             for k in maximal_proper_subgroups(h):
@@ -429,7 +409,7 @@ def _marks_functor(group: AbelianGroup, columns_of: Callable, lattice: Callable,
     subs = group.subgroups()
     rings = {h: BurnsideRing(group, h) for h in subs}
     columns = {h: columns_of(rings[h]) for h in subs}
-    levels = {h: Level(subgroup=h, rank=len(columns[h])) for h in subs}
+    levels = {h: Level(h, (0,) * len(columns[h])) for h in subs}
 
     def build(h: Subgroup) -> tuple[Sequence[Vector], Callable]:
         basis, coordinates = lattice(rings[h])
@@ -463,9 +443,9 @@ def _marks_functor(group: AbelianGroup, columns_of: Callable, lattice: Callable,
             up.append(v)
         return matrix(h, up)
 
-    def basis_product(h: Subgroup, i: int, j: int) -> Vector:
+    def basis_product(h: Subgroup, i: int, j: int) -> Pairs:
         basis, coordinates = lattices[h]
-        return coordinates([x * y for x, y in zip(basis[i], basis[j], strict=True)])
+        return _pairs(coordinates([x * y for x, y in zip(basis[i], basis[j], strict=True)]))
 
     units = Built(lambda h: lattices[h][1]((1,) * levels[h].rank))
     return MarksFunctor(rings, group, levels, *_lazy_maps(levels, res, tr), units, basis_product, name)
@@ -507,7 +487,7 @@ def a_mod_j_mackey(group: AbelianGroup) -> MarksFunctor:
 
 def ru_mackey(group: AbelianGroup) -> GreenFunctor:
     subs = group.subgroups()
-    levels = {h: Level(subgroup=h, rank=h.dual.size) for h in subs}
+    levels = {h: Level(h, (0,) * h.dual.size) for h in subs}
 
     def res(h: Subgroup, k: Subgroup) -> IntMatrix:
         # character restriction along K <= H
@@ -527,9 +507,9 @@ def ru_mackey(group: AbelianGroup) -> GreenFunctor:
             cols[d_k.index_of(a)][i] = 1
         return IntMatrix.from_columns(cols, nrows=d_h.size)
 
-    def basis_product(h: Subgroup, i: int, j: int) -> Vector:
+    def basis_product(h: Subgroup, i: int, j: int) -> Pairs:
         d = h.dual
-        return _unit_vec(d.size, d.index_of(d.add(d.reps[i], d.reps[j])))
+        return ((d.index_of(d.add(d.reps[i], d.reps[j])), 1),)
 
     units = {h: _unit_vec(h.dual.size, h.dual.index_of(group.identity)) for h in subs}
     return GreenFunctor(group, levels, *_lazy_maps(levels, res, tr), units, basis_product, "ru")
@@ -608,7 +588,7 @@ def v_h(functor: MackeyFunctor, h: Subgroup, p: int) -> tuple[int, tuple[int, ..
     for k in maximal_proper_subgroups(h):
         m = functor.tr(k, h)
         cols.extend(m.column(j) for j in range(m.cols))
-    cols.extend(lvl.relations)
+    cols.extend(_unit_vec(lvl.rank, i, d) for i, d in enumerate(lvl.orders) if d)
     if not cols:
         return lvl.rank, ()
     mat = IntMatrix.from_columns(cols, nrows=lvl.rank)
@@ -654,12 +634,7 @@ def _tensor(
     levels = {}
     for h in functor.subgroups:
         r = functor.level(h).rank
-        cyclic = [d for d in orders for _ in range(r)] + list(extra.get(h, ()))
-        n = len(cyclic)
-        relations = tuple(
-            tuple(d if j == i else 0 for j in range(n)) for i, d in enumerate(cyclic) if d
-        )
-        levels[h] = Level(subgroup=h, rank=n, relations=relations)
+        levels[h] = Level(h, tuple(d for d in orders for _ in range(r)) + tuple(extra.get(h, ())))
 
     def block_diag(m: IntMatrix, src: Subgroup, dst: Subgroup) -> IntMatrix:
         n_src, n_dst = len(extra.get(src, ())), len(extra.get(dst, ()))
@@ -740,14 +715,13 @@ def adjoin_x(functor: GreenFunctor, name: str) -> GreenFunctor:
     """
     ranks = {h: functor.level(h).rank for h in functor.subgroups}
 
-    def basis_product(h: Subgroup, i: int, j: int) -> Vector:
+    def basis_product(h: Subgroup, i: int, j: int) -> Pairs:
         r = ranks[h]
         (xi, bi), (xj, bj) = divmod(i, r), divmod(j, r)
-        zero = (0,) * r
         if xi + xj > 1:
-            return zero + zero
-        prod = _apply_sparse(r, [(1, functor.product_table(h)[bi][bj])])
-        return prod + zero if xi + xj == 0 else zero + prod
+            return ()
+        shift = r * (xi + xj)
+        return tuple((t + shift, c) for t, c in functor.product_table(h)[bi][bj])
 
     units = Built(lambda h: tuple(functor.unit(h)) + (0,) * ranks[h])
     return GreenFunctor(functor.group, *_tensor(functor, (0, 2)), units, basis_product, name)

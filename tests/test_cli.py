@@ -772,6 +772,9 @@ def test_pi0_admits_ell_in_order(capsys, ell, err):
     # A/J's Hermite bases are built only when a map or unit reads them, and
     # pi0 prints neither
     (["pi0", "--group", "C3xC3xC9"], {}),
+    # a level compares elements by its generator orders, so the axiom checks
+    # take Hermite forms only for A/J's bases and coordinates
+    (["verify-all", "--max-order", "27"], {"kulocal.burnside": 34, "kulocal.exact": 64}),
 ])
 def test_kernel_identification_takes_no_hermite_form(capsys, monkeypatch, argv, calls):
     # fiber.spans_cycle_lattice certifies the degree-0 kernel; row_hnf is

@@ -13,7 +13,14 @@ import pytest
 from kulocal import burnside, mackey
 from kulocal.burnside import BurnsideRing
 from kulocal.cli import canonical_json
-from kulocal.exact import IntMatrix, is_primitive_root, smith_normal_form, solve_integer
+from kulocal.exact import (
+    IntMatrix,
+    hnf_coordinates,
+    is_primitive_root,
+    row_hnf,
+    smith_normal_form,
+    solve_integer,
+)
 from kulocal.fiber import group_report
 from kulocal.groups import AbelianGroup, DualLevel, parse_group
 from kulocal.mackey import (
@@ -128,6 +135,15 @@ def _diagonal_relations(rank, pairs):
     return tuple(tuple(d if j == i else 0 for j in range(rank)) for i, d in pairs)
 
 
+def _orders(rank, pairs):
+    """The orders of a level of this rank with relations d*e_i at the (i, d)
+    of ``pairs``: |d| at index i, 0 (Z) elsewhere."""
+    orders = [0] * rank
+    for i, d in pairs:
+        orders[i] = abs(d)
+    return tuple(orders)
+
+
 def test_diagonal_levels_agree_with_the_smith_form(monkeypatch):
     # relations d*e_i at distinct indices, in random index order, drawn with
     # repeats from units, coprime and non-coprime orders and negative d; the
@@ -145,22 +161,34 @@ def test_diagonal_levels_agree_with_the_smith_form(monkeypatch):
     calls = _counting_smith(monkeypatch)
     for rank, pairs in sets:
         relations = _diagonal_relations(rank, pairs)
-        level = Level(subgroup=top, rank=rank, relations=relations)
+        level = Level(top, _orders(rank, pairs))
+        assert level.rank == rank
         assert level.structure == _smith_structure(rank, relations), relations
     assert calls == []
 
 
-@pytest.mark.parametrize("rank,relations,structure", [
-    (2, ((2, 2),), (1, (2,))),  # two nonzeros in a row
-    (2, ((1, 1), (1, -1)), (0, (2,))),
-    (2, ((4, 0), (6, 0)), (1, (2,))),  # a repeated index
-    (3, ((0, 3, 0), (0, 0, 9), (0, 6, 0)), (1, (3, 9))),
-])
-def test_other_levels_go_through_the_smith_form(monkeypatch, rank, relations, structure):
-    calls = _counting_smith(monkeypatch)
-    level = Level(subgroup=parse_group("C3").full_subgroup, rank=rank, relations=relations)
-    assert level.structure == structure == _smith_structure(rank, relations)
-    assert len(calls) == 1
+def test_elements_equal_is_membership_in_the_relation_lattice():
+    # a - b against the Hermite form of the rows d*e_i (a zero row for each
+    # Z); b is a plus a random combination of those rows, plus on most draws
+    # a small random vector
+    rng = random.Random(20261021)
+    top = parse_group("C3").full_subgroup
+    seen = set()
+    for _ in range(300):
+        orders = tuple(rng.choice((0, 0, 1, 2, 3, 4, 6, 9)) for _ in range(rng.randrange(1, 6)))
+        level, relations = Level(top, orders), _diagonal_relations(len(orders), enumerate(orders))
+        hnf = row_hnf(relations, len(orders))
+        a = [rng.randint(-9, 9) for _ in orders]
+        b = list(a)
+        for row in relations:
+            c = rng.randint(-3, 3)
+            b = [x + c * y for x, y in zip(b, row)]
+        if rng.random() < 0.7:
+            b = [x + rng.randint(-2, 2) for x in b]
+        expected = hnf_coordinates(hnf, [x - y for x, y in zip(a, b)]) is not None
+        assert level.elements_equal(tuple(a), tuple(b)) == expected, (orders, a, b)
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("spec", ["C3xC3xC9", "C9xC9", "C3xC27", "C5xC5xC5"])
@@ -542,8 +570,8 @@ def _containments(group):
 
 def test_equality_fast_paths_stay_exact():
     # equal vectors and matrices compare True at once; anything else must
-    # still be decided by the relation lattice of the target level.  pi0 of
-    # C3xC3 has 2*(x b_i) = 0 at each level; A/J has no relations.
+    # still be decided by the generator orders of the target level.  pi0 of
+    # C3xC3 has x b_i of order 2 at each level; A/J's levels are free.
     g = parse_group("C3xC3")
     rng = random.Random(33)
     pi0, aj = assemble_pi0(g).functor, a_mod_j_mackey(g)
@@ -554,11 +582,9 @@ def test_equality_fast_paths_stay_exact():
         return tuple(x + c * y for x, y in zip(v, w, strict=True))
 
     def in_lattice(lvl):
-        # a nonzero integer combination of the relations
+        # a nonzero integer combination of the relations d*e_i
         while True:
-            w = (0,) * lvl.rank
-            for rel in lvl.relations:
-                w = shifted(w, rel, rng.randint(-3, 3))
+            w = tuple(d * rng.randint(-3, 3) for d in lvl.orders)
             if any(w):
                 return w
 
@@ -575,7 +601,7 @@ def test_equality_fast_paths_stay_exact():
 
     for h in (whole, k):
         lvl = pi0.level(h)
-        assert lvl.relations
+        assert any(lvl.orders)
         for _ in range(10):
             v = tuple(rng.randint(-5, 5) for _ in range(lvl.rank))
             rel, e = in_lattice(lvl), unit(lvl.rank)
@@ -589,7 +615,7 @@ def test_equality_fast_paths_stay_exact():
         assert not lvl_k.maps_equal(columns(res), columns(shifted_res))
 
     lvl_k, res = aj.level(k), aj.res(whole, k)
-    assert not lvl_k.relations
+    assert not any(lvl_k.orders)
     for _ in range(10):
         v = tuple(rng.randint(-5, 5) for _ in range(lvl_k.rank))
         w = shifted(tuple(rng.randint(-1, 1) for _ in range(lvl_k.rank)), unit(lvl_k.rank))
@@ -810,7 +836,7 @@ def test_idempotent_splitting_check_names_a_corrupted_level():
     m = burnside_mackey(g)
     h = _sub_of_order(g, 3)
     assert BurnsideRing(g, h).subgroups[0] == g.trivial_subgroup  # [H/e] is e_0
-    m.levels[h] = Level(subgroup=h, rank=2, relations=((1, 0),))
+    m.levels[h] = Level(h, (1, 0))
     failures = idempotent_splitting_check(m, 2)
     assert len(failures) == 1 and repr(h) in failures[0]
 
@@ -819,7 +845,7 @@ def test_single_level_functor():
     # a functor concentrated at the top with value Z
     g = parse_group("C3")
     whole, triv = g.full_subgroup, g.trivial_subgroup
-    levels = {triv: Level(subgroup=triv, rank=0), whole: Level(subgroup=whole, rank=1)}
+    levels = {triv: Level(triv, ()), whole: Level(whole, (0,))}
     res = {
         (whole, triv): IntMatrix.zeros(0, 1),
         (whole, whole): IntMatrix.identity(1),
@@ -922,11 +948,8 @@ def _typed_pi1_c3(group):
     """The degree-1 answer for C3 with its levels and matrices typed in:
     generators [C3/C3] @ t0, [C3/C3] @ t1, [C3/e] @ t0, [C3/e] @ t1, u on top."""
     triv, whole = group.trivial_subgroup, group.full_subgroup
-    level_e = Level(subgroup=triv, rank=2, relations=((2, 0), (0, 2)))
-    rels_top = tuple(
-        tuple((2 if i < 4 else 3) if j == i else 0 for j in range(5)) for i in range(5)
-    )
-    level_top = Level(subgroup=whole, rank=5, relations=rels_top)
+    level_e = Level(triv, (2, 2))
+    level_top = Level(whole, (2, 2, 2, 2, 3))
     # res: [C3/C3] -> [e/e], [C3/e] -> 3 [e/e], u -> 0
     res_top = IntMatrix([[1, 0, 3, 0, 0], [0, 1, 0, 3, 0]], cols=5)
     # tr: [e/e] @ tj -> [C3/e] @ tj
@@ -1027,5 +1050,5 @@ def test_primary_torsion_against_sympy():
 
     for n in range(1, 2001):
         m = n % 45 + 1
-        lvl = Level(subgroup=triv, rank=2, relations=((n, 0), (0, m)))
+        lvl = Level(triv, (n, m))
         assert lvl.primary_torsion == tuple(sorted(prime_powers(n) + prime_powers(m)))
