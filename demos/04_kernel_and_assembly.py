@@ -31,7 +31,7 @@ print("degree-0 levels for C9 (ell =", result.ell, ")")
 for entry in result.level_summary():
     desc = f"Z^{entry['free_rank']}" + "".join(f" + Z/{d}" for d in entry["torsion"])
     print(f"  level of order {entry['subgroup']}: {desc}")
-print("cross-checked against the Adams kernel at every level:",
+print("cross-checked against the Adams kernel, once per isomorphism type of level:",
       result.kernel_cross_check)
 print()
 

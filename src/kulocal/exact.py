@@ -54,7 +54,9 @@ def divisors(n: int) -> list[int]:
 
 
 def euler_phi(n: int) -> int:
-    return sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
+    """n times (1 - 1/p) over the primes p dividing n (0 for n = 0)."""
+    primes = prime_factors(n)
+    return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 def multiplicative_order(a: int, m: int) -> int:

@@ -7,28 +7,22 @@ Bott class by ell.  So both are read off the cycles of that permutation
 (``reprings.adams_cycles``), and no matrix of psi^ell - 1 is reduced: an
 L-cycle contributes one orbit indicator to the degree-0 kernel, and the block
 ell*C - I, with cokernel Z/|ell^L - 1| and determinant (-1)^(L+1) (ell^L - 1),
-to the degree-2 cokernel.  The degree-0 kernel is compared, as a lattice,
-against the rational representation lattice, and against the image of the
-Burnside ring under linearization (Ritter-Segal: permutation characters span
-the rational ones).  That second comparison is ``spans_cycle_lattice``, a
-certificate read off the 0/1 linearization rows and the cycle indicators with
-no Hermite form; ``mackey.assemble_pi0`` runs it at every level, on the
-kernels of ``degree0_kernels``, which computes no degree-2 factor.  The
-degree-2 cokernel is finite (nonzero determinant, checked via invertibility
-mod ell) and its invariant factors and q-primary part give the degree-1
-homotopy levels.  ``fiber_level_data`` reads the degree-0 kernel and the
-degree-2 invariant factors off one cycle decomposition per level, for
-``mackey.assemble_pi1_c3``.  Both admit ell in one order of errors
-(``_admitted_cycles``).  ``group_report``
-(the ``pi1`` payload) decomposes only the top level.  For ell a primitive
-root mod exponent(G), the cycles on a level's characters are the generator
-sets of its cyclic subgroups, so every level's cokernel follows from how many
-elements of each order it has (``counted_cycle_lengths``); the top level's
-explicit cycle lengths are checked against that count.  Each level's
-characters (``Subgroup.dual``) are built once and shared.  The matrix itself
-(``reprings.adams_minus_one_on``) remains for the Bareiss determinant of
-``determinant_mod_ell_check``, which builds it and the cycles from one dual
-level; ``adams_minus_one`` exports it for the whole group.
+to the degree-2 cokernel.  The degree-0 kernel is compared with the rational
+representation lattice, and with the image of the Burnside ring under
+linearization (Ritter-Segal), by ``spans_cycle_lattice`` on the rows of the
+cyclic quotients alone, with no Hermite form.  The degree-2 cokernel is
+finite, and its invariant factors and q-primary part give the degree-1
+homotopy levels.  For ell a primitive root mod
+exponent(G), the cycles on a level's characters are the generator sets of its
+cyclic subgroups, so the cycle lengths follow from the element orders
+(``counted_cycle_lengths``), which also fix the level's isomorphism type
+(``AbelianGroup.level_types``).  ``group_report`` (``pi1``) and
+``kernel_equals_AmodJ`` decompose the top level only, and
+``mackey.assemble_pi0`` one level per type (``degree0_kernels``);
+``fiber_level_data`` decomposes every level, for ``mackey.assemble_pi1_c3``.
+All admit ell in one order of errors (``_admitted_cycles``).  The matrix
+itself (``reprings.adams_minus_one_on``) remains for the Bareiss determinant
+of ``determinant_mod_ell_check``.
 
 q-completion never manipulates q-adic numbers: the cokernels are finite, so
 the q-part of the torsion is the exact completed answer, and the free part of
@@ -39,9 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .burnside import BurnsideRing
 from .exact import (
     IntMatrix,
     divisibility_chain,
@@ -130,12 +123,12 @@ def counted_cycle_lengths(h: Subgroup) -> tuple[int, ...]:
     the cycle of a is the set of generators of <a>: one cycle of length
     phi(d) per cyclic subgroup of order d.  The characters of H form a group
     isomorphic to H, so H has count/phi(d) of them, count being the number of
-    elements of H of order d (``AbelianGroup.order_masks``).
+    elements of H of order d (``Subgroup.order_counts``).
     """
     lengths = []
-    for d, mask in h.group.order_masks.items():
+    for d, count in h.order_counts:
         phi = euler_phi(d)
-        lengths += [phi] * ((h.mask & mask).bit_count() // phi)
+        lengths += [phi] * (count // phi)
     return tuple(sorted(lengths))
 
 
@@ -150,6 +143,18 @@ def spans_cycle_lattice(rows: Sequence[Sequence[int]], kernel: Sequence[Vector])
     cycles may share one.  A last cover is then nonzero on no cycle whose last
     cover comes earlier, so the last covers, each +-1 on its own cycle, are
     unitriangular over the indicators and form a basis of their lattice.
+
+    The callers pass only the cyclic rows of the linearization
+    (``DualLevel.cyclic_rows``).  Row K of the linearization at H is the
+    indicator of K^perp, the characters of H trivial on K.  First, for any
+    ell coprime to |G|, a -> ell*a is an automorphism of the character group,
+    which maps each subgroup onto itself: every row is constant on the
+    cycles, so the rows left out lie in the kernel.  Second, K^perp is cyclic
+    when H/K is, and the indicator of a cyclic C is the sum of the generator
+    sets of the cyclic subgroups of C: unitriangular in C, and for a
+    primitive ell those generator sets are the cycles.  So the cyclic rows
+    span the kernel; fed largest first, each cycle's last cover is its own
+    subgroup's row.
     """
     cycles = [[i for i, x in enumerate(k) if x] for k in kernel]
     after = list(range(sum(map(len, cycles))))  # the next index round its cycle
@@ -169,11 +174,12 @@ def spans_cycle_lattice(rows: Sequence[Sequence[int]], kernel: Sequence[Vector])
 
 @dataclass(frozen=True)
 class KernelWitness:
-    """The degree-0 kernel identification.  ``kernel`` and ``rq`` are lattices
-    in canonical HNF, so equal tuples are equal lattices.  Every row of
-    ``rq`` is the indicator of one orbit of the units mod the exponent, so a
-    kernel equal to ``rq`` is fixed by every such unit and has rational
-    characters.  ``linearized`` is ``spans_cycle_lattice`` on the rows of the
+    """The degree-0 kernel identification on the top level.  ``kernel`` and
+    ``rq`` are lattices in canonical HNF, so equal tuples are equal lattices.
+    Every row of ``rq`` is the indicator of one orbit of the units mod the
+    exponent, so a kernel equal to ``rq`` is fixed by every such unit and
+    has rational characters.  ``linearized`` is ``spans_cycle_lattice`` on
+    the masks of the cyclic subgroups of G, the cyclic rows of the
     linearization: whether the image of the Burnside ring is the kernel."""
 
     group: AbelianGroup
@@ -213,28 +219,20 @@ class KernelWitness:
 
 
 def kernel_equals_AmodJ(group: AbelianGroup, ell: int | None = None) -> KernelWitness:
-    """Compare ker(psi^ell - 1) with the linearized Burnside ring and the
-    rational lattice, instance by instance.
+    """Compare ker(psi^ell - 1) on the top level with the linearized Burnside
+    ring and the rational lattice, enumerating no subgroup lattice.
 
     The containment image(A) <= kernel holds for any coprime ell; the reverse
     containment (the image is the whole kernel) is the prime-power phenomenon
-    this computation certifies per group.
+    this computation certifies per group (``spans_cycle_lattice``).
     """
     if ell is None:
         ell = default_ell(group)
-    _require_coprime(group, ell)
-    require_primitive(group, ell)
-
-    ring = BurnsideRing(group)
-    kernel = adams_kernel_basis(adams_cycles(ring.dual, ell))
-    return KernelWitness(
-        group=group,
-        ell=ell,
-        kernel=kernel,
-        rq=rational_rep_lattices(group),
-        linearized=spans_cycle_lattice(ring.linearize_matrix.entries, kernel),
-        cyclic_count=len(group.full_subgroup.cyclic_subgroups),
-    )
+    top = group.full_subgroup
+    kernel = degree0_kernels(group, ell, [top])[top]
+    return KernelWitness(group=group, ell=ell, kernel=kernel, rq=rational_rep_lattices(group),
+                         linearized=spans_cycle_lattice(top.dual.cyclic_rows, kernel),
+                         cyclic_count=len(counted_cycle_lengths(top)))
 
 
 def determinant_mod_ell_check(group: AbelianGroup, ell: int | None = None) -> tuple[bool, int]:
@@ -258,32 +256,29 @@ def determinant_mod_ell_check(group: AbelianGroup, ell: int | None = None) -> tu
 class FiberLevelData:
     """Degree-0 kernel lattice and degree-2 cokernel at one level."""
 
-    subgroup: Subgroup
     pi0_basis: tuple[Vector, ...]  # HNF rows inside RU(H) coordinates
     pi1_invariant_factors: tuple[int, ...]
     pi1_q_part: tuple[int, ...]
 
 
-def _admitted_cycles(group: AbelianGroup, ell: int) -> dict[Subgroup, tuple[tuple[int, ...], ...]]:
-    """Each level's ``adams_cycles``, ell admitted in one order of errors: an
-    ell not coprime to |G|, then a singular degree-2 psi^ell - 1, then an ell
-    that is not a primitive root, so that ell = 1 reports the singular matrix.
-    Singularity is read once, off the top level's ``degree2_determinant``: a
-    singular level means a singular top level (its permutation module is a
-    quotient of the top one).  psi^ell commutes with restriction, and a
-    primitive root mod exponent(G) stays primitive at every level."""
+def _admitted_cycles(group: AbelianGroup, ell: int, levels: Iterable[Subgroup]) -> dict[Subgroup, tuple[tuple[int, ...], ...]]:
+    """The ``adams_cycles`` of each of ``levels``, ell admitted in one order
+    of errors: an ell not coprime to |G|, then a singular degree-2
+    psi^ell - 1 (so ell = 1 reports the singular matrix), then an ell that is
+    not a primitive root.  Singularity is read off the top level, decomposed
+    first: a level's permutation module is a quotient of the top one."""
     _require_coprime(group, ell)
-    cycles = {h: adams_cycles(h.dual, ell) for h in group.subgroups()}
-    degree2_determinant(cycles[group.full_subgroup], ell)
+    top = group.full_subgroup
+    top_cycles = adams_cycles(top.dual, ell)
+    degree2_determinant(top_cycles, ell)
     require_primitive(group, ell)
-    return cycles
+    return {h: top_cycles if h == top else adams_cycles(h.dual, ell) for h in levels}
 
 
-def degree0_kernels(group: AbelianGroup, ell: int) -> dict[Subgroup, tuple[Vector, ...]]:
-    """Each level's degree-0 kernel, its ``adams_kernel_basis`` (the cycle
-    indicators), with no degree-2 factor computed: the per-level read of
-    ``mackey.assemble_pi0``."""
-    return {h: adams_kernel_basis(c) for h, c in _admitted_cycles(group, ell).items()}
+def degree0_kernels(group: AbelianGroup, ell: int, levels: Iterable[Subgroup]) -> dict[Subgroup, tuple[Vector, ...]]:
+    """The degree-0 kernel of each of ``levels``, its ``adams_kernel_basis``
+    (the cycle indicators), with no degree-2 factor computed."""
+    return {h: adams_kernel_basis(c) for h, c in _admitted_cycles(group, ell, levels).items()}
 
 
 def fiber_level_data(group: AbelianGroup, ell: int | None = None) -> dict[Subgroup, FiberLevelData]:
@@ -294,14 +289,9 @@ def fiber_level_data(group: AbelianGroup, ell: int | None = None) -> dict[Subgro
         ell = default_ell(group)
     q = smallest_prime_factor(group.order)
     out = {}
-    for h, cycles in _admitted_cycles(group, ell).items():
+    for h, cycles in _admitted_cycles(group, ell, group.subgroups()).items():
         factors = degree2_invariant_factors(cycles, ell)
-        out[h] = FiberLevelData(
-            subgroup=h,
-            pi0_basis=adams_kernel_basis(cycles),
-            pi1_invariant_factors=factors,
-            pi1_q_part=primary_part(factors, q),
-        )
+        out[h] = FiberLevelData(adams_kernel_basis(cycles), factors, primary_part(factors, q))
     return out
 
 
@@ -309,35 +299,26 @@ def group_report(group: AbelianGroup, ell: int | None = None) -> dict:
     """The ``pi1`` report.  Only the top level is decomposed: its
     ``adams_cycles`` give the degree-0 kernel, the degree-2 cokernel and its
     determinant.  Every level's cokernel comes from ``counted_cycle_lengths``,
-    once per distinct list of lengths.  The top level's cycle lengths must be
-    the counted ones; if they are not, the report lists the mismatch under
-    ``failures``.
-
-    Errors come in ``fiber_level_data``'s order: an ell not coprime to |G|,
-    then a singular degree-2 matrix (singular at a level means singular at
-    the top), then an ell that is not a primitive root, which the count needs.
+    once per isomorphism type (``AbelianGroup.level_types``).  The top
+    level's cycle lengths must be the counted ones; if they are not, the
+    report lists the mismatch under ``failures``.  ell is admitted as
+    ``_admitted_cycles`` says; the count needs a primitive root.
     """
     if ell is None:
         ell = default_ell(group)
-    _require_coprime(group, ell)
     q = smallest_prime_factor(group.order)
     top = group.full_subgroup
-    cycles = adams_cycles(top.dual, ell)
+    cycles = _admitted_cycles(group, ell, [top])[top]
     top_factors = degree2_invariant_factors(cycles, ell)
-    require_primitive(group, ell)
     kernel = adams_kernel_basis(cycles)
-    factors_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    levels = []
-    for h in group.subgroups():
-        lengths = counted_cycle_lengths(h)
-        if lengths not in factors_of:
-            factors_of[lengths] = _factors_of_lengths(lengths, ell)
-        factors = factors_of[lengths]
-        levels.append({
-            "subgroup": h.order,
+    entry_of = {}  # type -> the level entry without its order
+    for key, hs in group.level_types.items():
+        factors = _factors_of_lengths(counted_cycle_lengths(hs[0]), ell)
+        entry_of[key] = {
             "pi1_invariant_factors": [d for d in factors if d != 1],
             "pi1_q_part": list(primary_part(factors, q)),
-        })
+        }
+    levels = [{"subgroup": h.order} | entry_of[h.order_counts] for h in group.subgroups()]
     report = {
         "group": repr(group),
         "ell": ell,

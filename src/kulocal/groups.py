@@ -9,9 +9,8 @@ subgroup generation, the lattice, joins and cosets are built on it.  The
 lattice lists each subgroup once, by the row Hermite normal form of its
 preimage in Z^r, and spans its mask from the form's rows: one span per
 nontrivial subgroup; each subgroup keeps its down-set (``Subgroup.subgroups``).
-Only abelian groups are supported: every explicit computation downstream
-lives on cyclic groups and products of two or three of them, where
-conjugation is trivial and Weyl groups are quotients.
+Only abelian groups are supported, so conjugation is trivial and Weyl groups
+are quotients.
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ import itertools
 import math
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
+
+from .exact import prime_factors
 
 SUBGROUP_ENUM_BOUND = 1024
 MAP_SET_BOUND = 10 ** 6
@@ -95,12 +96,22 @@ class AbelianGroup:
 
     @cached_property
     def order_masks(self) -> dict[int, int]:
-        """{d: the mask of the elements of order d}."""
-        masks: dict[int, int] = {}
-        for i, g in enumerate(self.elements):
-            d = self.element_order(g)
-            masks[d] = masks.get(d, 0) | 1 << i
-        return masks
+        """{d: the mask of the elements of order d}, the orders built factor
+        by factor in index order, as in ``pairing_row``."""
+        orders = [1]
+        for n in self.factors:
+            orders = [math.lcm(o, n // math.gcd(n, x)) for o in orders for x in range(n)]
+        return {d: int("".join("1" if o == d else "0" for o in reversed(orders)), 2) for d in dict.fromkeys(orders)}
+
+    @cached_property
+    def level_types(self) -> dict[tuple[tuple[int, int], ...], list["Subgroup"]]:
+        """The subgroups in canonical order, grouped by isomorphism type, which
+        ``Subgroup.order_counts`` fixes (Macdonald, *Symmetric Functions and
+        Hall Polynomials*, ch. II, one prime at a time)."""
+        types: dict[tuple[tuple[int, int], ...], list[Subgroup]] = {}
+        for h in self.subgroups():
+            types.setdefault(h.order_counts, []).append(h)
+        return types
 
     def dual_pairing(self, a: Element, g: Element) -> int:
         """<a, g> mod exponent; biadditive and nondegenerate.
@@ -195,7 +206,8 @@ class AbelianGroup:
     def _subgroups_cached(self) -> tuple["Subgroup", ...]:
         n = self.order
         masks = sorted(self._hermite_masks(), key=lambda m: (m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2)))
-        return tuple(Subgroup(self, m) for m in masks)
+        # the last is G, the one ``full_subgroup``, so its caches are shared
+        return tuple(Subgroup(self, m) for m in masks[:-1]) + (self.full_subgroup,)
 
     def _hermite_masks(self) -> list[int]:
         """The mask of every subgroup, once each.
@@ -271,11 +283,15 @@ class Subgroup:
 
     @cached_property
     def is_cyclic(self) -> bool:
-        # the exponent of <S> is the lcm of the orders in S (G is abelian)
-        return self.order == math.lcm(*map(self.group.element_order, self.generators))
+        return any(d == self.order and count for d, count in self.order_counts)
 
     def contains(self, other: "Subgroup") -> bool:
         return other.mask & ~self.mask == 0
+
+    @cached_property
+    def order_counts(self) -> tuple[tuple[int, int], ...]:
+        """(d, how many elements of H have order d) for each order d in G."""
+        return tuple((d, (self.mask & m).bit_count()) for d, m in self.group.order_masks.items())
 
     @cached_property
     def subgroups(self) -> tuple["Subgroup", ...]:
@@ -370,6 +386,25 @@ class DualLevel:
 
     def index_of(self, a: Element) -> int:
         return self._rep_index[self.canon(a)]
+
+    @cached_property
+    def cyclic_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The indicator over ``reps`` of each cyclic subgroup <a> + ann of
+        the character group, largest first (on the top level, the masks of
+        the cyclic subgroups of G), each spanned from its first rep only: its
+        generators, outside its subgroups of prime index, are skipped."""
+        g, ann = self.group, self.ann.mask
+        at = [g.index_of(a) for a in self.reps]
+        masks, generated = [], 0
+        for a, i in zip(self.reps, at, strict=True):
+            if generated >> i & 1:
+                continue
+            mask = g.span(ann, a)
+            order = mask.bit_count() // self.ann.order  # of a in the character group
+            below = (g.span(ann, g.scale(p, a)) for p in prime_factors(order))
+            generated |= mask & ~reduce(int.__or__, below, 0)
+            masks.append(mask)
+        return tuple(tuple(m >> i & 1 for i in at) for m in sorted(masks, key=int.bit_count, reverse=True))
 
     def add(self, a: Element, b: Element) -> Element:
         return self.canon(self.group.add(a, b))

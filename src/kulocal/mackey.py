@@ -7,9 +7,8 @@ containment.  The maps, units and product tables are built on first use and
 kept (``Built``, ``MapCache``), so a job that reads only the levels builds
 none of them; the axiom checks read, and so build, every one.  A level reads
 its free rank and torsion off its orders, and two elements are equal when
-their difference is 0 modulo each order.  So ``pi0`` (``assemble_pi0``),
-which prints each level's rank, torsion and cyclic count, builds no A/J
-basis or unit, runs no Smith or Hermite form and computes no degree-2 factor.
+their difference is 0 modulo each order.  ``pi0`` (``assemble_pi0``) builds
+no functor at all: it reads and certifies one level per isomorphism type.
 Because the ambient group is abelian there is no conjugation data, Weyl
 groups are quotients, and the double-coset law collapses to
 
@@ -64,7 +63,7 @@ from .exact import (
     prime_power_part,
     smith_normal_form,
 )
-from .fiber import default_ell, degree0_kernels, fiber_level_data, spans_cycle_lattice
+from .fiber import counted_cycle_lengths, default_ell, degree0_kernels, fiber_level_data, spans_cycle_lattice
 from .groups import AbelianGroup, Subgroup
 
 Vector = tuple
@@ -664,34 +663,33 @@ def _tensor(
 
 @dataclass(frozen=True)
 class Pi0Result:
-    """(A/J)[x]/(2x, x^2) levelwise: free rank = number of cyclic subgroups of
-    the level (A/J's rank), with as many Z/2 classes, multiplied so x^2 = 0.
-    ``cross_check_failures`` names each level whose Adams kernel is not the
-    linearized Burnside lattice, or whose rank is not A/J's."""
+    """(A/J)[x]/(2x, x^2) levelwise: free rank ``ranks[H]``, the number of
+    cyclic subgroups of H, with as many Z/2 classes, multiplied so x^2 = 0.
+    ``cross_check_failures`` names each level whose type fails the kernel
+    certificate.  ``a_mod_j`` and ``functor`` are built on first read."""
 
     group: AbelianGroup
     ell: int
-    functor: GreenFunctor
-    a_mod_j: MarksFunctor
+    ranks: dict[Subgroup, int]
     cross_check_failures: tuple[str, ...]
+
+    @cached_property
+    def a_mod_j(self) -> MarksFunctor:
+        return a_mod_j_mackey(self.group)
+
+    @cached_property
+    def functor(self) -> GreenFunctor:
+        return adjoin_x(self.a_mod_j, "pi0")
 
     @property
     def kernel_cross_check(self) -> bool:
         return not self.cross_check_failures
 
     def level_summary(self) -> list[dict]:
-        out = []
-        for h in self.functor.subgroups:
-            lvl = self.functor.level(h)
-            out.append(
-                {
-                    "subgroup": h.order,
-                    "free_rank": lvl.free_rank,
-                    "torsion": list(lvl.primary_torsion),
-                    "cyclic_subgroups": self.a_mod_j.level(h).rank,
-                }
-            )
-        return out
+        return [
+            {"subgroup": h.order, "free_rank": r, "torsion": [2] * r, "cyclic_subgroups": r}
+            for h, r in self.ranks.items()
+        ]
 
     def to_json(self) -> dict:
         return {
@@ -728,35 +726,29 @@ def adjoin_x(functor: GreenFunctor, name: str) -> GreenFunctor:
 
 
 def assemble_pi0(group: AbelianGroup, ell: int | None = None) -> Pi0Result:
-    """The quotient functor with x adjoined (``adjoin_x``), its free part
-    cross-checked against the degree-0 Adams kernel at every level."""
+    """A/J with x adjoined (``adjoin_x``), read and cross-checked once per
+    isomorphism type of level (``AbelianGroup.level_types``), on which it all
+    depends: the rank, sum of count/phi(d) (``counted_cycle_lengths``), and
+    the certificate, since an isomorphism carries characters, psi^ell and
+    linearization rows across.  One level per type is decomposed, certified
+    from its cyclic rows (``fiber.spans_cycle_lattice``) and its cycles
+    counted against the rank; a failure is named at each level of the type."""
     if group.order % 2 == 0:
         raise ValueError("the assembled answer requires a group of odd order")
     if ell is None:
         ell = default_ell(group)
-    kernels = degree0_kernels(group, ell)
-
-    aj = a_mod_j_mackey(group)
-    functor = adjoin_x(aj, "pi0")
-
-    # cross-check: at each level the linearized Burnside lattice is the
-    # degree-0 Adams kernel in RU(H), by the certificate on its cycle
-    # indicators (no Hermite form), and its rank is A/J's
-    failures = []
-    for h, ring in aj.rings.items():
-        kernel = kernels[h]
-        if not spans_cycle_lattice(ring.linearize_matrix.entries, kernel):
-            failures.append(f"at {h!r}: the linearized Burnside lattice is not the kernel")
-        if len(kernel) != aj.level(h).rank:
-            failures.append(f"at {h!r}: kernel rank {len(kernel)} != A/J rank {aj.level(h).rank}")
-
-    return Pi0Result(
-        group=group,
-        ell=ell,
-        functor=functor,
-        a_mod_j=aj,
-        cross_check_failures=tuple(failures),
-    )
+    types = group.level_types
+    kernels = degree0_kernels(group, ell, [hs[0] for hs in types.values()])
+    ranks, wrong = {}, {}  # by type: the rank, the failures
+    for key, hs in types.items():
+        kernel, ranks[key] = kernels[hs[0]], len(counted_cycle_lengths(hs[0]))
+        wrong[key] = [failure for ok, failure in (
+            (spans_cycle_lattice(hs[0].dual.cyclic_rows, kernel), "the linearized Burnside lattice is not the kernel"),
+            (len(kernel) == ranks[key], f"kernel rank {len(kernel)} != A/J rank {ranks[key]}"),
+        ) if not ok]
+    subs = group.subgroups()
+    return Pi0Result(group=group, ell=ell, ranks={h: ranks[h.order_counts] for h in subs},
+                     cross_check_failures=tuple(f"at {h!r}: {f}" for h in subs for f in wrong[h.order_counts]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ from functools import reduce
 
 from kulocal.burnside import BurnsideRing
 from kulocal.exact import Cyclotomic, IntMatrix, hnf_coordinates, row_hnf
+from kulocal.fiber import degree0_kernels, spans_cycle_lattice
 from kulocal.groups import AbelianGroup, DualLevel, ExplicitHSet, Subgroup, map_set_orbits
-from kulocal.mackey import GreenFunctor, Level, MackeyFunctor, _apply_sparse, _pairs, _unit_vec
-from kulocal.reprings import ClassFunction, RURing, dual_permutation, permute
+from kulocal.mackey import GreenFunctor, Level, MackeyFunctor, _apply_sparse, _pairs, _unit_vec, a_mod_j_mackey
+from kulocal.reprings import ClassFunction, RURing, adams_cycles, adams_kernel_basis, dual_permutation, permute
 
 # -- exact arithmetic --------------------------------------------------------
 
@@ -115,6 +116,33 @@ def marks_on_cyclic(ring: BurnsideRing, coeffs) -> tuple:
     subgroups only."""
     full = ring.marks(coeffs)
     return tuple(full[i] for i, k in enumerate(ring.subgroups) if k.is_cyclic)
+
+
+# -- the degree-0 kernel certificate -------------------------------------------
+
+
+def pi0_cross_check_every_level(group: AbelianGroup, ell: int) -> tuple[str, ...]:
+    """``assemble_pi0``'s cross-check run at every level, from every row of
+    the level's linearization, against A/J's rank read off its functor: the
+    failures ``Pi0Result.cross_check_failures`` would list."""
+    kernels = degree0_kernels(group, ell, group.subgroups())
+    aj = a_mod_j_mackey(group)
+    failures = []
+    for h, ring in aj.rings.items():
+        kernel, rank = kernels[h], aj.level(h).rank
+        if not spans_cycle_lattice(ring.linearize_matrix.entries, kernel):
+            failures.append(f"at {h!r}: the linearized Burnside lattice is not the kernel")
+        if len(kernel) != rank:
+            failures.append(f"at {h!r}: kernel rank {len(kernel)} != A/J rank {rank}")
+    return tuple(failures)
+
+
+def kernel_identification_all_rows(group: AbelianGroup, ell: int) -> tuple[bool, int]:
+    """``KernelWitness.linearized`` from every row of the top level's
+    linearization, and ``cyclic_count`` by testing each subgroup."""
+    ring = BurnsideRing(group)
+    kernel = adams_kernel_basis(adams_cycles(ring.dual, ell))
+    return spans_cycle_lattice(ring.linearize_matrix.entries, kernel), len(group.full_subgroup.cyclic_subgroups)
 
 
 # -- representation rings ----------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -14,8 +15,8 @@ from kulocal import cli
 from kulocal.burnside import AModJ, BurnsideRing
 from kulocal.cli import DEFAULT_INSTANCES, canonical_json, cmd_norms, cmd_pi0, cmd_verify_all, run
 from kulocal.exact import IntMatrix
-from kulocal.groups import Subgroup, parse_group
-from kulocal.mackey import MackeyFunctor, _tensor, a_mod_j_mackey
+from kulocal.groups import DualLevel, Subgroup, parse_group
+from kulocal.mackey import MackeyFunctor, _tensor, a_mod_j_mackey, assemble_pi0
 from kulocal.tambara import CyclicTower, NormDerivation
 
 
@@ -389,13 +390,13 @@ def _construction_counts(monkeypatch, job):
 
 @pytest.mark.parametrize("job,rings,a_mod_j", [
     ("norms", 27, 0),  # 9 towers, 27 levels: one ring per level
-    # C3xC3xC9 has 50 subgroups; pi0 reads A/J's ranks (column counts) and
-    # rings, never a Hermite basis
-    ("pi0", 50, 0),
+    # pi0 reads each level's rank off its element orders and certifies its
+    # kernel from the character group: no ring, no Hermite basis
+    ("pi0", 0, 0),
     # the 32 levels of the instances of order <= 27 (Burnside and A/J), the 2
-    # of the C3 degree-1 assembly, the 27 tower levels, and 3 whole-group
-    # rings per instance (the kernel identification, and two in perm_rep)
-    ("verify-all", 2 * 32 + 2 + 27 + 3 * 8, 32 + 2),
+    # of the C3 degree-1 assembly, the 27 tower levels, and 2 whole-group
+    # rings per instance (in perm_rep)
+    ("verify-all", 2 * 32 + 2 + 27 + 2 * 8, 32 + 2),
 ])
 def test_each_level_ring_is_built_once(monkeypatch, job, rings, a_mod_j):
     jobs = {
@@ -675,16 +676,22 @@ def test_bott_verify(capsys):
     assert "(3) * beta^1" in out
 
 
+def _fresh_under_O(*argv):
+    """``kulocal.cli *argv --format json`` in a fresh ``python -O`` with 3 GB
+    of address space, within 30 s, the benchmark's per-job budget."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    limit = 3 * 1024 ** 3
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "kulocal.cli", *argv, "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 def test_bott_verify_c243_under_O_within_the_job_budget():
     # bott-verify C243 used to take about three minutes (one cyclotomic
-    # product per element); 30 s is the benchmark's per-job budget
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "kulocal.cli", "bott-verify", "--group", "C243",
-         "--format", "json"],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    # product per element)
+    proc = _fresh_under_O("bott-verify", "--group", "C243")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["adams_identity"] is True
@@ -696,16 +703,14 @@ def test_bott_verify_c243_under_O_within_the_job_budget():
         assert (row["scalar"], row["beta_power"]) == (k ** m, m)
 
 
-@pytest.mark.parametrize("spec,rank", [("C3xC3xC3xC3xC3", 122), ("C9xC9xC9", 131)])
+@pytest.mark.parametrize("spec,rank", [
+    ("C3xC3xC3xC3xC3", 122), ("C9xC9xC9", 131), ("C3xC3xC3xC3xC3xC3", 365),
+])
 def test_kernel_under_O_within_the_job_budget(spec, rank):
-    # both were killed at 150 s while the identification took the Hermite
-    # form of the whole linearization; 30 s is the benchmark's per-job budget
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "kulocal.cli", "kernel", "--group", spec, "--format", "json"],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    # C3^5 and C9xC9xC9 were killed at 150 s while the identification took
+    # the Hermite form of the whole linearization; C3^6 took 37 s while it
+    # built all 56,632 rows of it, one annihilator each
+    proc = _fresh_under_O("kernel", "--group", spec)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["lattices_agree"] is True
@@ -719,14 +724,8 @@ def test_kernel_under_O_within_the_job_budget(spec, rank):
     ("C9xC9xC9", [3] * 13 + [9] * 117),
 ])
 def test_pi1_under_O_within_the_job_budget(spec, q_part):
-    # C3^5 took 1.2-1.4 s fresh while each of its 2664 levels was decomposed;
-    # 30 s is the benchmark's per-job budget
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "kulocal.cli", "pi1", "--group", spec, "--format", "json"],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    # C3^5 took 1.2-1.4 s fresh while each of its 2664 levels was decomposed
+    proc = _fresh_under_O("pi1", "--group", spec)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert "failures" not in payload
@@ -735,16 +734,14 @@ def test_pi1_under_O_within_the_job_budget(spec, q_part):
     assert payload["pi1_q_part"] == payload["levels"][-1]["pi1_q_part"] == q_part
 
 
-@pytest.mark.parametrize("spec,levels", [("C9xC9xC9", 445), ("C3xC3xC3xC3xC3", 2664)])
+@pytest.mark.parametrize("spec,levels", [
+    ("C9xC9xC9", 445), ("C3xC3xC3xC3xC3", 2664), ("C3xC3xC3xC3xC3xC3", 56632),
+])
 def test_pi0_under_O_within_the_job_budget(spec, levels):
     # C9xC9xC9 took 75 s fresh while every A/J level built its Hermite basis
-    # (69 s on the top level alone); 30 s is the benchmark's per-job budget
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "kulocal.cli", "pi0", "--group", spec, "--format", "json"],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    # (69 s on the top level alone); C3^6 was killed at 40 s while every level
+    # was decomposed and certified from all its linearization rows
+    proc = _fresh_under_O("pi0", "--group", spec)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["kernel_cross_check"] is True
@@ -809,15 +806,11 @@ def test_pi0_reads_down_sets_without_containment_tests(capsys, monkeypatch):
 
 
 def test_a_missing_linearization_row_fails_both_kernel_checks(capsys, monkeypatch):
-    # without the all-ones row of [H/e], no row covers the faithful
-    # characters of a cyclic level H
-    build = BurnsideRing.linearize_matrix.func
-
-    def dropped(ring):
-        lin = build(ring)
-        return IntMatrix([list(r) for r in lin.entries[1:]], cols=lin.cols)
-
-    monkeypatch.setattr(BurnsideRing, "linearize_matrix", property(dropped))
+    # the certificates read the cyclic rows of the linearization, largest
+    # first; without the first, the all-ones row of [H/e], no row covers the
+    # faithful characters of a cyclic level H
+    build = DualLevel.cyclic_rows.func
+    monkeypatch.setattr(DualLevel, "cyclic_rows", property(lambda dual: build(dual)[1:]))
     code, out, _ = run_capture(capsys, ["kernel", "--group", "C9"])
     assert code == 1
     assert "lattices DISAGREE" in out
@@ -830,6 +823,34 @@ def test_a_missing_linearization_row_fails_both_kernel_checks(capsys, monkeypatc
     assert failed["C9: pi0 assembly cross-check"] == [
         f"at {h!r}: the linearized Burnside lattice is not the kernel" for h in parse_group("C9").subgroups()
     ]
+
+
+def test_a_split_cycle_fails_the_pi0_cross_check(capsys, monkeypatch):
+    # a decomposition that splits each 6-cycle, the generators of a C9, has
+    # a cycle too many per C9 for the rank, and the pieces share their last
+    # cover; C3xC9 certifies its three levels of type C9 once, and names each
+    import kulocal.fiber as fiber
+
+    decompose = fiber.adams_cycles
+
+    def split_6_cycles(dual, ell):
+        cycles = decompose(dual, ell)
+        return tuple(p for c in cycles for p in ((c[:1], c[1:]) if len(c) == 6 else (c,)))
+
+    monkeypatch.setattr(fiber, "adams_cycles", split_6_cycles)
+    code, out, _ = run_capture(capsys, ["pi0", "--group", "C3xC9"])
+    assert code == 1
+    assert "kernel cross-check: FAIL" in out
+    g = parse_group("C3xC9")
+    c9s = [h for h in g.subgroups() if h.order == 9 and h.is_cyclic]
+    assert len(c9s) == 3
+    assert assemble_pi0(g).cross_check_failures == tuple(
+        f"at {h!r}: {failure}"
+        for h, (rank, cycles) in [*((h, (3, 4)) for h in c9s), (g.full_subgroup, (8, 11))]
+        for failure in (
+            "the linearized Burnside lattice is not the kernel", f"kernel rank {cycles} != A/J rank {rank}",
+        )
+    )
 
 
 def test_verify_all_tiny(capsys):
@@ -1087,7 +1108,7 @@ def test_pi1_trivial_group_has_empty_q_part(capsys):
     assert all(level["pi1_q_part"] == [] for level in payload["levels"])
 
 
-@pytest.mark.parametrize("command", ["pi0", "pi1"])
+@pytest.mark.parametrize("command", ["pi0", "pi1", "kernel"])
 def test_singular_degree2_exits_2(capsys, command):
     code, out, err = run_capture(capsys, [command, "--group", "C9", "--ell", "1"])
     assert code == 2

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import random
 from dataclasses import replace
@@ -74,6 +75,12 @@ def test_cyclotomic_product_identity(e):
             prod = poly_mul(prod, cyclotomic_polynomial(d))
     assert prod == poly_sub(poly_x_power(e), (1,))
     assert len(cyclotomic_polynomial(e)) - 1 == euler_phi(e)
+
+
+def test_euler_phi_counts_the_units():
+    # the product formula against its definition
+    for n in range(0, 730):
+        assert euler_phi(n) == sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1), n
 
 
 def test_reduce_root_of_unity_sum():

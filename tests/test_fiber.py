@@ -32,7 +32,8 @@ from kulocal.fiber import (
 )
 from kulocal.groups import DualLevel, parse_group
 from kulocal.reprings import adams_cycles, adams_kernel_basis, adams_minus_one_on
-from oracles import restriction_commutes_with_adams
+from kulocal.mackey import assemble_pi0
+from oracles import kernel_identification_all_rows, pi0_cross_check_every_level, restriction_commutes_with_adams
 
 
 def admissible_ells(g, count=3):
@@ -156,6 +157,61 @@ def test_cycle_certificate_matches_hermite_oracle(spec):
     assert outcomes == ({True} if g.order == 1 else {True, False})
 
 
+# the ladder and the six groups of the benchmark's lattice workload
+ORACLE_GROUPS = ["C27", "C81", "C243", "C3xC3xC3", "C9xC9", "C3xC3xC9", "C5xC5xC5", "C5xC25", "C3xC27"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_cyclic_rows_certify_as_every_row_does(spec):
+    # at every level: the cyclic rows are rows of the linearization, and
+    # for every coprime ell in [-12, 12], primitive or not, they certify
+    # the level's cycles exactly when all the rows do, and exactly when the
+    # cyclic rows of the first level of its type certify that level's cycles
+    g = parse_group(spec)
+    outcomes = set()
+    for h in g.subgroups():
+        rows = BurnsideRing(g, h).linearize_matrix.entries
+        cyclic, rep = h.dual.cyclic_rows, g.level_types[h.order_counts][0]
+        assert set(cyclic) <= set(rows), (spec, h)
+        assert len(cyclic) == len(h.cyclic_subgroups), (spec, h)
+        for ell in range(-12, 13):
+            if math.gcd(ell, g.order) != 1:
+                continue
+            kernel = adams_kernel_basis(adams_cycles(h.dual, ell))
+            rep_kernel = adams_kernel_basis(adams_cycles(rep.dual, ell))
+            certified = spans_cycle_lattice(cyclic, kernel)
+            assert certified == spans_cycle_lattice(rows, kernel), (spec, h, ell)
+            assert certified == spans_cycle_lattice(rep.dual.cyclic_rows, rep_kernel), (spec, h, ell)
+            outcomes.add(certified)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_pi0_cross_check_matches_the_every_level_oracle(spec):
+    # pi0 certifies one level per type from its cyclic rows and reads ranks
+    # off element orders; the oracle certifies every level from all its rows
+    # and reads ranks off the A/J and pi0 functors
+    g = parse_group(spec)
+    result = assemble_pi0(g)
+    assert result.cross_check_failures == pi0_cross_check_every_level(g, result.ell) == ()
+    assert result.level_summary() == [
+        {
+            "subgroup": h.order,
+            "free_rank": result.functor.level(h).free_rank,
+            "torsion": list(result.functor.level(h).primary_torsion),
+            "cyclic_subgroups": result.a_mod_j.level(h).rank,
+        }
+        for h in g.subgroups()
+    ]
+
+
+@pytest.mark.parametrize("spec", [*ORACLE_GROUPS, "C3xC3xC3xC3xC3"])
+def test_kernel_identification_matches_the_all_rows_oracle(spec):
+    g = parse_group(spec)
+    w = kernel_equals_AmodJ(g)
+    assert (w.linearized, w.cyclic_count) == kernel_identification_all_rows(g, w.ell) == (True, w.rank)
+
+
 @pytest.mark.parametrize("rows", [
     [(1, 0, 0), (0, 1, 0)],  # not constant on the cycle {1, 2}
     [(1, 1, 1), (1, 1, 1)],  # both cycles last covered by row 1
@@ -243,10 +299,10 @@ def test_determinant_check_requires_the_cycle_product(monkeypatch):
 
 @pytest.mark.parametrize("command", ["pi0", "pi1"])
 def test_one_cycle_decomposition_per_level(monkeypatch, command):
-    # pi0 decomposes every level; pi1 only the top one and counts the rest
+    # pi0 decomposes one level per isomorphism type, the first of its type
+    # in canonical order; pi1 only the top one and counts the rest
     import kulocal.fiber as fiber
     import kulocal.reprings as reprings
-    from kulocal.mackey import assemble_pi0
 
     decomposed = []
     original = reprings.adams_cycles
@@ -260,20 +316,21 @@ def test_one_cycle_decomposition_per_level(monkeypatch, command):
     g = parse_group("C3xC3xC9")
     if command == "pi0":
         assemble_pi0(g)
-        assert len(decomposed) == len(g.subgroups()) == 50
-        assert set(decomposed) == set(g.subgroups())
+        assert sorted(decomposed, key=g.subgroups().index) == [hs[0] for hs in g.level_types.values()]
+        # the types are the partitions inside (2, 1, 1): 7 of the 50 levels
+        assert len(decomposed) == 7 and len(g.subgroups()) == 50
     else:
         group_report(g)
         assert decomposed == [g.full_subgroup]
 
 
-@pytest.mark.parametrize("command,duals", [("pi0", "every level"), ("pi1", "top"), ("kernel", "top")])
+@pytest.mark.parametrize("command,duals", [("pi0", "each type"), ("pi1", "top"), ("kernel", "top")])
 def test_one_dual_per_level(monkeypatch, command, duals):
     # a fresh group instance, so no character group cached by another test
     # is reused; each level's DualLevel is built once and shared by its
-    # Burnside ring, the fiber and the rational lattice
+    # cyclic rows, the fiber and the rational lattice, and pi0 reads one level
+    # per isomorphism type
     from kulocal.groups import AbelianGroup, DualLevel
-    from kulocal.mackey import assemble_pi0
 
     built = []
     original = DualLevel.__init__
@@ -286,7 +343,10 @@ def test_one_dual_per_level(monkeypatch, command, duals):
     g = AbelianGroup((3, 3, 9))
     {"pi0": lambda: assemble_pi0(g).to_json(), "pi1": lambda: group_report(g),
      "kernel": lambda: kernel_equals_AmodJ(g).to_json()}[command]()
-    assert built == (list(g.subgroups()) if duals == "every level" else [g.full_subgroup])
+    if duals == "each type":
+        assert sorted(built, key=g.subgroups().index) == [hs[0] for hs in g.level_types.values()]
+    else:
+        assert built == [g.full_subgroup]
 
 
 COUNTED_GROUPS = ["C3", "C27", "C243", "C3xC3", "C9xC9", "C5xC25", "C3xC3xC3", "C5xC5xC5",
@@ -320,17 +380,20 @@ def _outcome(call):
 @pytest.mark.parametrize("spec", ["C1", "C2", "C3xC5", "C9", "C3xC3"])
 def test_counted_report_raises_as_the_decomposed_levels_do(spec):
     # ell = 1 and -1 (singular), 3 and 5 (not coprime to some of these
-    # groups), 4 and 7 (not primitive mod 9) and the rest: group_report and
-    # degree0_kernels fail with fiber_level_data's error, or match its levels
+    # groups), 4 and 7 (not primitive mod 9) and the rest: group_report,
+    # degree0_kernels and kernel_equals_AmodJ fail with fiber_level_data's
+    # error, or match its levels
     g = parse_group(spec)
     for ell in range(-4, 11):
         counted = _outcome(lambda: group_report(g, ell))
-        kernels = _outcome(lambda: degree0_kernels(g, ell))
+        kernels = _outcome(lambda: degree0_kernels(g, ell, g.subgroups()))
+        witness = _outcome(lambda: kernel_equals_AmodJ(g, ell))
         decomposed = _outcome(lambda: fiber_level_data(g, ell))
         if isinstance(decomposed, tuple):
-            assert counted == kernels == decomposed, (spec, ell)
+            assert counted == kernels == witness == decomposed, (spec, ell)
         else:
             assert kernels == {h: lv.pi0_basis for h, lv in decomposed.items()}, (spec, ell)
+            assert witness.kernel == decomposed[g.full_subgroup].pi0_basis, (spec, ell)
             assert isinstance(counted, dict), (spec, ell, counted)
             assert [e["pi1_q_part"] for e in counted["levels"]] == [list(lv.pi1_q_part) for lv in decomposed.values()]
             assert counted["pi1_invariant_factors"] == list(decomposed[g.full_subgroup].pi1_invariant_factors)
@@ -396,8 +459,9 @@ def test_singular_ell_raises_at_every_entry_point(spec, ell):
         lambda: degree2_invariant_factors(adams_cycles(top, ell), ell),
         lambda: degree2_determinant(adams_cycles(top, ell), ell),
         lambda: fiber_level_data(g, ell),
-        lambda: degree0_kernels(g, ell),
+        lambda: degree0_kernels(g, ell, g.subgroups()),
         lambda: group_report(g, ell),
+        lambda: kernel_equals_AmodJ(g, ell),
     ):
         with pytest.raises(ArithmeticError) as err:
             call()

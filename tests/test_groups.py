@@ -104,6 +104,25 @@ def test_is_cyclic_matches_element_orders(spec):
     assert g.full_subgroup.cyclic_subgroups == tuple(h for h in g.subgroups() if h.is_cyclic)
 
 
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_order_masks_and_level_types(spec):
+    # order_masks against element_order; two subgroups share a type key
+    # exactly when they have the same |n H| for every n dividing exp(G),
+    # which fixes a finite abelian group up to isomorphism
+    g = parse_group(spec)
+    orders = [g.element_order(x) for x in g.elements]
+    assert g.order_masks == {d: sum(1 << i for i, o in enumerate(orders) if o == d) for d in dict.fromkeys(orders)}
+    divisors = [n for n in range(1, g.exponent + 1) if g.exponent % n == 0]
+    sizes = {key: {tuple(len({g.scale(n, x) for x in h.elements}) for n in divisors) for h in hs}
+             for key, hs in g.level_types.items()}
+    assert all(len(s) == 1 for s in sizes.values())
+    assert len({s.pop() for s in sizes.values()}) == len(sizes)
+    # every subgroup once, each type in canonical order
+    canonical = g.subgroups().index
+    assert sorted((h for hs in g.level_types.values() for h in hs), key=canonical) == list(g.subgroups())
+    assert all(hs == sorted(hs, key=canonical) for hs in g.level_types.values())
+
+
 @pytest.mark.parametrize(
     "spec", ["C27", "C243", "C3xC3xC3", "C9xC9", "C3xC3xC9", "C5xC5xC5", "C3xC3xC3xC9"]
 )
