@@ -70,14 +70,15 @@ def _group_summary(entry: dict) -> str:
 
 def cmd_pi0(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, str]:
     result = assemble_pi0(group, ell)
+    payload = result.to_json()
     lines = [f"pi0 levels for {group!r} (ell = {result.ell})"]
-    for entry in result.level_summary():
+    for entry in payload["levels"]:
         lines.append(
             f"  level order {entry['subgroup']:>3}: {_group_summary(entry)}"
             f"   ({entry['cyclic_subgroups']} cyclic subgroups)"
         )
     lines.append(f"  kernel cross-check: {'pass' if result.kernel_cross_check else 'FAIL'}")
-    return result.kernel_cross_check, result.to_json(), "\n".join(lines)
+    return result.kernel_cross_check, payload, "\n".join(lines)
 
 
 def cmd_pi1(group: AbelianGroup, ell: int | None) -> tuple[bool, dict, str]:

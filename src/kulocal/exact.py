@@ -193,11 +193,26 @@ def poly_mul(f: Sequence, g: Sequence) -> tuple:
     return poly_trim(out)
 
 
-def poly_divmod_monic(f: Sequence, g: Sequence) -> tuple[tuple, tuple]:
-    """Divide f by monic g; exact over the coefficient ring (int or Fraction).
+def _reduce_monic(rem: list, g: tuple, quo: list | None = None) -> None:
+    """Reduce rem in place mod g, monic, trimmed and of degree dg >= 1, from
+    its top coefficient down; afterwards rem[:dg] is the remainder, and each
+    quotient coefficient is written to quo when one is given.
 
-    Each step subtracts only the nonzero terms of g: Phi_{3^a} has three.
+    Each step subtracts only the nonzero lower terms of g: Phi_{3^a} has two.
     """
+    dg = len(g) - 1
+    terms = [(j - dg, b) for j, b in enumerate(g[:-1]) if b]
+    for i in range(len(rem) - 1, dg - 1, -1):
+        c = rem[i]
+        if c:
+            if quo is not None:
+                quo[i - dg] = c
+            for j, b in terms:
+                rem[i + j] -= c * b
+
+
+def poly_divmod_monic(f: Sequence, g: Sequence) -> tuple[tuple, tuple]:
+    """Divide f by monic g; exact over the coefficient ring (int or Fraction)."""
     g = poly_trim(g)
     if not g or g[-1] != 1:
         raise ValueError("divisor must be monic")
@@ -205,16 +220,9 @@ def poly_divmod_monic(f: Sequence, g: Sequence) -> tuple[tuple, tuple]:
     dg = len(g) - 1
     if dg == 0:
         return poly_trim(rem), ()
-    terms = [(j - dg, b) for j, b in enumerate(g) if b]
     quo = [0] * max(len(rem) - dg, 0)
-    for i in range(len(rem) - 1, dg - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        quo[i - dg] = c
-        for j, b in terms:
-            rem[i + j] -= c * b
-    return poly_trim(quo), poly_trim(rem)
+    _reduce_monic(rem, g, quo)
+    return poly_trim(quo), poly_trim(rem[:dg])
 
 
 def poly_x_power(n: int) -> tuple:
@@ -266,8 +274,20 @@ class Cyclotomic:
 
     @classmethod
     def from_poly(cls, conductor: int, poly: Sequence) -> "Cyclotomic":
-        rem = poly_divmod_monic(poly, cyclotomic_polynomial(conductor))[1]
-        return cls(conductor, rem)
+        """poly mod Phi_e, reduced in place by ``poly_divmod_monic``'s loop
+        without its quotient, and cut or padded to phi(e) coefficients."""
+        phi_poly = cyclotomic_polynomial(conductor)
+        phi = len(phi_poly) - 1
+        rem = list(poly)
+        if len(rem) > phi:
+            _reduce_monic(rem, phi_poly)
+            del rem[phi:]
+        else:
+            rem += [0] * (phi - len(rem))
+        out = object.__new__(cls)
+        out.conductor = conductor
+        out.coeffs = tuple(rem)
+        return out
 
     @classmethod
     def zeta_power(cls, conductor: int, a: int) -> "Cyclotomic":
@@ -337,10 +357,10 @@ class Cyclotomic:
         return hash((self.conductor, tuple(Fraction(a) for a in self.coeffs)))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(a == 0 for a in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self):
         if not self.is_rational():
@@ -356,7 +376,7 @@ def reduce_root_of_unity_sum(e: int, exponents: Iterable[int]) -> Cyclotomic:
     counts = [0] * e
     for a in exponents:
         counts[a % e] += 1
-    return Cyclotomic.from_poly(e, poly_trim(counts))
+    return Cyclotomic.from_poly(e, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,10 @@ def _cyclic_mul_sparse(v: list[int], power: int, n: int, sign: int) -> list[int]
     return [a + sign * b for a, b in zip(v[-p:] + v[:-p], v, strict=True)]
 
 
-def _euler_regular(q: int, k: int, skip: int | None = None) -> list[int]:
-    """prod over i = 1..q^k-1 (optionally skipping one i) of (x^i - 1)."""
-    n = q ** k
+def _euler_regular(n: int, skip: int | None = None) -> list[int]:
+    """prod over i = 1..n-1 (optionally skipping one i) of (x^i - 1) in
+    Z[x]/(x^n - 1): the Euler class of the reduced regular representation of
+    the cyclic group of order n, one rotation per factor."""
     v = [1] + [0] * (n - 1)
     for i in range(1, n):
         if i != skip:
@@ -195,8 +196,8 @@ def verify_euler_localization(q: int, k: int) -> Witness:
     witness: dict = {"q": q, "k": k}
 
     # (a) divisibility of the Euler class, witnessed by the cofactor
-    euler = _euler_regular(q, k)
-    cofactor = _euler_regular(q, k, skip=step)
+    euler = _euler_regular(n)
+    cofactor = _euler_regular(n, skip=step)
     recombined = _cyclic_mul_sparse(cofactor, step, n, -1)
     part_a = recombined == euler
     witness["euler_divisible"] = part_a
@@ -300,12 +301,10 @@ def verify_CqxCq_vanishing(q: int) -> Witness:
 
 @lru_cache(maxsize=None)
 def root_of_unity_product(k: int) -> Cyclotomic:
-    """prod_{i=1}^{k-1} (zeta_k^i - 1), exact in Q(zeta_k); once per k, so
-    ``bott_character`` pays one product per element order."""
-    out = Cyclotomic.one(k)
-    for i in range(1, k):
-        out = out * (Cyclotomic.zeta_power(k, i) - Cyclotomic.one(k))
-    return out
+    """prod_{i=1}^{k-1} (zeta_k^i - 1), exact in Q(zeta_k): the product of the
+    x^i - 1 in Z[x]/(x^k - 1) (``_euler_regular``), reduced once mod Phi_k,
+    which divides x^k - 1.  Cached per k."""
+    return Cyclotomic.from_poly(k, _euler_regular(k))
 
 
 def bott_character(group: AbelianGroup) -> dict:
@@ -316,22 +315,24 @@ def bott_character(group: AbelianGroup) -> dict:
     of m copies of the reduced regular representation of the cyclic group
     generated by g, evaluated at a primitive |g|-th root of unity, is
     |g|^m exactly (odd |g|; an even order would flip signs and is rejected).
+    Both checks run once per element order, in the order the orders first
+    appear among the elements, so the first fault met is the one raised.
     """
-    out = {}
-    for g in group.elements:
-        k = group.element_order(g)
+    orders = [group.element_order(g) for g in group.elements]
+    values = {}
+    for k in dict.fromkeys(orders):
         if k % 2 == 0:
             raise ValueError(
                 f"element of even order {k}: the sign convention needs odd order"
             )
-        m = group.order // k
         base = root_of_unity_product(k)
         if base != k:
             raise ArithmeticError(
                 f"cyclotomic product at k={k} gave {base!r}, expected {k}"
             )
-        out[g] = (k ** m, m)
-    return out
+        m = group.order // k
+        values[k] = (k ** m, m)
+    return {g: values[k] for g, k in zip(group.elements, orders, strict=True)}
 
 
 def verify_adams_on_bott(group: AbelianGroup, ell: int) -> Witness:

@@ -230,19 +230,22 @@ def rational_rep_lattices(group: AbelianGroup) -> tuple[Vector, ...]:
     """The rational representation lattice of RU(G), as canonical HNF rows.
 
     It is spanned by the Galois orbit sums: one indicator per orbit of the
-    unit group mod the exponent acting by a -> u*a on the dual basis.  Found
-    from their lowest indices, these disjoint rows are already canonical HNF.
+    units acting by a -> u*a on the dual basis.  The orbit of a is taken over
+    the units mod d = ord(a) alone: u*a depends only on u mod d, and the units
+    mod the exponent map onto those mod d.  Found from their lowest indices,
+    these disjoint rows are already canonical HNF.
     """
     dual = group.full_subgroup.dual
-    e = group.exponent
-    units = [u for u in range(1, max(e, 2)) if math.gcd(u, e) == 1]
+    units: dict[int, list[int]] = {}
     seen = set()
     sums = []
     for i, a in enumerate(dual.reps):
         if i in seen:
             continue
-        orbit = {dual.index_of(dual.scale(u, a)) for u in units}
+        d = group.element_order(a)
+        if d not in units:
+            units[d] = [u for u in range(1, max(d, 2)) if math.gcd(u, d) == 1]
+        orbit = {dual.index_of(dual.scale(u, a)) for u in units[d]}
         seen |= orbit
         sums.append(tuple(1 if j in orbit else 0 for j in range(dual.size)))
     return tuple(sums)
-

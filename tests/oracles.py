@@ -5,6 +5,7 @@ the tests compare the package against.  No subcommand or demo runs them, so
 they live beside the tests rather than in ``kulocal``.
 """
 
+import math
 from functools import reduce
 
 from kulocal.burnside import BurnsideRing
@@ -32,6 +33,15 @@ def unit_product_by_cyclotomic_products(n: int, i: int) -> Cyclotomic:
     for t in range(pow(i, -1, n)):
         inverse[i * t % n] += 1
     return Cyclotomic.from_poly(n, [1] * i) * Cyclotomic.from_poly(n, inverse)
+
+
+def root_of_unity_product_by_factors(k: int) -> Cyclotomic:
+    """prod_{i=1}^{k-1} (zeta_k^i - 1) by its definition: k - 1 Cyclotomic
+    products, each factor and each partial product reduced mod Phi_k."""
+    out = Cyclotomic.one(k)
+    for i in range(1, k):
+        out = out * (Cyclotomic.zeta_power(k, i) - Cyclotomic.one(k))
+    return out
 
 
 # -- groups and explicit H-sets ----------------------------------------------
@@ -155,6 +165,23 @@ def perm_rep_orbit_counts_enumerated(group: AbelianGroup, ell: int) -> dict:
     x = trivial_points(group.trivial_subgroup, ell)
     orbits = map_set_orbits(group.full_subgroup, group.trivial_subgroup, x)
     return {h: c for h, c in orbits.items() if c}
+
+
+def rational_rep_lattices_units_mod_exponent(group: AbelianGroup) -> tuple:
+    """The Galois orbit-sum rows with every orbit taken over all the units
+    mod the exponent, in order of lowest index."""
+    dual = group.full_subgroup.dual
+    e = group.exponent
+    units = [u for u in range(1, max(e, 2)) if math.gcd(u, e) == 1]
+    seen = set()
+    sums = []
+    for i, a in enumerate(dual.reps):
+        if i in seen:
+            continue
+        orbit = {dual.index_of(dual.scale(u, a)) for u in units}
+        seen |= orbit
+        sums.append(tuple(1 if j in orbit else 0 for j in range(dual.size)))
+    return tuple(sums)
 
 
 def ru_restrict(ru: RURing, v, sub_dual: DualLevel) -> tuple:

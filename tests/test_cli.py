@@ -688,14 +688,15 @@ def _fresh_under_O(*argv):
     )
 
 
-def test_bott_verify_c243_under_O_within_the_job_budget():
+@pytest.mark.parametrize("spec", ["C243", "C729"])
+def test_bott_verify_under_O_within_the_job_budget(spec):
     # bott-verify C243 used to take about three minutes (one cyclotomic
     # product per element)
-    proc = _fresh_under_O("bott-verify", "--group", "C243")
+    proc = _fresh_under_O("bott-verify", "--group", spec)
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["adams_identity"] is True
-    group = parse_group("C243")
+    group = parse_group(spec)
     assert len(payload["bott_values"]) == group.order
     for row in payload["bott_values"]:
         k = group.element_order(tuple(row["g"]))

@@ -561,6 +561,21 @@ def test_poly_divmod_monic_by_random_monic_divisors():
         _check_divmod(sympy, f, g)
 
 
+def test_from_poly_is_the_padded_divmod_remainder():
+    rng = random.Random(SEED + 14)
+    for e in [*range(1, 61), 81, 125, 243]:
+        phi = cyclotomic_polynomial(e)
+        d = len(phi) - 1
+        lengths = {0, 1, d - 1, d, d + 1, e, 3 * e, *(rng.randrange(3 * e + 1) for _ in range(4))}
+        for length in sorted(lengths):
+            for kind in POLY_KINDS:
+                f = list(_random_poly(rng, length, kind))
+                given = list(f)
+                rem = poly_divmod_monic(f, phi)[1]
+                assert Cyclotomic.from_poly(e, f).coeffs == rem + (0,) * (d - len(rem)), (e, f)
+                assert f == given
+
+
 @pytest.mark.parametrize("e", [45, 81, 243])
 def test_cyclotomic_products_match_sympy_remainders(e):
     sympy = pytest.importorskip("sympy")

@@ -15,6 +15,7 @@ from kulocal.exact import (
 )
 from kulocal.geomfp import (
     DIRECT_DET_RANK_BOUND,
+    _euler_regular,
     bott_character,
     root_of_unity_product,
     trunc_regular_poly,
@@ -25,7 +26,12 @@ from kulocal.geomfp import (
     verify_regular_factorization,
 )
 from kulocal.groups import AbelianGroup, parse_group
-from oracles import generated_subgroup, ru_restrict, unit_product_by_cyclotomic_products
+from oracles import (
+    generated_subgroup,
+    root_of_unity_product_by_factors,
+    ru_restrict,
+    unit_product_by_cyclotomic_products,
+)
 
 PRIME_POWER_RANGE = [(q, k) for q in (3, 5, 7) for k in range(1, 5) if q ** k <= 125]
 
@@ -206,7 +212,19 @@ def test_bott_character_computes_one_product_per_element_order():
     root_of_unity_product.cache_clear()
     bott_character(parse_group("C81"))
     info = root_of_unity_product.cache_info()
-    assert (info.misses, info.hits) == (5, 76)
+    assert (info.misses, info.hits) == (5, 0)
+
+
+def test_root_of_unity_product_matches_the_product_of_its_factors():
+    # even k too: there the product is -k
+    for k in range(1, 101):
+        assert root_of_unity_product(k) == root_of_unity_product_by_factors(k), k
+
+
+@pytest.mark.parametrize("n", [9, 27, 81, 25, 125, 49])
+def test_regular_euler_class_reduces_to_the_root_of_unity_product(n):
+    reduced = Cyclotomic.from_poly(n, _euler_regular(n))
+    assert reduced == root_of_unity_product(n) == root_of_unity_product_by_factors(n) == n
 
 
 def test_bott_character_raises_on_a_wrong_cyclotomic_product(monkeypatch, capsys):

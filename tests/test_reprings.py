@@ -21,6 +21,7 @@ from oracles import (
     class_function_json,
     contains_element,
     perm_rep_orbit_counts_enumerated,
+    rational_rep_lattices_units_mod_exponent,
     ru_element_json,
 )
 from test_groups import ORACLE_GROUPS
@@ -199,6 +200,17 @@ RATIONAL_LATTICE_GROUPS = [
     "C1", "C3", "C9", "C27", "C81", "C243",
     "C3xC3", "C3xC9", "C9xC9", "C5xC25", "C3xC3xC3",
 ]
+
+
+@pytest.mark.parametrize("spec", [
+    "C27", "C81", "C243",
+    "C3xC3xC9", "C5xC25", "C9xC9", "C3xC27", "C3xC3xC3", "C5xC5xC5",
+    # the units mod 15 and mod 45 are not cyclic
+    "C15", "C45", "C3xC15",
+])
+def test_rational_lattice_orbits_mod_the_element_order(spec):
+    g = parse_group(spec)
+    assert rational_rep_lattices(g) == rational_rep_lattices_units_mod_exponent(g)
 
 
 @pytest.mark.parametrize("spec", RATIONAL_LATTICE_GROUPS)
