@@ -164,6 +164,10 @@ def _witness_line(check: dict) -> str:
 
 
 def cmd_geomfp_verify(max_order: int) -> tuple[bool, dict, str]:
+    if max_order < min(GEOMFP_PRIMES):
+        raise ValueError(
+            f"--max-order {max_order} is below {min(GEOMFP_PRIMES)}, the smallest order the suite checks"
+        )
     cases = []
     for q in GEOMFP_PRIMES:
         k = 1

@@ -337,6 +337,8 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Cyclotomic":
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
         result = Cyclotomic.one(self.conductor)
         base = self
         while n > 0:
@@ -402,6 +404,8 @@ class IntMatrix:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise ValueError("ragged rows")
+            if cols is not None and cols != ncols:
+                raise ValueError(f"cols={cols} but the rows have {ncols} entries")
         else:
             ncols = 0 if cols is None else cols
         self.rows = len(rows)

@@ -3,12 +3,11 @@
 A functor is stored levelwise: one finitely generated abelian group per
 subgroup, a direct sum of cyclic groups given by the order of each generator
 (0 for Z, d for Z/d), with restriction and transfer matrices for every
-containment.  The maps, units and product tables are built on first use and
-kept (``Built``, ``MapCache``), so a job that reads only the levels builds
-none of them; the axiom checks read, and so build, every one.  A level reads
-its free rank and torsion off its orders, and two elements are equal when
-their difference is 0 modulo each order.  ``pi0`` (``assemble_pi0``) builds
-no functor at all: it reads and certifies one level per isomorphism type.
+containment.  A functor is built whole: every map, unit and product table
+is a plain dict filled at construction.  A level reads its free rank and
+torsion off its orders, and two elements are equal when their difference is
+0 modulo each order.  ``pi0`` (``assemble_pi0``) builds no functor at all: it
+reads and certifies one level per isomorphism type.
 Because the ambient group is abelian there is no conjugation data, Weyl
 groups are quotients, and the double-coset law collapses to
 
@@ -27,8 +26,8 @@ imply each law on every pair and triple (the Green ones given transitivity).
 
 Provided functors: the Burnside functor and its levelwise quotient A/J by the
 cyclically-vanishing ideal, both lattices of marks vectors built by one
-construction (``_marks_functor``: a level's rank is its column count, its
-basis is built on first read, restriction keeps the marks at the subgroups
+construction (``_marks_functor``: a level's rank is its column count and its
+basis has one row per column, restriction keeps the marks at the subgroups
 of K, transfer scales them by [H : K], the product is pointwise), which keeps
 the Burnside ring of each level (``MarksFunctor.rings``) for every reader; the
 representation-ring functor (``linearization_check`` takes a Burnside and a
@@ -124,44 +123,11 @@ def _relations(lvl: Level) -> list[Pairs]:
     return [((i, d),) for i, d in enumerate(lvl.orders) if d]
 
 
-class Built(dict):
-    """A dict whose missing key k is ``build(k)``, built on first lookup and
-    kept."""
-
-    def __init__(self, build: Callable):
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, key):
-        value = self[key] = self._build(key)
-        return value
-
-
-class MapCache(Built):
-    """Restriction or transfer matrices keyed (source, target), each built by
-    ``build(source, target)`` on first lookup and kept.
-
-    Only a containment pair of the levels is a key: source contains target
-    for restrictions, target contains source for transfers (``up``).  Any
-    other key raises KeyError, as a dict holding every map would.
-    """
-
-    def __init__(self, levels: dict, build: Callable[[Subgroup, Subgroup], IntMatrix], up: bool):
-        super().__init__(lambda key: build(*key))
-        self._levels = levels
-        self._up = up
-
-    def __missing__(self, key: tuple[Subgroup, Subgroup]) -> IntMatrix:
-        src, dst = key
-        outer, inner = (dst, src) if self._up else (src, dst)
-        if outer not in self._levels or inner not in self._levels or not outer.contains(inner):
-            raise KeyError(key)
-        return super().__missing__(key)
-
-
-def _lazy_maps(levels: dict, res: Callable, tr: Callable) -> tuple[MapCache, MapCache]:
-    """The restriction and transfer caches of ``res(h, k)`` and ``tr(k, h)``."""
-    return MapCache(levels, res, up=False), MapCache(levels, tr, up=True)
+def _containment_maps(levels: dict, res: Callable, tr: Callable) -> tuple[dict, dict]:
+    """Every restriction ``res(h, k)`` keyed (H, K) and transfer ``tr(k, h)``
+    keyed (K, H), over the containments K <= H of the levels."""
+    pairs = [(h, k) for h in levels for k in h.subgroups]
+    return {(h, k): res(h, k) for h, k in pairs}, {(k, h): tr(k, h) for h, k in pairs}
 
 
 class MackeyFunctor:
@@ -173,8 +139,9 @@ class MackeyFunctor:
         tr: dict[tuple[Subgroup, Subgroup], IntMatrix],
         name: str = "",
     ):
-        """``res`` and ``tr`` map (H, K) and (K, H) to the matrices for
-        K <= H: a ``MapCache``, or a dict holding every containment."""
+        """``res`` and ``tr`` are dicts mapping (H, K) and (K, H) to the
+        matrices for every containment K <= H; any other pair is no key, and
+        reading it raises KeyError."""
         self.group = group
         self.levels = levels
         self._res = res
@@ -295,29 +262,25 @@ class GreenFunctor(MackeyFunctor):
         basis_product: Callable[[Subgroup, int, int], Pairs],
         name: str = "",
     ):
-        """``units`` maps each level to its unit: a ``Built``, or a dict
-        holding every level."""
+        """``units`` is a dict holding every level's unit.  Every level's
+        product table is built here, from ``basis_product`` for i <= j and
+        mirrored."""
         super().__init__(group, levels, res, tr, name)
         self._units = units
-        self._basis_product = basis_product
-        self._products = Built(self._product_table)
+        self._products = {}
+        for h, lvl in levels.items():
+            table = self._products[h] = [[()] * lvl.rank for _ in range(lvl.rank)]
+            for i in range(lvl.rank):
+                for j in range(i, lvl.rank):
+                    table[i][j] = table[j][i] = basis_product(h, i, j)
 
     def unit(self, h: Subgroup) -> Vector:
         return self._units[h]
 
     def product_table(self, h: Subgroup) -> list[list[Pairs]]:
         """e_i * e_j for every pair of basis vectors of the level, as its
-        nonzero (index, coefficient) pairs, built on first read of the level
-        for i <= j and mirrored."""
+        nonzero (index, coefficient) pairs."""
         return self._products[h]
-
-    def _product_table(self, h: Subgroup) -> list[list[Pairs]]:
-        n = self.level(h).rank
-        table = [[()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                table[i][j] = table[j][i] = self._basis_product(h, i, j)
-        return table
 
     def _product(self, h: Subgroup, a: Pairs, b: Pairs) -> Vector:
         table = self.product_table(h)
@@ -397,9 +360,9 @@ def _marks_functor(group: AbelianGroup, columns_of: Callable, lattice: Callable,
 
     ``columns_of(rings[H])`` gives the column subgroups, whose count is the
     rank of the level.  ``lattice(rings[H])`` gives the basis rows as marks
-    vectors and a coordinates function over those rows; it runs on the
-    first read of the level's maps or unit, and a basis whose length is not
-    the column count raises ArithmeticError.  Marks at a subgroup C commute
+    vectors and a coordinates function over those rows, for every level at
+    construction; a basis whose length is not the column count raises
+    ArithmeticError naming the level.  Marks at a subgroup C commute
     with restriction, so res^H_K keeps the entries at K's columns (the
     columns of H inside K, in the same canonical order); tr^H_K scales them
     by [H : K] and puts 0 at the other columns of H.  The unit is the
@@ -410,15 +373,12 @@ def _marks_functor(group: AbelianGroup, columns_of: Callable, lattice: Callable,
     columns = {h: columns_of(rings[h]) for h in subs}
     levels = {h: Level(h, (0,) * len(columns[h])) for h in subs}
 
-    def build(h: Subgroup) -> tuple[Sequence[Vector], Callable]:
-        basis, coordinates = lattice(rings[h])
+    lattices = {h: lattice(rings[h]) for h in subs}  # H -> (basis rows, coordinates)
+    for h, (basis, _) in lattices.items():
         if len(basis) != levels[h].rank:
             raise ArithmeticError(
                 f"the {name} basis at {h!r} has {len(basis)} rows for {levels[h].rank} columns"
             )
-        return basis, coordinates
-
-    lattices = Built(build)  # H -> (basis rows, coordinates)
 
     def matrix(dst: Subgroup, images: Sequence[Sequence[int]]) -> IntMatrix:
         coordinates = lattices[dst][1]
@@ -446,8 +406,8 @@ def _marks_functor(group: AbelianGroup, columns_of: Callable, lattice: Callable,
         basis, coordinates = lattices[h]
         return _pairs(coordinates([x * y for x, y in zip(basis[i], basis[j], strict=True)]))
 
-    units = Built(lambda h: lattices[h][1]((1,) * levels[h].rank))
-    return MarksFunctor(rings, group, levels, *_lazy_maps(levels, res, tr), units, basis_product, name)
+    units = {h: coordinates((1,) * levels[h].rank) for h, (_, coordinates) in lattices.items()}
+    return MarksFunctor(rings, group, levels, *_containment_maps(levels, res, tr), units, basis_product, name)
 
 
 def burnside_mackey(group: AbelianGroup) -> MarksFunctor:
@@ -511,7 +471,7 @@ def ru_mackey(group: AbelianGroup) -> GreenFunctor:
         return ((d.index_of(d.add(d.reps[i], d.reps[j])), 1),)
 
     units = {h: _unit_vec(h.dual.size, h.dual.index_of(group.identity)) for h in subs}
-    return GreenFunctor(group, levels, *_lazy_maps(levels, res, tr), units, basis_product, "ru")
+    return GreenFunctor(group, levels, *_containment_maps(levels, res, tr), units, basis_product, "ru")
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +581,7 @@ def _tensor(
 ) -> tuple[dict, dict, dict]:
     """Levels, restrictions and transfers of functor tensor (+_s Z/orders[s]),
     order 0 meaning Z, for a functor with free levels (A/J's are).  Each map
-    is built on first lookup from the same map of ``functor``.
+    is built from the same map of ``functor``.
 
     Each level has one block of generators per summand, in the order of
     ``orders``, so every map is block diagonal.  ``extra[h]`` appends cyclic
@@ -654,7 +614,7 @@ def _tensor(
     def tr(k: Subgroup, h: Subgroup) -> IntMatrix:
         return block_diag(functor.tr(k, h), k, h)
 
-    return levels, *_lazy_maps(levels, res, tr)
+    return levels, *_containment_maps(levels, res, tr)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +681,7 @@ def adjoin_x(functor: GreenFunctor, name: str) -> GreenFunctor:
         shift = r * (xi + xj)
         return tuple((t + shift, c) for t, c in functor.product_table(h)[bi][bj])
 
-    units = Built(lambda h: tuple(functor.unit(h)) + (0,) * ranks[h])
+    units = {h: tuple(functor.unit(h)) + (0,) * r for h, r in ranks.items()}
     return GreenFunctor(functor.group, *_tensor(functor, (0, 2)), units, basis_product, name)
 
 

@@ -250,6 +250,14 @@ def test_geomfp_verify_small(capsys):
     assert "pass" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("max_order", ["2", "0", "-5"])
+def test_geomfp_verify_below_the_smallest_order_exits_2(capsys, max_order):
+    # no suite order is at most max_order, so a run would pass vacuously
+    code, out, err = run_capture(capsys, ["geomfp-verify", "--max-order", max_order])
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-order {max_order} is below 3, the smallest order the suite checks\n"
+
+
 # sha256 of `geomfp-verify --format json`: pins every witness value of the
 # Euler-class suites, which no other test compares in full
 GEOMFP_VERIFY_SHA256 = "c0994f37a7f84fd81e66cb79e9af9e82a14f9c51e7472c3849573250a704d2c1"
@@ -765,10 +773,27 @@ def test_pi0_admits_ell_in_order(capsys, ell, err):
     assert (code, out, got) == (2, "", err)
 
 
+@pytest.mark.parametrize("argv", [
+    [command, "--group", "C3xC3xC9"] for command in ("pi0", "pi1", "kernel", "idempotents", "marks")
+] + [["bott-verify", "--group", "C81"]])
+def test_jobs_that_print_levels_construct_no_functor(capsys, monkeypatch, argv):
+    # a functor is built whole, every map at once, so these jobs must read
+    # their levels without one
+    built = []
+    init = MackeyFunctor.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MackeyFunctor, "__init__", counted)
+    assert run_capture(capsys, argv)[0] == 0
+    assert built == []
+
+
 @pytest.mark.parametrize("argv,calls", [
     (["kernel", "--group", "C3xC3xC9"], {}),
-    # A/J's Hermite bases are built only when a map or unit reads them, and
-    # pi0 prints neither
+    # pi0 builds no functor, so no A/J Hermite basis
     (["pi0", "--group", "C3xC3xC9"], {}),
     # a level compares elements by its generator orders, so the axiom checks
     # take Hermite forms only for A/J's bases and coordinates

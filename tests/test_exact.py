@@ -110,6 +110,13 @@ def test_cyclotomic_rational_detection():
     assert Cyclotomic.from_rational(7, Fraction(2, 3)).rational_value() == Fraction(2, 3)
 
 
+def test_cyclotomic_power_rejects_a_negative_exponent():
+    z = Cyclotomic.zeta_power(9, 1)
+    assert z ** 0 == Cyclotomic.one(9) and z ** 9 == Cyclotomic.one(9) and z ** 10 == z
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        z ** -1
+
+
 def test_smith_identity_and_diag():
     dec = smith_normal_form(IntMatrix.identity(3))
     assert dec.verify()
@@ -262,6 +269,14 @@ def test_intmatrix_rejects_fraction_entry():
     # int() would truncate 1/2 to 0, so the determinant would read 0
     with pytest.raises(ValueError, match=r"entry Fraction\(1, 2\) is not an int"):
         IntMatrix([[Fraction(1, 2)]])
+
+
+def test_intmatrix_rejects_cols_that_disagree_with_its_rows():
+    with pytest.raises(ValueError, match="cols=5 but the rows have 2 entries"):
+        IntMatrix([[1, 2]], cols=5)
+    assert IntMatrix([[1, 2]], cols=2).cols == 2
+    # with no rows, cols is the only record of the width
+    assert IntMatrix([], cols=5).cols == 5
 
 
 def _dense_product(a, b):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kulocal import burnside, mackey
+from kulocal import mackey
 from kulocal.burnside import BurnsideRing
 from kulocal.cli import canonical_json
 from kulocal.exact import (
@@ -193,11 +193,11 @@ def test_elements_equal_is_membership_in_the_relation_lattice():
 
 @pytest.mark.parametrize("spec", ["C3xC3xC9", "C9xC9", "C3xC27", "C5xC5xC5"])
 def test_a_mod_j_builds_the_eager_basis_and_unit_on_first_read(spec):
+    # the functor is built whole, so its first read already holds, at every
+    # level, the basis and unit of the eager construction
     g = parse_group(spec)
     functor = a_mod_j_mackey(g)
     rings = functor.rings
-    # building the functor builds no Hermite basis
-    assert not any("_a_mod_j" in ring.__dict__ for ring in rings.values())
     for h in functor.subgroups:
         basis, unit = a_mod_j_eager(rings[h])
         assert functor.level(h).rank == len(h.cyclic_subgroups) == len(basis)
@@ -205,10 +205,9 @@ def test_a_mod_j_builds_the_eager_basis_and_unit_on_first_read(spec):
         assert rings[h].a_mod_j().basis == basis
 
 
-@pytest.mark.parametrize("read", ["unit", "res", "tr"])
-def test_a_basis_short_of_a_row_raises_at_its_level(monkeypatch, read):
+def test_a_basis_short_of_a_row_raises_at_its_level(monkeypatch):
     # the rank is the column count, so a basis that loses a row is caught
-    # when a map or the unit first reads it, naming the level
+    # when the functor is built, naming the level
     g = parse_group("C3xC9")
     top = g.full_subgroup
     a_mod_j = BurnsideRing.a_mod_j
@@ -218,18 +217,10 @@ def test_a_basis_short_of_a_row_raises_at_its_level(monkeypatch, read):
         return dataclasses.replace(q, basis=q.basis[:-1]) if ring.level.mask == top.mask else q
 
     monkeypatch.setattr(BurnsideRing, "a_mod_j", dropped)
-    functor = a_mod_j_mackey(g)
-    k = maximal_proper_subgroups(top)[0]
-    reads = {
-        "unit": lambda: functor.unit(top),
-        "res": lambda: functor.res(top, k),
-        "tr": lambda: functor.tr(k, top),
-    }
-    rank = functor.level(top).rank
+    rank = len(top.cyclic_subgroups)
     message = f"the a_mod_j basis at {top!r} has {rank - 1} rows for {rank} columns"
     with pytest.raises(ArithmeticError, match=re.escape(message)):
-        reads[read]()
-    assert functor.unit(k) == a_mod_j_eager(functor.rings[k])[1]
+        a_mod_j_mackey(g)
 
 
 @pytest.mark.parametrize("build,count", [(burnside_mackey, 15), (ru_mackey, 22)])
@@ -477,9 +468,6 @@ def _copy_with_every_map(functor):
     """A new functor object over the same levels and units, with its own copy
     of every map and product table, so a mutation of the copy reaches no
     other functor."""
-    for h in functor.subgroups:
-        for k in h.subgroups:
-            functor.res(h, k), functor.tr(k, h)
     fresh = copy.copy(functor)
     fresh._res, fresh._tr = dict(functor._res), dict(functor._tr)
     fresh._products = {h: [list(row) for row in functor.product_table(h)] for h in functor.subgroups}
@@ -560,7 +548,7 @@ def test_axiom_and_linearization_checks_multiply_no_int_matrix(monkeypatch):
     assert calls == []
 
 
-# -- lazy maps ------------------------------------------------------------------
+# -- maps over the containments ------------------------------------------------
 
 
 def _containments(group):
@@ -652,39 +640,24 @@ def test_maps_of_non_containment_pairs_raise_key_error(spec):
         pi1.tr(whole, triv)
 
 
-def test_pi0_builds_no_map_and_the_checks_build_every_one(monkeypatch):
-    calls = []
-    solve = burnside.hnf_coordinates
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(burnside, "hnf_coordinates", counted)
+@pytest.mark.parametrize("name", FUNCTOR_NAMES)
+def test_functors_hold_every_containment_map(name):
+    # each functor is built whole: a map for every containment K <= H, a unit
+    # and a product table for every level, and the axiom checks pass on them
     g = parse_group("C3xC3xC9")
-    assert len(g.subgroups()) == 50
-    result = assemble_pi0(g)
-    result.to_json()
-    # at most one solve per level, for its unit; no restriction or transfer
-    assert len(calls) <= 50
-    m = result.functor
-    assert not m._res and not m._tr
-
-    assert m.check_mackey_axioms() == []
+    m = FUNCTOR_BUILDS[name](g)
     pairs = _containments(g)
     assert set(m._res) == pairs
     assert set(m._tr) == {(k, h) for h, k in pairs}
-    fresh = assemble_pi0(g).functor
-    for h, k in pairs:
-        assert m.res(h, k) == fresh.res(h, k)
-        assert m.tr(k, h) == fresh.tr(k, h)
+    assert set(m._units) == set(m._products) == set(g.subgroups())
+    assert m.check_mackey_axioms() == []
 
 
 # sha256 of canonical_json({"json": to_json(include_mult=True), "mackey":
-# check_mackey_axioms(), "green": check_green_axioms()}) for each functor: the
-# maps are built on first use, so these pin the order in which the JSON and
-# the failure lists walk them.  pi0 is left out on C1, and on C15, which has
-# no default ell.
+# check_mackey_axioms(), "green": check_green_axioms()}) for each functor:
+# these pin every map, unit and product, and the order in which the failure
+# lists name them.  pi0 is left out on C1, and on C15, which has no default
+# ell.
 FUNCTOR_SHA256 = {
     "C1 burnside": "e7b54864542cb3dfa69a7229cc3cec0e23a1a3d39b752a9f31a884d15834cd17",
     "C1 a_mod_j": "0dd6a62507b203f4d9fa52ac8de3837434f92fb96069caa479406b43efbe3bba",
