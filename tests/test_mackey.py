@@ -205,22 +205,33 @@ def test_a_mod_j_builds_the_eager_basis_and_unit_on_first_read(spec):
         assert rings[h].a_mod_j().basis == basis
 
 
-def test_a_basis_short_of_a_row_raises_at_its_level(monkeypatch):
+@pytest.mark.parametrize("read", ["unit", "res", "tr"])
+def test_a_basis_short_of_a_row_raises_at_its_level(monkeypatch, read):
     # the rank is the column count, so a basis that loses a row is caught
-    # when the functor is built, naming the level
+    # when the functor is built, naming the level, before the unit or a map
+    # through that level can be read; with the row back, the same read spans
+    # the full rank
     g = parse_group("C3xC9")
     top = g.full_subgroup
+    k = maximal_proper_subgroups(top)[0]
     a_mod_j = BurnsideRing.a_mod_j
 
     def dropped(ring):
         q = a_mod_j(ring)
         return dataclasses.replace(q, basis=q.basis[:-1]) if ring.level.mask == top.mask else q
 
+    reads = {
+        "unit": lambda functor: len(functor.unit(top)),
+        "res": lambda functor: functor.res(top, k).cols,
+        "tr": lambda functor: functor.tr(k, top).rows,
+    }
     monkeypatch.setattr(BurnsideRing, "a_mod_j", dropped)
     rank = len(top.cyclic_subgroups)
     message = f"the a_mod_j basis at {top!r} has {rank - 1} rows for {rank} columns"
     with pytest.raises(ArithmeticError, match=re.escape(message)):
-        a_mod_j_mackey(g)
+        reads[read](a_mod_j_mackey(g))
+    monkeypatch.undo()
+    assert reads[read](a_mod_j_mackey(g)) == rank
 
 
 @pytest.mark.parametrize("build,count", [(burnside_mackey, 15), (ru_mackey, 22)])
