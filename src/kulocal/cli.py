@@ -263,6 +263,9 @@ def cmd_norms(group: AbelianGroup | None) -> tuple[bool, dict, str]:
 
 
 def cmd_verify_all(max_order: int, test_seed: int) -> tuple[bool, dict, str]:
+    smallest = min(parse_group(spec).order for spec in DEFAULT_INSTANCES)
+    if max_order < smallest:
+        raise ValueError(f"--max-order {max_order} is below {smallest}, the smallest instance order")
     t0 = time.perf_counter()
     results: list[tuple[str, list[str]]] = []
 

@@ -66,7 +66,9 @@ def _require_coprime(group: AbelianGroup, ell: int) -> None:
 
 
 def require_primitive(group: AbelianGroup, ell: int) -> None:
-    """The one admissibility rule for ell: a primitive root mod exponent(G)."""
+    """The one admissibility rule for ell: a primitive root mod exponent(G).
+    An ell not coprime to |G| is reported as such, as every subcommand does."""
+    _require_coprime(group, ell)
     if not is_primitive_root(ell, group.exponent):
         raise ValueError(
             f"ell={ell} is not a primitive root mod exponent(G)={group.exponent}"

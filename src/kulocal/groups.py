@@ -9,8 +9,11 @@ subgroup generation, the lattice, joins and cosets are built on it.  The
 lattice lists each subgroup once, by the row Hermite normal form of its
 preimage in Z^r, and spans its mask from the form's rows: one span per
 nontrivial subgroup; each subgroup keeps its down-set (``Subgroup.subgroups``).
-Only abelian groups are supported, so conjugation is trivial and Weyl groups
-are quotients.
+A subgroup's character group (``DualLevel``) names the character that an
+element a restricts to by its key, the pairings <a, x> mod exp(G) over the
+generators x of H, so powers, products and orbits of characters are
+arithmetic on keys.  Only abelian groups are supported, so
+conjugation is trivial and Weyl groups are quotients.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import math
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Sequence
 
-from .exact import prime_factors
 
 SUBGROUP_ENUM_BOUND = 1024
 MAP_SET_BOUND = 10 ** 6
@@ -354,63 +356,97 @@ class Subgroup:
 class DualLevel:
     """The character group of a subgroup H <= G, in coordinates inside G.
 
-    Characters of H are cosets of the annihilator of H (shifts of its mask);
-    each coset is stored by its minimal-index representative.  For H = G this
-    recovers the whole self-dual group with representatives the elements
-    themselves, so the representation ring of G and its levels share one
-    mechanism.
+    The element a of G restricts to the character of H named by its key: the
+    tuple of pairings <a, x> mod exp(G) over the generators x of H
+    (``pairing_row`` gives every element's key at once).  Two elements share
+    a key exactly when they differ by an element of ann(H).  Characters
+    multiply as their keys add, coordinatewise mod exp(G): chi^k has key
+    k * key and chi * chi' has key key + key'.  Each character is stored by its
+    minimal-index representative, the first element with its key in index
+    order.  For H = G the representatives are the elements themselves, so the
+    representation ring of G and its levels share one mechanism.
     """
 
     def __init__(self, group: AbelianGroup, subgroup: Subgroup):
         self.group = group
         self.subgroup = subgroup
-        self.ann = subgroup.annihilator
-        self.reps = tuple(
-            group.elements[_lowest_index(c)]
-            for c in group.cosets(self.ann.mask, group.full_subgroup.mask)
-        )
-        self._rep_index = {a: i for i, a in enumerate(self.reps)}
-        self._canon_cache: dict[Element, Element] = {}
+        rows = self._pairing_rows()
+        keys = list(zip(*rows, strict=True))  # in element index order
+        # read from the end, each key keeps the index written last: its lowest
+        lowest = dict(zip(reversed(keys), range(group.order - 1, -1, -1), strict=True))
+        at = sorted(lowest.values())
+        self.reps = tuple(group.elements[i] for i in at)
+        self.keys = tuple(keys[i] for i in at)
+        self.key_index = {key: n for n, key in enumerate(self.keys)}
+        self._key_columns = [[row[i] for i in at] for row in rows]
+
+    def _pairing_rows(self) -> list[list[int]]:
+        """One ``pairing_row`` per generator of H, so every element's key is
+        read down the rows; the trivial subgroup pairs through its identity,
+        so that every key is (0,)."""
+        g = self.group
+        return [g.pairing_row(x) for x in self.subgroup.generators or (g.identity,)]
+
+    @cached_property
+    def _index(self) -> dict[Element, int]:
+        """The character index of every element, built on the first ``index_of``."""
+        keys = zip(*self._pairing_rows(), strict=True)
+        return dict(zip(self.group.elements, map(self.key_index.__getitem__, keys), strict=True))
 
     @property
     def size(self) -> int:
         return len(self.reps)  # == |H|
 
-    def canon(self, a: Element) -> Element:
-        cached = self._canon_cache.get(a)
-        if cached is None:
-            g = self.group
-            cached = g.elements[_lowest_index(g.translate(self.ann.mask, a))]
-            self._canon_cache[a] = cached
-        return cached
-
     def index_of(self, a: Element) -> int:
-        return self._rep_index[self.canon(a)]
+        """The index of the character that a restricts to."""
+        return self._index[a]
+
+    def canon(self, a: Element) -> Element:
+        return self.reps[self._index[a]]
+
+    def order(self, i: int) -> int:
+        """The order of the i-th character: exp(G) over the gcd of its key."""
+        e = self.group.exponent
+        return e // math.gcd(e, *self.keys[i])
+
+    def psi(self, k: int) -> list[int]:
+        """psi^k on the characters: the index of k * key for each key, taken
+        one key coordinate at a time."""
+        e = self.group.exponent
+        scaled = ([k * c % e for c in column] for column in self._key_columns)
+        return list(map(self.key_index.__getitem__, zip(*scaled, strict=True)))
+
+    def multiples(self, i: int, ks: Sequence[int]) -> list[int]:
+        """The index of k * key for each k in ks, key the i-th character's."""
+        e = self.group.exponent
+        scaled = ([k * c % e for k in ks] for c in self.keys[i])
+        return list(map(self.key_index.__getitem__, zip(*scaled, strict=True)))
+
+    def product(self, i: int, j: int) -> int:
+        """The index of the product of the i-th and j-th characters: the sum
+        of their keys."""
+        e = self.group.exponent
+        return self.key_index[tuple((c + d) % e for c, d in zip(self.keys[i], self.keys[j], strict=True))]
 
     @cached_property
     def cyclic_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The indicator over ``reps`` of each cyclic subgroup <a> + ann of
-        the character group, largest first (on the top level, the masks of
-        the cyclic subgroups of G), each spanned from its first rep only: its
-        generators, outside its subgroups of prime index, are skipped."""
-        g, ann = self.group, self.ann.mask
-        at = [g.index_of(a) for a in self.reps]
-        masks, generated = [], 0
-        for a, i in zip(self.reps, at, strict=True):
-            if generated >> i & 1:
+        """The indicator over ``reps`` of each cyclic subgroup of the
+        character group, largest first (on the top level, the masks of the
+        cyclic subgroups of G), each taken from its first rep only: the
+        multiples of its key.  Its generators, the multiples by k prime to
+        its order, are skipped."""
+        rows, generated = [], set()
+        for i in range(self.size):
+            if i in generated:
                 continue
-            mask = g.span(ann, a)
-            order = mask.bit_count() // self.ann.order  # of a in the character group
-            below = (g.span(ann, g.scale(p, a)) for p in prime_factors(order))
-            generated |= mask & ~reduce(int.__or__, below, 0)
-            masks.append(mask)
-        return tuple(tuple(m >> i & 1 for i in at) for m in sorted(masks, key=int.bit_count, reverse=True))
-
-    def add(self, a: Element, b: Element) -> Element:
-        return self.canon(self.group.add(a, b))
-
-    def scale(self, k: int, a: Element) -> Element:
-        return self.canon(self.group.scale(k, a))
+            d = self.order(i)
+            multiples = self.multiples(i, range(d))
+            generated.update(j for k, j in enumerate(multiples) if math.gcd(k, d) == 1)
+            row = [0] * self.size
+            for j in multiples:
+                row[j] = 1
+            rows.append(tuple(row))
+        return tuple(sorted(rows, key=sum, reverse=True))
 
 
 # ---------------------------------------------------------------------------

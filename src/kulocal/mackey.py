@@ -467,8 +467,7 @@ def ru_mackey(group: AbelianGroup) -> GreenFunctor:
         return IntMatrix.from_columns(cols, nrows=d_h.size)
 
     def basis_product(h: Subgroup, i: int, j: int) -> Pairs:
-        d = h.dual
-        return ((d.index_of(d.add(d.reps[i], d.reps[j])), 1),)
+        return ((h.dual.product(i, j), 1),)
 
     units = {h: _unit_vec(h.dual.size, h.dual.index_of(group.identity)) for h in subs}
     return GreenFunctor(group, levels, *_containment_maps(levels, res, tr), units, basis_product, "ru")

@@ -26,20 +26,20 @@ Vector = tuple
 
 def dual_multiply(dual: DualLevel, v: Sequence[int], w: Sequence[int]) -> Vector:
     """Product in the group ring of the characters of one level: convolution
-    over the dual basis."""
+    over the dual basis, by key sums."""
     out = [0] * dual.size
-    reps = dual.reps
     for i, x in enumerate(v):
         if x:
             for j, y in enumerate(w):
                 if y:
-                    out[dual.index_of(dual.add(reps[i], reps[j]))] += x * y
+                    out[dual.product(i, j)] += x * y
     return tuple(out)
 
 
 def dual_permutation(dual: DualLevel, ell: int) -> list[int]:
-    """psi^ell on the dual basis: index i -> index of ell * (i-th character)."""
-    return [dual.index_of(dual.scale(ell, a)) for a in dual.reps]
+    """psi^ell on the dual basis: index i -> index of the i-th character's
+    key times ell (``DualLevel.psi``)."""
+    return dual.psi(ell)
 
 
 def permute(perm: Sequence[int], v: Sequence[int]) -> Vector:
@@ -230,22 +230,22 @@ def rational_rep_lattices(group: AbelianGroup) -> tuple[Vector, ...]:
     """The rational representation lattice of RU(G), as canonical HNF rows.
 
     It is spanned by the Galois orbit sums: one indicator per orbit of the
-    units acting by a -> u*a on the dual basis.  The orbit of a is taken over
-    the units mod d = ord(a) alone: u*a depends only on u mod d, and the units
-    mod the exponent map onto those mod d.  Found from their lowest indices,
-    these disjoint rows are already canonical HNF.
+    units acting by key -> u*key on the dual basis.  The orbit of a character
+    is taken over the units mod its order d alone: u*key depends only on u mod
+    d, and the units mod the exponent map onto those mod d.  Found from their
+    lowest indices, these disjoint rows are already canonical HNF.
     """
     dual = group.full_subgroup.dual
     units: dict[int, list[int]] = {}
     seen = set()
     sums = []
-    for i, a in enumerate(dual.reps):
+    for i in range(dual.size):
         if i in seen:
             continue
-        d = group.element_order(a)
+        d = dual.order(i)
         if d not in units:
             units[d] = [u for u in range(1, max(d, 2)) if math.gcd(u, d) == 1]
-        orbit = {dual.index_of(dual.scale(u, a)) for u in units[d]}
+        orbit = set(dual.multiples(i, units[d]))
         seen |= orbit
         sums.append(tuple(1 if j in orbit else 0 for j in range(dual.size)))
     return tuple(sums)

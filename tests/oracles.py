@@ -9,9 +9,9 @@ import math
 from functools import reduce
 
 from kulocal.burnside import BurnsideRing
-from kulocal.exact import Cyclotomic, IntMatrix, hnf_coordinates, row_hnf
+from kulocal.exact import Cyclotomic, IntMatrix, hnf_coordinates, prime_factors, row_hnf
 from kulocal.fiber import degree0_kernels, spans_cycle_lattice
-from kulocal.groups import AbelianGroup, DualLevel, ExplicitHSet, Subgroup, map_set_orbits
+from kulocal.groups import AbelianGroup, DualLevel, ExplicitHSet, Subgroup, _lowest_index, map_set_orbits
 from kulocal.mackey import GreenFunctor, Level, MackeyFunctor, _apply_sparse, _pairs, _unit_vec, a_mod_j_mackey
 from kulocal.reprings import ClassFunction, RURing, adams_cycles, adams_kernel_basis, dual_permutation, permute
 
@@ -167,10 +167,52 @@ def perm_rep_orbit_counts_enumerated(group: AbelianGroup, ell: int) -> dict:
     return {h: c for h, c in orbits.items() if c}
 
 
+class CosetDualLevel:
+    """The character group of H <= G as the cosets of ann(H), each the
+    annihilator's mask translated by an element (``AbelianGroup.translate``)
+    and named by its lowest element index: the reference that the keyed
+    characters of ``DualLevel`` are held to."""
+
+    def __init__(self, group: AbelianGroup, subgroup: Subgroup):
+        self.group = group
+        self.ann = subgroup.annihilator
+        cosets = group.cosets(self.ann.mask, group.full_subgroup.mask)
+        self.reps = tuple(group.elements[_lowest_index(c)] for c in cosets)
+        self._rep_index = {a: i for i, a in enumerate(self.reps)}
+
+    def canon(self, a) -> tuple:
+        return self.group.elements[_lowest_index(self.group.translate(self.ann.mask, a))]
+
+    def index_of(self, a) -> int:
+        return self._rep_index[self.canon(a)]
+
+    def permutation(self, ell: int) -> list[int]:
+        """psi^ell on the reps: i -> the index of ell times the i-th rep."""
+        return [self.index_of(self.group.scale(ell, a)) for a in self.reps]
+
+    def cyclic_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The indicator over ``reps`` of each cyclic subgroup <a> + ann,
+        largest first, spanned from its first rep; the reps outside its
+        subgroups of prime index generate it and are skipped."""
+        g, ann = self.group, self.ann.mask
+        at = [g.index_of(a) for a in self.reps]
+        masks, generated = [], 0
+        for a, i in zip(self.reps, at, strict=True):
+            if generated >> i & 1:
+                continue
+            mask = g.span(ann, a)
+            order = mask.bit_count() // self.ann.order
+            below = (g.span(ann, g.scale(p, a)) for p in prime_factors(order))
+            generated |= mask & ~reduce(int.__or__, below, 0)
+            masks.append(mask)
+        return tuple(tuple(m >> i & 1 for i in at) for m in sorted(masks, key=int.bit_count, reverse=True))
+
+
 def rational_rep_lattices_units_mod_exponent(group: AbelianGroup) -> tuple:
-    """The Galois orbit-sum rows with every orbit taken over all the units
-    mod the exponent, in order of lowest index."""
-    dual = group.full_subgroup.dual
+    """The Galois orbit-sum rows over the coset-built characters, with every
+    orbit taken over all the units mod the exponent, in order of lowest
+    index."""
+    dual = CosetDualLevel(group, group.full_subgroup)
     e = group.exponent
     units = [u for u in range(1, max(e, 2)) if math.gcd(u, e) == 1]
     seen = set()
@@ -178,9 +220,9 @@ def rational_rep_lattices_units_mod_exponent(group: AbelianGroup) -> tuple:
     for i, a in enumerate(dual.reps):
         if i in seen:
             continue
-        orbit = {dual.index_of(dual.scale(u, a)) for u in units}
+        orbit = {dual.index_of(group.scale(u, a)) for u in units}
         seen |= orbit
-        sums.append(tuple(1 if j in orbit else 0 for j in range(dual.size)))
+        sums.append(tuple(1 if j in orbit else 0 for j in range(len(dual.reps))))
     return tuple(sums)
 
 

@@ -117,7 +117,7 @@ def test_linearize_is_ring_hom():
             if la[i]:
                 for j, y in enumerate(dual.reps):
                     if lb[j]:
-                        conv[dual.index_of(dual.add(x, y))] += la[i] * lb[j]
+                        conv[dual.index_of(r.group.add(x, y))] += la[i] * lb[j]
         assert tuple(conv) == lin_prod
 
 

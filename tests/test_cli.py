@@ -250,6 +250,15 @@ def test_geomfp_verify_small(capsys):
     assert "pass" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("max_order", ["2", "1", "0"])
+def test_verify_all_below_the_smallest_instance_order_exits_2(capsys, max_order):
+    # no default instance has order at most max_order, so the group checks
+    # would pass vacuously
+    code, out, err = run_capture(capsys, ["verify-all", "--max-order", max_order])
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-order {max_order} is below 3, the smallest instance order\n"
+
+
 @pytest.mark.parametrize("max_order", ["2", "0", "-5"])
 def test_geomfp_verify_below_the_smallest_order_exits_2(capsys, max_order):
     # no suite order is at most max_order, so a run would pass vacuously
@@ -537,6 +546,7 @@ UNREACHED_ALLOWLIST = {
     "exact.solve_integer": "perfbench/tracer.py wraps it by name",
     "fiber.pi1_level": "perfbench/tracer.py wraps it by name",
     "groups.Subgroup.join": "perfbench/tracer.py wraps it by name",
+    "groups.DualLevel.canon": "perfbench/tracer.py wraps it by name",
     "exact.reduce_root_of_unity_sum": "exported in kulocal.__all__",
     "fiber.adams_minus_one": "exported in kulocal.__all__",
     "exact.IntMatrix.__add__": "matrix arithmetic; raises on a shape mismatch",
@@ -770,6 +780,19 @@ def test_pi0_admits_ell_in_order(capsys, ell, err):
     # primitive root: ell = 1 is coprime to 9 and not primitive mod 9, so
     # its message shows the singular check comes first
     code, out, got = run_capture(capsys, ["pi0", "--group", "C9", "--ell", ell])
+    assert (code, out, got) == (2, "", err)
+
+
+@pytest.mark.parametrize("ell,err", [
+    ("3", "error: ell=3 is not coprime to |G|=9\n"),
+    ("0", "error: ell=0 is not coprime to |G|=9\n"),
+    ("1", "error: ell=1 is not a primitive root mod exponent(G)=9\n"),
+    ("4", "error: ell=4 is not a primitive root mod exponent(G)=9\n"),
+])
+def test_bott_verify_admits_ell_in_order(capsys, ell, err):
+    # not coprime first, with the message pi0, pi1 and kernel give, then not
+    # a primitive root
+    code, out, got = run_capture(capsys, ["bott-verify", "--group", "C9", "--ell", ell])
     assert (code, out, got) == (2, "", err)
 
 

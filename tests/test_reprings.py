@@ -18,6 +18,7 @@ from kulocal.reprings import (
     rational_rep_lattices,
 )
 from oracles import (
+    CosetDualLevel,
     class_function_json,
     contains_element,
     perm_rep_orbit_counts_enumerated,
@@ -204,7 +205,7 @@ RATIONAL_LATTICE_GROUPS = [
 
 @pytest.mark.parametrize("spec", [
     "C27", "C81", "C243",
-    "C3xC3xC9", "C5xC25", "C9xC9", "C3xC27", "C3xC3xC3", "C5xC5xC5",
+    "C3xC3xC9", "C5xC25", "C9xC9", "C3xC27", "C3xC3xC3", "C5xC5xC5", "C3xC3xC3xC3xC3",
     # the units mod 15 and mod 45 are not cyclic
     "C15", "C45", "C3xC15",
 ])
@@ -325,6 +326,35 @@ def test_adams_cycles_partition_the_dual_basis():
 
 
 def test_adams_cycles_reject_a_non_unit_ell():
-    g = parse_group("C9")
-    with pytest.raises(ValueError, match="does not permute"):
-        adams_cycles(DualLevel(g, g.full_subgroup), 3)
+    # ell * key collides for two keys when ell is not a unit mod exp(G)
+    for spec, ell in [("C9", 3), ("C9", 0), ("C27", -3), ("C3xC9", 6), ("C5xC25", 10), ("C3xC3xC3", 12)]:
+        g = parse_group(spec)
+        with pytest.raises(ValueError, match="does not permute"):
+            adams_cycles(DualLevel(g, g.full_subgroup), ell)
+
+
+# every level of these, and the top level of C3^5
+KEYED_DUAL_CASES = [
+    *((spec, "every") for spec in ("C27", "C81", "C3xC3xC9", "C9xC9", "C5xC25", "C5xC5xC5")),
+    ("C3xC3xC3xC3xC3", "top"),
+]
+
+
+@pytest.mark.parametrize("spec,levels", KEYED_DUAL_CASES)
+def test_keyed_dual_levels_match_the_coset_construction(spec, levels):
+    # characters named by their pairing keys give the reps, indices, psi^ell,
+    # cyclic rows and products of the annihilator cosets found by
+    # translating masks
+    # (the Galois orbits are held to the cosets by the rational-lattice test)
+    g = parse_group(spec)
+    ells = [ell for ell in range(-12, 13) if math.gcd(ell, g.order) == 1]
+    for h in g.subgroups() if levels == "every" else (g.full_subgroup,):
+        dual, cosets = DualLevel(g, h), CosetDualLevel(g, h)
+        assert dual.reps == cosets.reps, (spec, h)
+        assert [dual.index_of(a) for a in g.elements] == [cosets.index_of(a) for a in g.elements], (spec, h)
+        for ell in ells:
+            assert dual_permutation(dual, ell) == cosets.permutation(ell), (spec, h, ell)
+        assert dual.cyclic_rows == cosets.cyclic_rows(), (spec, h)
+        for i, a in enumerate(dual.reps):
+            sums = [cosets.index_of(g.add(a, b)) for b in dual.reps]
+            assert [dual.product(i, j) for j in range(dual.size)] == sums, (spec, h, a)
